@@ -26,7 +26,7 @@ from .data import Dataset, load_csv, load_idx, inject_label_noise, split_dataset
 from .masks import DeterministicMask, sample_random_mask
 from .rng import substream
 from .tensor import MlpModel, softmax
-from .train import TrainResult, evaluate, predict_logits, predict_mc_dropout, train
+from .train import TrainResult, _masked_model, evaluate, predict_logits, predict_mc_dropout, train
 
 log = logging.getLogger(__name__)
 
@@ -180,9 +180,7 @@ def correlate(model: MlpModel, mask: DeterministicMask, data: Dataset, keep_prob
     correct = 0
     for _ in range(n_draws):
         z = sample_random_mask(mask, keep_prob, rng)
-        masked = MlpModel([w * m * zz for w, m, zz in zip(model.weights, mask.layers, z)],
-                          model.biases)
-        pred = evaluate(masked, data).probs.argmax(axis=1)
+        pred = evaluate(_masked_model(model, mask, z), data).probs.argmax(axis=1)
         correct += int(np.sum(pred == data.labels))
     mean_masked = correct / (n_draws * len(data))
     return {

@@ -17,6 +17,10 @@ class ShapeError(ValueError):
     """Raised when layer input/output dimensions do not chain."""
 
 
+class NonFiniteError(ValueError):
+    """Raised when the logits reaching the loss hold NaN or infinity."""
+
+
 @dataclass
 class MlpModel:
     """Fully connected net: weights[l] is [out, in], biases[l] is [out].
@@ -62,15 +66,20 @@ def _check_input(model: MlpModel, x: np.ndarray) -> None:
 
 
 def _forward_trace(model: MlpModel, x: np.ndarray):
-    """Logits plus the input seen by each layer (needed for backprop)."""
+    """Logits plus the input seen by each layer (needed for backprop).
+
+    The bias add and the ReLU write into the matmul's output, so the bias
+    is added in the activation dtype.
+    """
     _check_input(model, x)
     acts = [x]
     h = x
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w.T + b
+        h = h @ w.T
+        h += b
         if i != last:
-            h = np.maximum(h, 0)
+            np.maximum(h, 0, out=h)
             acts.append(h)
     return h, acts
 
@@ -98,7 +107,7 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     if logits.shape != targets.shape:
         raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
     if not np.isfinite(logits).all():
-        raise ValueError("non-finite logits")
+        raise NonFiniteError("non-finite logits")
     row_sums = np.sum(targets, axis=1, dtype=np.float64)
     if row_sums.size == 0:
         raise ValueError("empty batch")

@@ -36,7 +36,18 @@ from .masks import (
     wma_update,
 )
 from .rng import substream
-from .tensor import LrSchedule, MlpModel, SgdState, backward, forward, init_mlp, lr_at, sgd_step, softmax
+from .tensor import (
+    LrSchedule,
+    MlpModel,
+    NonFiniteError,
+    SgdState,
+    backward,
+    forward,
+    init_mlp,
+    lr_at,
+    sgd_step,
+    softmax,
+)
 
 log = logging.getLogger(__name__)
 
@@ -176,19 +187,22 @@ def evaluate(model: MlpModel, data: Dataset, batch_size: int = 512) -> EvalResul
 
 def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: float,
                        n_samples: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Mean softmax over n_samples random-mask draws applied to the weights."""
+    """Mean softmax over n_samples random-mask draws applied to the weights.
+
+    Each draw runs the same blocked forward as evaluate, so a single draw at
+    keep_prob=1 reproduces evaluate's probabilities bit for bit.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     total = np.zeros((len(x), model.weights[-1].shape[0]), dtype=np.float64)
     for _ in range(n_samples):
         z = sample_random_mask(mask, keep_prob, rng)
-        masked = MlpModel([w * m * zz for w, m, zz in zip(model.weights, mask.layers, z)],
-                          model.biases)
-        total += softmax(forward(masked, x))
+        total += softmax(predict_logits(_masked_model(model, mask, z), x))
     return total / n_samples
 
 
 def _masked_model(model: MlpModel, mask: DeterministicMask, z) -> MlpModel:
+    """The weights seen under topology mask m and random mask z: w * m * z."""
     return MlpModel(
         [w * m * zz for w, m, zz in zip(model.weights, mask.layers, z)],
         model.biases,
@@ -201,8 +215,7 @@ def _apply_topology(model: MlpModel, mask: DeterministicMask) -> None:
 
 
 def _snapshot(model: MlpModel, mask: DeterministicMask, z):
-    weights = [w * m * zz for w, m, zz in zip(model.weights, mask.layers, z)]
-    return weights + [b.copy() for b in model.biases]
+    return _masked_model(model, mask, z).weights + [b.copy() for b in model.biases]
 
 
 def _model_from_mean(acc: WmaAccumulator, mask: DeterministicMask, n_layers: int) -> MlpModel:
@@ -276,9 +289,7 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
             z = sample_random_mask(mask, config.keep_prob, z_rng) if random_masked else z_ones
             try:
                 loss, gw, gb = backward(_masked_model(model, mask, z), xb, targets)
-            except ValueError as exc:
-                if "non-finite" not in str(exc):
-                    raise
+            except NonFiniteError as exc:
                 raise NonFiniteLossError(
                     f"training diverged at epoch {epoch}, iteration {t}: {exc}",
                     {"epoch": epoch, "iteration": t, "lr": lr, "loss": float("nan")},

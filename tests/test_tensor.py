@@ -9,6 +9,7 @@ from cigl.rng import substream
 from cigl.tensor import (
     LrSchedule,
     MlpModel,
+    NonFiniteError,
     SgdState,
     ShapeError,
     backward,
@@ -59,6 +60,21 @@ class TestForward:
         with pytest.raises(ShapeError, match="layer 0"):
             forward(model, np.ones((2, 4), dtype=np.float32))
 
+    def test_matches_out_of_place_reference_bit_for_bit(self):
+        rng = substream(8, "t")
+        model = init_mlp([3, 16, 16, 4], rng)
+        for b in model.biases:
+            b[:] = rng.normal(0, 0.5, b.shape)
+        x = rng.standard_normal((37, 3)).astype(np.float32)
+        x_before = x.copy()
+        h = x
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            h = h @ w.T + b
+            if i != model.n_layers - 1:
+                h = np.maximum(h, 0)
+        np.testing.assert_array_equal(forward(model, x), h)
+        np.testing.assert_array_equal(x, x_before)
+
     def test_nonfinite_input_rejected(self):
         model = MlpModel([np.zeros((2, 2), np.float32)], [np.zeros(2, np.float32)])
         with pytest.raises(ValueError, match="non-finite"):
@@ -80,6 +96,12 @@ class TestSoftmaxCrossEntropy:
     def test_rejects_unnormalized_targets(self):
         with pytest.raises(ValueError, match="sum to 1"):
             softmax_cross_entropy(_f32([1.0, 0.0]), _f32([0.7, 0.6]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_logits_raise_a_typed_value_error(self, bad):
+        with pytest.raises(NonFiniteError, match="non-finite logits") as err:
+            softmax_cross_entropy(_f32([bad, 0.0]), _f32([1.0, 0.0]))
+        assert isinstance(err.value, ValueError)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 8))
     @settings(max_examples=40, deadline=None)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cigl.data import inject_label_noise, split_dataset, synth_two_moons
-from cigl.masks import DeterministicMask
+from cigl.masks import DeterministicMask, build_sparsity_plan, init_mask
 from cigl.rng import substream
-from cigl.tensor import MlpModel
+from cigl.tensor import MlpModel, init_mlp
 from cigl.train import (
     METHODS,
     NonFiniteLossError,
@@ -183,12 +183,48 @@ class TestMcDropout:
         model = MlpModel([w * m for w, m in zip(weights, masks)], biases)
         return model, mask
 
+    def _wide_model(self):
+        """A 2-64-64-2 net at 90% sparsity with nonzero biases."""
+        rng = substream(4, "mc.wide")
+        model = init_mlp([2, 64, 64, 2], rng)
+        shapes = [w.shape for w in model.weights]
+        mask = init_mask(shapes, build_sparsity_plan(shapes, 0.9), substream(4, "mc.mask"))
+        for w, b, m in zip(model.weights, model.biases, mask.layers):
+            w *= m
+            b[:] = rng.normal(0, 0.1, b.shape)
+        return model, mask
+
     def test_single_sample_full_keep_equals_plain_evaluate(self):
         tr, _ = small_data(n=100)
         model, mask = self._tiny_model()
         probs = predict_mc_dropout(model, mask, 1.0, 1, tr.features, substream(0, "mc"))
         plain = evaluate(model, tr).probs
         np.testing.assert_array_equal(probs, plain)
+
+    def test_single_sample_full_keep_equals_plain_evaluate_across_blocks(self):
+        tr, _ = small_data(n=6000)
+        assert len(tr) == 3000
+        model, mask = self._wide_model()
+        probs = predict_mc_dropout(model, mask, 1.0, 1, tr.features, substream(0, "mc"))
+        plain = evaluate(model, tr).probs
+        np.testing.assert_array_equal(probs, plain)
+
+    def test_draw_stream_matches_reference_loop(self):
+        from cigl.masks import sample_random_mask
+        from cigl.tensor import forward, softmax
+
+        tr, _ = small_data(n=1000)
+        assert len(tr) <= 512
+        model, mask = self._wide_model()
+        probs = predict_mc_dropout(model, mask, 0.8, 7, tr.features, substream(2, "mc"))
+        rng = substream(2, "mc")
+        total = np.zeros_like(probs)
+        for _ in range(7):
+            z = sample_random_mask(mask, 0.8, rng)
+            masked = MlpModel([w * m * zz for w, m, zz in zip(model.weights, mask.layers, z)],
+                              model.biases)
+            total += softmax(forward(masked, tr.features))
+        np.testing.assert_array_equal(probs, total / 7)
 
     def test_rows_sum_to_one_tightly(self):
         tr, _ = small_data(n=100)
