@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,10 +85,22 @@ def build_sparsity_plan(shapes, global_sparsity, mode="uniform", exclude=()) -> 
 
 @dataclass
 class DeterministicMask:
-    """Per-layer boolean topology masks plus their fixed nonzero targets."""
+    """Per-layer boolean topology masks plus their fixed nonzero targets.
+
+    `layers` is never mutated in place: a topology update builds a new
+    mask. That keeps the cached flat indices of the active positions valid
+    for the life of the object.
+    """
 
     layers: list[np.ndarray]
     target_nnz: tuple[int, ...]
+    _active: list[np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def active_indices(self) -> list[np.ndarray]:
+        """Per layer, the flat row-major indices of the active positions."""
+        if self._active is None:
+            self._active = [np.flatnonzero(m) for m in self.layers]
+        return self._active
 
     def nnz(self) -> tuple[int, ...]:
         return tuple(int(np.count_nonzero(m)) for m in self.layers)
@@ -130,17 +142,11 @@ def sample_random_mask(mask: DeterministicMask, keep_prob: float, rng: np.random
     if not 0.0 <= keep_prob <= 1.0:
         raise ValueError("keep probability must be in [0, 1]")
     out = []
-    for m in mask.layers:
-        z = np.zeros_like(m)
-        n_active = int(np.count_nonzero(m))
-        z[m] = rng.random(n_active) < keep_prob
-        out.append(z)
+    for m, active in zip(mask.layers, mask.active_indices()):
+        z = np.zeros(m.size, dtype=bool)
+        z[active] = rng.random(active.size) < keep_prob
+        out.append(z.reshape(m.shape))
     return out
-
-
-def ones_mask_like(mask: DeterministicMask):
-    """All-ones per-layer arrays (the degenerate random mask)."""
-    return [np.ones_like(m) for m in mask.layers]
 
 
 def apply_masks(w: np.ndarray, m: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -157,6 +163,23 @@ def mask_update_fraction(step: int, alpha: float, t_end: int) -> float:
     return alpha / 2.0 * (1.0 + math.cos(math.pi * step / t_end))
 
 
+def _smallest_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest values, ties to the lowest index: the same
+    set as np.argsort(values, kind="stable")[:k], in no particular order.
+
+    Selection finds the k-th value; every entry below it is taken, then the
+    lowest-index entries equal to it until there are k. NaN sorts last, as
+    in np.sort.
+    """
+    kth = np.partition(values, k - 1)[k - 1]
+    if np.isnan(kth):
+        nan = np.isnan(values)
+        below, tied = np.flatnonzero(~nan), np.flatnonzero(nan)
+    else:
+        below, tied = np.flatnonzero(values < kth), np.flatnonzero(values == kth)
+    return np.concatenate([below, tied[: k - below.size]])
+
+
 def update_deterministic_mask(weights, dense_grads, mask: DeterministicMask,
                               fraction: float) -> DeterministicMask:
     """Prune-and-regrow update of the topology, preserving nonzero counts.
@@ -164,16 +187,18 @@ def update_deterministic_mask(weights, dense_grads, mask: DeterministicMask,
     Per layer, k = floor(fraction * nnz): the k active positions with the
     smallest |weight| are deactivated and the k inactive positions with the
     largest |gradient| are activated. Ties resolve to the lowest flat
-    row-major index. k is clamped (with a warning) when fewer than k
-    inactive positions exist. Pruning looks at the persistent weights, not
-    the per-iteration masked product.
+    row-major index, so each set is the first k of a stable sort. k is
+    clamped (with a warning) when fewer than k inactive positions exist.
+    Pruning looks at the persistent weights, not the per-iteration masked
+    product. Each set is found by selection, not sorting, so an update is
+    linear in the layer size.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
     new_layers = []
-    for li, (w, g, m) in enumerate(zip(weights, dense_grads, mask.layers)):
+    for li, (w, g, m, active) in enumerate(zip(weights, dense_grads, mask.layers,
+                                               mask.active_indices())):
         flat_m = m.ravel()
-        active = np.flatnonzero(flat_m)
         inactive = np.flatnonzero(~flat_m)
         k = int(fraction * active.size)
         if k > inactive.size:
@@ -182,10 +207,8 @@ def update_deterministic_mask(weights, dense_grads, mask: DeterministicMask,
             k = inactive.size
         new = flat_m.copy()
         if k > 0:
-            drop = np.argsort(np.abs(w.ravel()[active]), kind="stable")[:k]
-            new[active[drop]] = False
-            grow = np.argsort(-np.abs(g.ravel()[inactive]), kind="stable")[:k]
-            new[inactive[grow]] = True
+            new[active[_smallest_k(np.abs(w.ravel()[active]), k)]] = False
+            new[inactive[_smallest_k(-np.abs(g.ravel()[inactive]), k)]] = True
         new_layers.append(new.reshape(m.shape))
     return DeterministicMask(new_layers, mask.target_nnz)
 

@@ -180,7 +180,7 @@ def correlate(model: MlpModel, mask: DeterministicMask, data: Dataset, keep_prob
     correct = 0
     for _ in range(n_draws):
         z = sample_random_mask(mask, keep_prob, rng)
-        pred = evaluate(_masked_model(model, mask, z), data).probs.argmax(axis=1)
+        pred = evaluate(_masked_model(model, z), data).probs.argmax(axis=1)
         correct += int(np.sum(pred == data.labels))
     mean_masked = correct / (n_draws * len(data))
     return {

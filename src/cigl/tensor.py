@@ -92,10 +92,15 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax computed in float64."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
+    return softmax_inplace(np.array(logits, dtype=np.float64))
+
+
+def softmax_inplace(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of the float64 array z, written over z and returned."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
@@ -170,18 +175,23 @@ class SgdState:
 
 
 def sgd_step(model: MlpModel, grads_w, grads_b, state: SgdState, lr: float) -> None:
-    """v <- momentum*v + g + weight_decay*w ; w <- w - lr*v, in place."""
-    for i, (w, g) in enumerate(zip(model.weights, grads_w)):
+    """v <- momentum*v + g + weight_decay*w ; w <- w - lr*v.
+
+    Weights and velocity buffers are updated in place, in that operation
+    order, so the float32 results equal the out-of-place expression's.
+    """
+    for i, (w, g, v) in enumerate(zip(model.weights, grads_w, state.velocity_w)):
         if g.shape != w.shape:
             raise ShapeError(f"layer {i}: grad {g.shape} vs weight {w.shape}")
-        v = state.momentum * state.velocity_w[i] + g + state.weight_decay * w
-        state.velocity_w[i] = v
+        v *= state.momentum
+        v += g
+        v += state.weight_decay * w
         w -= lr * v
-    for i, (b, g) in enumerate(zip(model.biases, grads_b)):
+    for i, (b, g, v) in enumerate(zip(model.biases, grads_b, state.velocity_b)):
         if g.shape != b.shape:
             raise ShapeError(f"layer {i}: grad {g.shape} vs bias {b.shape}")
-        v = state.momentum * state.velocity_b[i] + g
-        state.velocity_b[i] = v
+        v *= state.momentum
+        v += g
         b -= lr * v
 
 

@@ -30,7 +30,6 @@ from .masks import (
     build_sparsity_plan,
     init_mask,
     mask_update_fraction,
-    ones_mask_like,
     sample_random_mask,
     update_deterministic_mask,
     wma_update,
@@ -46,7 +45,7 @@ from .tensor import (
     init_mlp,
     lr_at,
     sgd_step,
-    softmax,
+    softmax_inplace,
 )
 
 log = logging.getLogger(__name__)
@@ -179,7 +178,7 @@ def predict_logits(model: MlpModel, features: np.ndarray, batch_size: int = 512)
 def evaluate(model: MlpModel, data: Dataset, batch_size: int = 512) -> EvalResult:
     """Accuracy, mean NLL, and probability rows; argmax ties break to the
     lowest class index."""
-    probs = softmax(predict_logits(model, data.features, batch_size))
+    probs = softmax_inplace(predict_logits(model, data.features, batch_size))
     pred = probs.argmax(axis=1)
     acc = float(np.mean(pred == data.labels))
     return EvalResult(acc, nll(probs, data.labels), probs)
@@ -190,32 +189,34 @@ def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: floa
     """Mean softmax over n_samples random-mask draws applied to the weights.
 
     Each draw runs the same blocked forward as evaluate, so a single draw at
-    keep_prob=1 reproduces evaluate's probabilities bit for bit.
+    keep_prob=1 reproduces evaluate's probabilities bit for bit. Each draw's
+    softmax is computed in its logits buffer.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     total = np.zeros((len(x), model.weights[-1].shape[0]), dtype=np.float64)
     for _ in range(n_samples):
         z = sample_random_mask(mask, keep_prob, rng)
-        total += softmax(predict_logits(_masked_model(model, mask, z), x))
+        total += softmax_inplace(predict_logits(_masked_model(model, z), x))
     return total / n_samples
 
 
-def _masked_model(model: MlpModel, mask: DeterministicMask, z) -> MlpModel:
-    """The weights seen under topology mask m and random mask z: w * m * z."""
-    return MlpModel(
-        [w * m * zz for w, m, zz in zip(model.weights, mask.layers, z)],
-        model.biases,
-    )
+def _masked_model(model: MlpModel, z) -> MlpModel:
+    """The weights seen under the effective mask z, a random mask (zero off
+    the topology m) or m itself: w * z, which equals w * m * z bit for bit
+    because a masked-out weight becomes a zero of its own sign either way."""
+    return MlpModel([w * zz for w, zz in zip(model.weights, z)], model.biases)
 
 
 def _apply_topology(model: MlpModel, mask: DeterministicMask) -> None:
+    """w *= m: off the topology the weights become zeros of their own sign,
+    so afterwards w equals w * m bit for bit."""
     for w, m in zip(model.weights, mask.layers):
         w *= m
 
 
-def _snapshot(model: MlpModel, mask: DeterministicMask, z):
-    return _masked_model(model, mask, z).weights + [b.copy() for b in model.biases]
+def _snapshot(model: MlpModel, z):
+    return _masked_model(model, z).weights + [b.copy() for b in model.biases]
 
 
 def _model_from_mean(acc: WmaAccumulator, mask: DeterministicMask, n_layers: int) -> MlpModel:
@@ -254,7 +255,6 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
     collects = method in _USES_WMA
     z_rng = substream(seed, "mask.random") if random_masked else None
     mix_rng = substream(seed, "train.mixup") if config.mixup_alpha > 0 else None
-    z_ones = ones_mask_like(mask)
 
     acc = WmaAccumulator()
     history: list[EpochRecord] = []
@@ -266,7 +266,6 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
         lr = lr_at(schedule, epoch - 1)
         loss_sum = 0.0
         n_batches = 0
-        z = z_ones
         for xb, yb in batches.epoch_batches(epoch - 1):
             t += 1
             targets = label_smoothing_targets(yb, config.label_smoothing, train_data.n_classes)
@@ -276,8 +275,9 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
                                              config.mixup_alpha, mix_rng)
 
             if updates_topology and t % config.update_interval == 0 and t < update_end:
-                # dense gradients (all positions) at the bare masked weights
-                _, dense_gw, _ = backward(_masked_model(model, mask, z_ones), xb, targets)
+                # dense gradients (all positions) at the bare masked weights,
+                # which the model holds already
+                _, dense_gw, _ = backward(model, xb, targets)
                 frac = mask_update_fraction(t, config.update_fraction, update_end)
                 new_mask = update_deterministic_mask(model.weights, dense_gw, mask, frac)
                 for v, new_m, old_m in zip(state.velocity_w, new_mask.layers, mask.layers):
@@ -286,9 +286,15 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
                 _apply_topology(model, mask)
                 update_log.append((t, mask.nnz()))
 
-            z = sample_random_mask(mask, config.keep_prob, z_rng) if random_masked else z_ones
+            # z is the effective mask: the random mask, zero off the topology,
+            # or the topology itself, under which the weights are already w * m
+            if random_masked:
+                z = sample_random_mask(mask, config.keep_prob, z_rng)
+                seen = _masked_model(model, z)
+            else:
+                z, seen = mask.layers, model
             try:
-                loss, gw, gb = backward(_masked_model(model, mask, z), xb, targets)
+                loss, gw, gb = backward(seen, xb, targets)
             except NonFiniteError as exc:
                 raise NonFiniteLossError(
                     f"training diverged at epoch {epoch}, iteration {t}: {exc}",
@@ -299,21 +305,22 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
                     f"non-finite loss at epoch {epoch}, iteration {t}",
                     {"epoch": epoch, "iteration": t, "lr": lr, "loss": loss},
                 )
-            gw = [g * m * zz for g, m, zz in zip(gw, mask.layers, z)]
+            for g, zz in zip(gw, z):
+                g *= zz
             sgd_step(model, gw, gb, state, lr)
             _apply_topology(model, mask)
             loss_sum += loss
             n_batches += 1
 
         if collects and epoch > wma_start and (epoch - wma_start) % config.wma_every == 0:
-            wma_update(acc, _snapshot(model, mask, z))
+            wma_update(acc, _snapshot(model, z))
 
         current = _output_model(model, mask, acc, collects)
         if method in _MC_PREDICT:
             probs = predict_mc_dropout(model, mask, config.keep_prob, config.mc_samples,
                                        test_data.features, substream(seed, f"mc.eval.{epoch}"))
         else:
-            probs = evaluate(current, test_data).probs
+            probs = softmax_inplace(predict_logits(current, test_data.features))
         pred = probs.argmax(axis=1)
         history.append(
             EpochRecord(

@@ -16,7 +16,9 @@ from cigl.masks import (
     update_deterministic_mask,
     wma_update,
 )
+from cigl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cigl.rng import substream
+from cigl.runner import model_from_checkpoint
 
 from _oracles import prune_regrow_bruteforce
 
@@ -96,6 +98,63 @@ class TestRandomMask:
         mask = self._mask(sparsity=0.7)
         z = sample_random_mask(mask, 0.9, substream(2, "mask.random"))
         assert not z[0][~mask.layers[0]].any()
+
+
+def _reference_random_mask(mask, keep_prob, rng):
+    """The boolean-scatter draw: one rng.random(n_active) per layer, in layer order."""
+    out = []
+    for m in mask.layers:
+        z = np.zeros_like(m)
+        z[m] = rng.random(int(np.count_nonzero(m))) < keep_prob
+        out.append(z)
+    return out
+
+
+class TestRandomMaskStream:
+    """sample_random_mask scatters into cached active indices; its output and
+    its generator stream must equal the boolean-scatter reference."""
+
+    def _assert_stream_matches(self, mask, keep_prob, draws=3):
+        got_rng, want_rng = substream(9, "mask.random"), substream(9, "mask.random")
+        for _ in range(draws):  # repeated draws reuse the cached indices
+            got = sample_random_mask(mask, keep_prob, got_rng)
+            want = _reference_random_mask(mask, keep_prob, want_rng)
+            for a, b in zip(got, want):
+                assert a.dtype == bool and a.shape == b.shape
+                assert np.array_equal(a, b)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.fixture
+    def mask(self):
+        shapes = [(30, 20), (12, 30), (3, 12)]
+        plan = build_sparsity_plan(shapes, 0.8, exclude=(2,))  # last layer stays dense
+        return init_mask(shapes, plan, substream(4, "mask.init"))
+
+    @pytest.mark.parametrize("keep_prob", [0.0, 0.9, 1.0])
+    def test_initial_mask_with_dense_excluded_layer(self, mask, keep_prob):
+        assert np.all(mask.layers[2])
+        self._assert_stream_matches(mask, keep_prob)
+
+    @pytest.mark.parametrize("keep_prob", [0.0, 0.9, 1.0])
+    def test_mask_from_topology_update(self, mask, keep_prob):
+        rng = np.random.default_rng(0)
+        w = [rng.normal(0, 1, m.shape).astype(np.float32) * m for m in mask.layers]
+        g = [rng.normal(0, 1, m.shape).astype(np.float32) for m in mask.layers]
+        new = update_deterministic_mask(w, g, mask, 0.3)
+        assert any(not np.array_equal(a, b) for a, b in zip(new.layers, mask.layers))
+        sample_random_mask(mask, keep_prob, substream(1, "warm"))  # fill the old mask's cache
+        self._assert_stream_matches(new, keep_prob)
+
+    @pytest.mark.parametrize("keep_prob", [0.0, 0.9, 1.0])
+    def test_mask_rebuilt_from_checkpoint(self, mask, keep_prob, tmp_path):
+        tensors, masks = [], []
+        for m in mask.layers:
+            tensors += [np.ones(m.shape, np.float32), np.zeros(m.shape[0], np.float32)]
+            masks += [m, np.ones(m.shape[0], dtype=bool)]
+        save_checkpoint(tmp_path / "model.ckpt", Checkpoint("cigl", 4, tensors, masks, 0))
+        _, rebuilt = model_from_checkpoint(load_checkpoint(tmp_path / "model.ckpt"))
+        assert all(np.array_equal(a, b) for a, b in zip(rebuilt.layers, mask.layers))
+        self._assert_stream_matches(rebuilt, keep_prob)
 
 
 class TestApplyMasks:
@@ -181,6 +240,62 @@ class TestMaskUpdate:
         expected = prune_regrow_bruteforce(w, g, m, frac)
         assert np.array_equal(new.layers[0], expected)
         assert new.layers[0].sum() == m.sum()
+
+
+def _stable_topk_update(w, g, m, fraction):
+    """The stable full-sort rule: first k of a stable argsort of |w| over the
+    active positions (pruned) and of -|g| over the inactive ones (grown)."""
+    flat_m = m.ravel()
+    active, inactive = np.flatnonzero(flat_m), np.flatnonzero(~flat_m)
+    k = min(int(fraction * active.size), inactive.size)
+    new = flat_m.copy()
+    if k > 0:
+        new[active[np.argsort(np.abs(w.ravel()[active]), kind="stable")[:k]]] = False
+        new[inactive[np.argsort(-np.abs(g.ravel()[inactive]), kind="stable")[:k]]] = True
+    return new.reshape(m.shape)
+
+
+class TestMaskUpdateAtScale:
+    """Selection-based top-k against the stable full sort on 12,000-entry
+    layers whose values are so tied that the k-th value spans many entries."""
+
+    SHAPE = (120, 100)
+
+    def _layer(self, seed, density):
+        rng = np.random.default_rng(seed)
+        levels = np.array([0.0, 0.25, 0.5, 1.0], dtype=np.float32)
+        sign = rng.choice(np.array([-1.0, 1.0], dtype=np.float32), self.SHAPE)
+        w = rng.choice(levels, self.SHAPE) * sign  # holds +0.0 and -0.0
+        g = rng.choice(levels, self.SHAPE) * sign[::-1]
+        g[:, rng.choice(self.SHAPE[1], 25, replace=False)] = 0.0  # all-zero gradient columns
+        g[:, :3] = -0.0
+        m = rng.random(self.SHAPE) < density
+        return w, g, m
+
+    @pytest.mark.parametrize("density", [0.1, 0.7])  # at 0.7, fraction 1 is clamped
+    @pytest.mark.parametrize("fraction", [0.0, 1e-3, 0.3, 1.0])
+    def test_matches_stable_sort(self, density, fraction, caplog):
+        for seed in range(3):
+            w, g, m = self._layer(seed, density)
+            assert np.signbit(w[w == 0]).any() and (~np.signbit(w[w == 0])).any()
+            mask = DeterministicMask([m.copy()], (int(m.sum()),))
+            with caplog.at_level("WARNING"):
+                new = update_deterministic_mask([w], [g], mask, fraction)
+            want = _stable_topk_update(w, g, m, fraction)
+            assert np.array_equal(new.layers[0], want)
+            assert new.layers[0].sum() == m.sum()
+            if fraction == 1.0 and density == 0.7:
+                assert "clamped" in caplog.text
+
+    def test_nan_sorts_last(self):
+        nan = np.nan
+        w = np.array([nan, 0.5, nan, 0.1, 0.0, 0.0, 0.0, 0.0], dtype=np.float32)
+        g = np.array([0.0, 0.0, 0.0, 0.0, nan, 0.0, nan, 0.2], dtype=np.float32)
+        m = np.arange(8) < 4
+        mask = DeterministicMask([m.copy()], (4,))
+        new = update_deterministic_mask([w], [g], mask, 0.75)  # k = 3: the k-th value is NaN
+        assert np.array_equal(new.layers[0], [False, False, True, False, True, True, False, True])
+        assert np.array_equal(new.layers[0], _stable_topk_update(w, g, m, 0.75))
 
 
 class TestUpdateFraction:

@@ -17,7 +17,9 @@ from cigl.tensor import (
     init_mlp,
     lr_at,
     sgd_step,
+    softmax,
     softmax_cross_entropy,
+    softmax_inplace,
 )
 
 from _oracles import finite_difference_grads, max_relative_error
@@ -206,6 +208,49 @@ class TestSgd:
         sgd_step(model, [np.zeros((1, 1), np.float32)], [np.zeros(1, np.float32)], state, lr=1.0)
         assert model.weights[0][0, 0] == pytest.approx(0.5)
         assert model.biases[0][0] == 1.0
+
+
+    def test_in_place_update_matches_out_of_place_formula(self):
+        rng = np.random.default_rng(3)
+        model = init_mlp([6, 5, 3], rng)
+        state = SgdState.for_model(model, momentum=0.9, weight_decay=5e-4)
+        ref_w, ref_b = [w.copy() for w in model.weights], [b.copy() for b in model.biases]
+        ref_vw = [np.zeros_like(w) for w in ref_w]
+        ref_vb = [np.zeros_like(b) for b in ref_b]
+        ids = [id(v) for v in state.velocity_w + state.velocity_b]
+        for step in range(6):
+            gw = [rng.normal(0, 1, w.shape).astype(np.float32) for w in ref_w]
+            gb = [rng.normal(0, 1, b.shape).astype(np.float32) for b in ref_b]
+            if step == 3:  # regrowth zeroes the velocity of newly active positions
+                for v in state.velocity_w + ref_vw:
+                    v[0, :2] = 0.0
+            sgd_step(model, gw, gb, state, lr=0.05)
+            for i, (w, g) in enumerate(zip(ref_w, gw)):
+                ref_vw[i] = 0.9 * ref_vw[i] + g + 5e-4 * w
+                w -= 0.05 * ref_vw[i]
+            for i, (b, g) in enumerate(zip(ref_b, gb)):
+                ref_vb[i] = 0.9 * ref_vb[i] + g
+                b -= 0.05 * ref_vb[i]
+            for got, want in zip(model.weights + model.biases + state.velocity_w + state.velocity_b,
+                                 ref_w + ref_b + ref_vw + ref_vb):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert [id(v) for v in state.velocity_w + state.velocity_b] == ids
+
+
+class TestSoftmax:
+    def test_in_place_matches_out_of_place_formula(self):
+        z = np.random.default_rng(1).normal(0, 30, (50, 7))
+        shifted = z - z.max(axis=1, keepdims=True)
+        want = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+        buf = z.copy()
+        assert softmax_inplace(buf) is buf
+        assert buf.tobytes() == want.tobytes()
+        assert softmax(z).tobytes() == want.tobytes()
+
+    def test_input_logits_untouched(self):
+        logits = _f32([1.0, 2.0, 3.0])
+        probs = softmax(logits)
+        assert probs.dtype == np.float64 and np.array_equal(logits, _f32([1.0, 2.0, 3.0]))
 
 
 class TestLrSchedule:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from cigl.data import inject_label_noise, split_dataset, synth_two_moons
-from cigl.masks import DeterministicMask, build_sparsity_plan, init_mask
+from cigl.masks import DeterministicMask, build_sparsity_plan, init_mask, sample_random_mask
 from cigl.rng import substream
 from cigl.tensor import MlpModel, init_mlp
 from cigl.train import (
     METHODS,
+    _apply_topology,
+    _masked_model,
     NonFiniteLossError,
     TrainConfig,
     evaluate,
@@ -108,6 +110,26 @@ class TestTrainLoop:
         res = train(small_config("cigl"), tr, te)
         for w, m in zip(res.model.weights, res.mask.layers):
             assert not w[~m].any()
+
+    def test_single_effective_mask_keeps_the_bits(self):
+        # The loop masks weights and gradients by the effective mask z alone,
+        # and leaves the topology-applied weights bare without a random mask.
+        # Both rest on these identities, signed zeros included.
+        rng = np.random.default_rng(2)
+        w = rng.normal(0, 1, (40, 30)).astype(np.float32)
+        w[:, :4] = -0.0
+        mask = init_mask([w.shape], build_sparsity_plan([w.shape], 0.7), substream(2, "mask.init"))
+        m = mask.layers[0]
+        z = sample_random_mask(mask, 0.6, substream(2, "mask.random"))[0]
+        raw = MlpModel([w.copy()], [np.zeros(40, np.float32)])
+        assert _masked_model(raw, [z]).weights[0].tobytes() == (w * m * z).tobytes()
+        _apply_topology(raw, mask)
+        assert raw.weights[0].tobytes() == (w * m).tobytes()
+        assert raw.weights[0].tobytes() == (raw.weights[0] * m).tobytes()
+        g = rng.normal(0, 1, w.shape).astype(np.float32)
+        masked = g.copy()
+        masked *= z
+        assert masked.tobytes() == (g * m * z).tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self):
