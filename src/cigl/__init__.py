@@ -1,65 +1,14 @@
 """Dual-mask sparse training with weight & mask averaging, sparse-training
-baselines, and a confidence-calibration measurement suite."""
+baselines, and a confidence-calibration measurement suite.
 
-from .calibration import (
-    CalibrationReport,
-    ReliabilityBins,
-    ece,
-    fit_temperature,
-    label_smoothing_targets,
-    mixup_batch,
-    nll,
-    reliability_bins,
-)
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import CalibConfig, ConfigError, DataConfig, ExperimentConfig, load_config
-from .data import (
-    BatchIterator,
-    Dataset,
-    inject_label_noise,
-    load_csv,
-    load_idx,
-    split_dataset,
-    synth_two_moons,
-)
-from .masks import (
-    DeterministicMask,
-    SparsityPlan,
-    WmaAccumulator,
-    apply_masks,
-    build_sparsity_plan,
-    erk_allocate,
-    init_mask,
-    mask_update_fraction,
-    sample_random_mask,
-    update_deterministic_mask,
-    wma_update,
-)
+The package exports what a script needs to train a method or run a
+configured experiment; the submodules hold the rest.
+"""
+
+from .config import load_config
+from .data import inject_label_noise, load_csv, load_idx, synth_two_moons
 from .rng import substream
-from .runner import build_datasets, correlate, run_experiment, run_sweep
-from .tensor import (
-    LrSchedule,
-    MlpModel,
-    SgdState,
-    backward,
-    forward,
-    init_mlp,
-    lr_at,
-    sgd_step,
-    softmax,
-    softmax_cross_entropy,
-)
-from .train import (
-    METHODS,
-    EpochRecord,
-    TrainConfig,
-    TrainResult,
-    evaluate,
-    predict_mc_dropout,
-    train,
-    train_cigl,
-    train_rigl,
-    train_variant,
-)
+from .runner import run_experiment
+from .train import TrainConfig, train
 
 __version__ = "0.1.0"

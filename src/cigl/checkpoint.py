@@ -28,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import atomic_write_bytes
+from .train import METHODS
 
 MAGIC = b"CIGL"
 VERSION = 1
-METHOD_TAGS = ("cigl", "rigl", "rigl_wdp", "rigl_mcdp", "dense", "cigl_no_rm", "cigl_no_wma")
+METHOD_TAGS = tuple(METHODS)
 
 
 class CheckpointError(ValueError):

@@ -35,8 +35,6 @@ class DataConfig:
 class CalibConfig:
     n_bins: int = 15
     temperature: bool = False
-    mixup_alpha: float = 0.0
-    label_smoothing: float = 0.0
 
 
 @dataclass
@@ -122,8 +120,9 @@ _KEYS = {
     "data.standardize": ("data", "standardize", _parse_bool),
     "calib.n_bins": ("calib", "n_bins", int),
     "calib.temperature": ("calib", "temperature", _parse_bool),
-    "calib.mixup_alpha": ("calib", "mixup_alpha", float),
-    "calib.label_smoothing": ("calib", "label_smoothing", float),
+    # training knobs, kept under their historical calib.* keys
+    "calib.mixup_alpha": ("train", "mixup_alpha", float),
+    "calib.label_smoothing": ("train", "label_smoothing", float),
 }
 
 
@@ -162,12 +161,7 @@ def load_config(path) -> ExperimentConfig:
 def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Materialize all defaults and validate. The result round-trips through
     format_config/parse_config_text unchanged."""
-    train = replace(
-        cfg.train,
-        wma_start_epoch=cfg.train.resolved_wma_start(),
-        label_smoothing=cfg.calib.label_smoothing,
-        mixup_alpha=cfg.calib.mixup_alpha,
-    )
+    train = replace(cfg.train, wma_start_epoch=cfg.train.resolved_wma_start())
     out = ExperimentConfig(run_id=cfg.run_id, out_dir=cfg.out_dir, train=train,
                            data=replace(cfg.data), calib=replace(cfg.calib))
     validate_config(out)
@@ -203,13 +197,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("data.label_noise: must be in [0, 1]")
     if len(d.split) != 2 or abs(sum(d.split) - 1.0) > 1e-9 or any(f <= 0 for f in d.split):
         raise ConfigError("data.split: need two positive fractions summing to 1")
-    c = cfg.calib
-    if c.n_bins < 1:
+    if cfg.calib.n_bins < 1:
         raise ConfigError("calib.n_bins: must be >= 1")
-    if not 0.0 <= c.label_smoothing < 1.0:
-        raise ConfigError("calib.label_smoothing: must be in [0, 1)")
-    if c.mixup_alpha < 0:
-        raise ConfigError("calib.mixup_alpha: must be >= 0")
 
 
 def format_config(cfg: ExperimentConfig) -> str:

@@ -149,13 +149,6 @@ def sample_random_mask(mask: DeterministicMask, keep_prob: float, rng: np.random
     return out
 
 
-def apply_masks(w: np.ndarray, m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Elementwise w * m * z; the input weight array is not modified."""
-    if not (w.shape == m.shape == z.shape):
-        raise ValueError(f"shape mismatch: {w.shape}, {m.shape}, {z.shape}")
-    return w * m * z
-
-
 def mask_update_fraction(step: int, alpha: float, t_end: int) -> float:
     """Cosine-annealed prune/regrow fraction: alpha/2 * (1 + cos(pi * step / t_end))."""
     if not 0 <= step <= t_end:

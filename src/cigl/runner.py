@@ -26,7 +26,15 @@ from .data import Dataset, load_csv, load_idx, inject_label_noise, split_dataset
 from .masks import DeterministicMask, sample_random_mask
 from .rng import substream
 from .tensor import MlpModel, softmax
-from .train import TrainResult, _masked_model, evaluate, predict_logits, predict_mc_dropout, train
+from .train import (
+    METHODS,
+    TrainResult,
+    evaluate,
+    masked_model,
+    predict_logits,
+    predict_mc_dropout,
+    train,
+)
 
 log = logging.getLogger(__name__)
 
@@ -92,8 +100,9 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
     out_dir.mkdir(parents=True, exist_ok=True)
 
     train_ds, test_ds = build_datasets(cfg)
-    use_temperature = cfg.calib.temperature and cfg.train.method != "rigl_mcdp"
-    if cfg.calib.temperature and cfg.train.method == "rigl_mcdp":
+    mc_predict = METHODS[cfg.train.method].mc_predict
+    use_temperature = cfg.calib.temperature and not mc_predict
+    if cfg.calib.temperature and mc_predict:
         log.warning("temperature scaling skipped: MC-dropout prediction has no single logit set")
     if use_temperature:
         fit_ds, val_ds = split_dataset(train_ds, (0.9, 0.1), substream(cfg.train.seed, "data.valsplit"))
@@ -138,7 +147,8 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
 
 
 def run_sweep(cfg: ExperimentConfig, sparsities, seeds, out_root=None, force: bool = False) -> Path:
-    """|sparsities| x |seeds| independent runs; rows sorted by (sparsity, seed)."""
+    """|sparsities| x |seeds| independent runs; rows sorted by (sparsity, seed).
+    Cells that would share a run directory are rejected before any training."""
     if not seeds:
         raise ConfigError("sweep: need at least one seed")
     for s in sparsities:
@@ -146,16 +156,19 @@ def run_sweep(cfg: ExperimentConfig, sparsities, seeds, out_root=None, force: bo
             raise ConfigError(f"sweep: sparsity {s} outside [0, 1)")
     cfg = resolve_config(cfg)
     out_root = Path(out_root if out_root is not None else cfg.out_dir)
+    cells = [(s, seed, f"{cfg.run_id}_s{s:g}_seed{seed}")
+             for s in sorted(sparsities) for seed in sorted(seeds)]
+    run_ids = set()
+    for _, _, run_id in cells:
+        if run_id in run_ids:
+            raise ConfigError(f"sweep: two cells share run id {run_id!r} "
+                              "(a repeated seed, or sparsities equal when printed with %g)")
+        run_ids.add(run_id)
     rows = []
-    for s in sorted(sparsities):
-        for seed in sorted(seeds):
-            cell = replace(
-                cfg,
-                run_id=f"{cfg.run_id}_s{s:g}_seed{seed}",
-                train=replace(cfg.train, sparsity=s, seed=seed),
-            )
-            out = run_experiment(cell, out_root=out_root / "sweep_runs", force=force)
-            rows.append((s, out.report.accuracy, out.report.ece, out.report.nll, seed))
+    for s, seed, run_id in cells:
+        cell = replace(cfg, run_id=run_id, train=replace(cfg.train, sparsity=s, seed=seed))
+        out = run_experiment(cell, out_root=out_root / "sweep_runs", force=force)
+        rows.append((s, out.report.accuracy, out.report.ece, out.report.nll, seed))
 
     path = out_root / "sweep.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -180,7 +193,7 @@ def correlate(model: MlpModel, mask: DeterministicMask, data: Dataset, keep_prob
     correct = 0
     for _ in range(n_draws):
         z = sample_random_mask(mask, keep_prob, rng)
-        pred = evaluate(_masked_model(model, z), data).probs.argmax(axis=1)
+        pred = evaluate(masked_model(model, z), data).probs.argmax(axis=1)
         correct += int(np.sum(pred == data.labels))
     mean_masked = correct / (n_draws * len(data))
     return {
@@ -207,7 +220,7 @@ def run_export_reliability(cfg: ExperimentConfig, ckpt_path, out_file, n_bins=No
     ckpt = load_checkpoint(ckpt_path)
     model, mask = model_from_checkpoint(ckpt)
     _, test_ds = build_datasets(cfg)
-    if ckpt.method == "rigl_mcdp":
+    if METHODS[ckpt.method].mc_predict:
         probs = predict_mc_dropout(model, mask, cfg.train.keep_prob, cfg.train.mc_samples,
                                    test_ds.features, substream(cfg.train.seed, "mc.export"))
     else:

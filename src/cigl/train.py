@@ -1,18 +1,10 @@
 """Training loops for the dual-mask sparse trainer and its baselines.
 
-Methods
--------
-cigl         dual-mask sparse training with weight & mask averaging
-rigl         magnitude-prune / gradient-regrow baseline (single mask)
-rigl_wdp     rigl plus per-iteration Bernoulli weight dropout
-rigl_mcdp    trained exactly like rigl_wdp; Monte Carlo dropout at prediction
-dense        no sparsity constraint, plain SGD training
-cigl_no_rm   ablation: no random mask (averages bare masked snapshots)
-cigl_no_wma  ablation: no averaging (returns the final iterate)
-
-All methods share one loop so degenerate configurations coincide
-bit-exactly: cigl with keep_prob=1 equals cigl_no_rm, cigl_no_wma with
-keep_prob=1 equals rigl, and rigl at sparsity 0 equals dense.
+Every method is a row of METHODS: which of the two masks it uses, whether
+it averages weights and masks, and whether it predicts by MC dropout. All
+methods share one loop so degenerate configurations coincide bit-exactly:
+cigl with keep_prob=1 equals cigl_no_rm, cigl_no_wma with keep_prob=1
+equals rigl, and rigl at sparsity 0 equals dense.
 """
 
 from __future__ import annotations
@@ -22,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import ece, label_smoothing_targets, mixup_batch, nll
+from .calibration import ece, label_smoothing_targets, mixup_batch
 from .data import BatchIterator, Dataset
 from .masks import (
     DeterministicMask,
@@ -50,11 +42,32 @@ from .tensor import (
 
 log = logging.getLogger(__name__)
 
-METHODS = ("cigl", "rigl", "rigl_wdp", "rigl_mcdp", "dense", "cigl_no_rm", "cigl_no_wma")
 
-_USES_RANDOM_MASK = {"cigl", "cigl_no_wma", "rigl_wdp", "rigl_mcdp"}
-_USES_WMA = {"cigl", "cigl_no_rm"}
-_MC_PREDICT = {"rigl_mcdp"}
+@dataclass(frozen=True)
+class Method:
+    sparse: bool  # topology mask with prune/regrow; otherwise dense training
+    random_mask: bool  # Bernoulli random mask redrawn every iteration
+    wma: bool  # output is the weight & mask average of late snapshots
+    mc_predict: bool  # predicts by Monte Carlo dropout over random-mask draws
+
+
+# Insertion order is the checkpoint's on-disk method tag order: append only.
+METHODS = {
+    # dual-mask sparse training with weight & mask averaging
+    "cigl": Method(sparse=True, random_mask=True, wma=True, mc_predict=False),
+    # magnitude-prune / gradient-regrow baseline (single mask)
+    "rigl": Method(sparse=True, random_mask=False, wma=False, mc_predict=False),
+    # rigl plus per-iteration Bernoulli weight dropout
+    "rigl_wdp": Method(sparse=True, random_mask=True, wma=False, mc_predict=False),
+    # trained exactly like rigl_wdp; Monte Carlo dropout at prediction
+    "rigl_mcdp": Method(sparse=True, random_mask=True, wma=False, mc_predict=True),
+    # no sparsity constraint, plain SGD training
+    "dense": Method(sparse=False, random_mask=False, wma=False, mc_predict=False),
+    # ablation: no random mask (averages bare masked snapshots)
+    "cigl_no_rm": Method(sparse=True, random_mask=False, wma=True, mc_predict=False),
+    # ablation: no averaging (returns the final iterate)
+    "cigl_no_wma": Method(sparse=True, random_mask=True, wma=False, mc_predict=False),
+}
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -164,7 +177,6 @@ class TrainResult:
 @dataclass(frozen=True)
 class EvalResult:
     accuracy: float
-    nll: float
     probs: np.ndarray
 
 
@@ -176,12 +188,12 @@ def predict_logits(model: MlpModel, features: np.ndarray, batch_size: int = 512)
 
 
 def evaluate(model: MlpModel, data: Dataset, batch_size: int = 512) -> EvalResult:
-    """Accuracy, mean NLL, and probability rows; argmax ties break to the
-    lowest class index."""
+    """Accuracy and probability rows; argmax ties break to the lowest class
+    index."""
     probs = softmax_inplace(predict_logits(model, data.features, batch_size))
     pred = probs.argmax(axis=1)
     acc = float(np.mean(pred == data.labels))
-    return EvalResult(acc, nll(probs, data.labels), probs)
+    return EvalResult(acc, probs)
 
 
 def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: float,
@@ -197,11 +209,11 @@ def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: floa
     total = np.zeros((len(x), model.weights[-1].shape[0]), dtype=np.float64)
     for _ in range(n_samples):
         z = sample_random_mask(mask, keep_prob, rng)
-        total += softmax_inplace(predict_logits(_masked_model(model, z), x))
+        total += softmax_inplace(predict_logits(masked_model(model, z), x))
     return total / n_samples
 
 
-def _masked_model(model: MlpModel, z) -> MlpModel:
+def masked_model(model: MlpModel, z) -> MlpModel:
     """The weights seen under the effective mask z, a random mask (zero off
     the topology m) or m itself: w * z, which equals w * m * z bit for bit
     because a masked-out weight becomes a zero of its own sign either way."""
@@ -216,7 +228,7 @@ def _apply_topology(model: MlpModel, mask: DeterministicMask) -> None:
 
 
 def _snapshot(model: MlpModel, z):
-    return _masked_model(model, z).weights + [b.copy() for b in model.biases]
+    return masked_model(model, z).weights + [b.copy() for b in model.biases]
 
 
 def _model_from_mean(acc: WmaAccumulator, mask: DeterministicMask, n_layers: int) -> MlpModel:
@@ -232,13 +244,13 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
     config.validate()
     if train_data.n_classes != test_data.n_classes:
         raise ValueError("train/test class count mismatch")
-    method = config.method
+    method = METHODS[config.method]
     seed = config.seed
 
     dims = [train_data.n_features, *config.hidden, train_data.n_classes]
     model = init_mlp(dims, substream(seed, "init.weights"))
     shapes = [w.shape for w in model.weights]
-    sparsity = 0.0 if method == "dense" else config.sparsity
+    sparsity = config.sparsity if method.sparse else 0.0
     plan = build_sparsity_plan(shapes, sparsity, config.sparsity_mode, config.mask_exclude)
     mask = init_mask(shapes, plan, substream(seed, "mask.init"))
     _apply_topology(model, mask)
@@ -250,10 +262,7 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
     update_end = int(config.update_end_fraction * total_iters)
     wma_start = config.resolved_wma_start()
 
-    updates_topology = method != "dense"
-    random_masked = method in _USES_RANDOM_MASK
-    collects = method in _USES_WMA
-    z_rng = substream(seed, "mask.random") if random_masked else None
+    z_rng = substream(seed, "mask.random") if method.random_mask else None
     mix_rng = substream(seed, "train.mixup") if config.mixup_alpha > 0 else None
 
     acc = WmaAccumulator()
@@ -274,7 +283,7 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
                 xb, targets, _ = mixup_batch(xb, targets, xb[perm], targets[perm],
                                              config.mixup_alpha, mix_rng)
 
-            if updates_topology and t % config.update_interval == 0 and t < update_end:
+            if method.sparse and t % config.update_interval == 0 and t < update_end:
                 # dense gradients (all positions) at the bare masked weights,
                 # which the model holds already
                 _, dense_gw, _ = backward(model, xb, targets)
@@ -288,9 +297,9 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
 
             # z is the effective mask: the random mask, zero off the topology,
             # or the topology itself, under which the weights are already w * m
-            if random_masked:
+            if method.random_mask:
                 z = sample_random_mask(mask, config.keep_prob, z_rng)
-                seen = _masked_model(model, z)
+                seen = masked_model(model, z)
             else:
                 z, seen = mask.layers, model
             try:
@@ -312,11 +321,11 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
             loss_sum += loss
             n_batches += 1
 
-        if collects and epoch > wma_start and (epoch - wma_start) % config.wma_every == 0:
+        if method.wma and epoch > wma_start and (epoch - wma_start) % config.wma_every == 0:
             wma_update(acc, _snapshot(model, z))
 
-        current = _output_model(model, mask, acc, collects)
-        if method in _MC_PREDICT:
+        current = _output_model(model, mask, acc, method.wma)
+        if method.mc_predict:
             probs = predict_mc_dropout(model, mask, config.keep_prob, config.mc_samples,
                                        test_data.features, substream(seed, f"mc.eval.{epoch}"))
         else:
@@ -335,7 +344,7 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
         )
         final_probs = probs
 
-    result_model = _output_model(model, mask, acc, collects)
+    result_model = _output_model(model, mask, acc, method.wma)
     return TrainResult(
         model=result_model,
         mask=mask,
@@ -353,21 +362,3 @@ def _output_model(model: MlpModel, mask: DeterministicMask, acc: WmaAccumulator,
         return _model_from_mean(acc, mask, len(model.weights))
     return MlpModel([w * m for w, m in zip(model.weights, mask.layers)],
                     [b.copy() for b in model.biases])
-
-
-def train_cigl(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> TrainResult:
-    if config.method != "cigl":
-        raise ValueError("train_cigl requires method == 'cigl'")
-    return train(config, train_data, test_data)
-
-
-def train_rigl(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> TrainResult:
-    if config.method != "rigl":
-        raise ValueError("train_rigl requires method == 'rigl'")
-    return train(config, train_data, test_data)
-
-
-def train_variant(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> TrainResult:
-    if config.method not in ("rigl_wdp", "rigl_mcdp", "dense", "cigl_no_rm", "cigl_no_wma"):
-        raise ValueError(f"train_variant does not handle method {config.method!r}")
-    return train(config, train_data, test_data)

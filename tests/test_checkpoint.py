@@ -59,6 +59,15 @@ class TestRoundTrip:
         assert seed == 123456789
         assert count == 4
 
+    def test_method_tags_are_pinned(self, tmp_path):
+        # the tag byte is part of the file format; new methods may only append
+        pinned = ("cigl", "rigl", "rigl_wdp", "rigl_mcdp", "dense", "cigl_no_rm", "cigl_no_wma")
+        assert METHOD_TAGS[: len(pinned)] == pinned
+        for tag, method in enumerate(pinned):
+            path = tmp_path / f"{method}.ckpt"
+            save_checkpoint(path, random_checkpoint(method=method))
+            assert path.read_bytes()[8] == tag
+
 
 class TestErrors:
     def test_bad_magic(self, tmp_path):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from cigl.cli import main
-from cigl.config import ConfigError, format_config, parse_config_text, resolve_config
+from cigl.config import ConfigError, ExperimentConfig, format_config, parse_config_text, resolve_config
 from cigl.checkpoint import load_checkpoint
+from cigl.runner import run_sweep
+from cigl.train import TrainConfig
 
 
 TINY_CONFIG = """
@@ -66,6 +68,19 @@ class TestConfigParsing:
         cfg = parse_config_text("# comment\n\ntrain.epochs = 3\n")
         assert cfg.train.epochs == 3
 
+    def test_resolve_keeps_programmatic_training_knobs(self):
+        cfg = ExperimentConfig(train=TrainConfig(label_smoothing=0.1, mixup_alpha=0.4))
+        resolved = resolve_config(cfg)
+        assert resolved.train.label_smoothing == 0.1
+        assert resolved.train.mixup_alpha == 0.4
+
+    def test_calib_keys_set_the_training_knobs(self):
+        cfg = resolve_config(parse_config_text(
+            "calib.label_smoothing = 0.1\ncalib.mixup_alpha = 0.2\n"))
+        assert (cfg.train.label_smoothing, cfg.train.mixup_alpha) == (0.1, 0.2)
+        lines = format_config(cfg).splitlines()
+        assert lines[-2:] == ["calib.mixup_alpha = 0.2", "calib.label_smoothing = 0.1"]
+
 
 @pytest.fixture()
 def tiny_config_file(tmp_path):
@@ -124,8 +139,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "data.csv_path" in capsys.readouterr().err
 
+    def test_out_of_range_label_smoothing_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + "calib.label_smoothing = 1.5\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "label_smoothing" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("sparsities, seeds", [
+        ([0.8], [2, 2]),
+        ([0.5, 0.5000001], [1]),
+    ])
+    @pytest.mark.parametrize("force", [False, True])
+    def test_colliding_cells_rejected_before_training(self, tmp_path, sparsities, seeds, force):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="run id"):
+            run_sweep(parse_config_text(TINY_CONFIG), sparsities, seeds, out_root=out, force=force)
+        assert not out.exists()
+
     def test_grid_rows_sorted_and_complete(self, tiny_config_file, tmp_path):
         out = tmp_path / "out"
         rc = main(["sweep", "--config", str(tiny_config_file), "--out", str(out),

@@ -7,7 +7,6 @@ from cigl.masks import (
     DeterministicMask,
     SparsityPlan,
     WmaAccumulator,
-    apply_masks,
     build_sparsity_plan,
     erk_allocate,
     init_mask,
@@ -19,6 +18,8 @@ from cigl.masks import (
 from cigl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cigl.rng import substream
 from cigl.runner import model_from_checkpoint
+from cigl.tensor import MlpModel
+from cigl.train import masked_model
 
 from _oracles import prune_regrow_bruteforce
 
@@ -158,26 +159,32 @@ class TestRandomMaskStream:
 
 
 class TestApplyMasks:
+    """train.masked_model, the one w * m * z path: its masks are effective
+    masks, zero off the topology, as sample_random_mask draws them."""
+
+    @staticmethod
+    def _masked(w, z):
+        model = MlpModel([w], [np.zeros(w.shape[0], np.float32)])
+        return masked_model(model, [z]).weights[0]
+
     def test_identity_masks(self):
         w = np.arange(6, dtype=np.float32).reshape(2, 3)
-        ones = np.ones((2, 3), dtype=bool)
-        np.testing.assert_array_equal(apply_masks(w, ones, ones), w)
+        np.testing.assert_array_equal(self._masked(w, np.ones((2, 3), dtype=bool)), w)
 
     def test_annihilating_mask(self):
         w = np.ones((2, 3), dtype=np.float32)
-        zeros = np.zeros((2, 3), dtype=bool)
-        assert not apply_masks(w, zeros, np.ones((2, 3), dtype=bool)).any()
+        assert not self._masked(w, np.zeros((2, 3), dtype=bool)).any()
 
     def test_elementwise_product_by_hand(self):
-        w = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32)
-        m = np.array([1, 0, 1, 1], dtype=bool)
-        z = np.array([1, 1, 0, 1], dtype=bool)
-        np.testing.assert_array_equal(apply_masks(w, m, z), [1.0, 0.0, 0.0, 4.0])
+        w = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
+        m = np.array([[1, 0, 1, 1]], dtype=bool)
+        z = np.array([[1, 1, 0, 1]], dtype=bool)
+        np.testing.assert_array_equal(self._masked(w, m & z), [[1.0, 0.0, 0.0, 4.0]])
 
     def test_input_not_modified(self):
-        w = np.ones((3,), dtype=np.float32)
-        apply_masks(w, np.zeros(3, dtype=bool), np.zeros(3, dtype=bool))
-        assert np.all(w == 1.0)
+        model = MlpModel([np.ones((1, 3), dtype=np.float32)], [np.ones(1, np.float32)])
+        masked_model(model, [np.zeros((1, 3), dtype=bool)])
+        assert np.all(model.weights[0] == 1.0) and np.all(model.biases[0] == 1.0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -185,10 +192,12 @@ class TestApplyMasks:
         rng = np.random.default_rng(seed)
         w = rng.normal(0, 1, (5, 4)).astype(np.float32)
         m = rng.random((5, 4)) < 0.6
-        z = rng.random((5, 4)) < 0.8
-        once = apply_masks(w, m, z)
-        twice = apply_masks(once, m, z)
-        np.testing.assert_array_equal(once, twice)
+        mask = DeterministicMask([m], (int(m.sum()),))
+        z = sample_random_mask(mask, 0.8, rng)
+        model = MlpModel([w], [np.zeros(5, np.float32)])
+        once = masked_model(model, z)
+        twice = masked_model(once, z)
+        np.testing.assert_array_equal(once.weights[0], twice.weights[0])
 
 
 class TestMaskUpdate:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cigl.calibration import nll
 from cigl.data import inject_label_noise, split_dataset, synth_two_moons
 from cigl.masks import DeterministicMask, build_sparsity_plan, init_mask, sample_random_mask
 from cigl.rng import substream
@@ -8,15 +9,12 @@ from cigl.tensor import MlpModel, init_mlp
 from cigl.train import (
     METHODS,
     _apply_topology,
-    _masked_model,
     NonFiniteLossError,
     TrainConfig,
     evaluate,
+    masked_model,
     predict_mc_dropout,
     train,
-    train_cigl,
-    train_rigl,
-    train_variant,
 )
 
 from _oracles import mc_dropout_enumeration
@@ -122,7 +120,7 @@ class TestTrainLoop:
         m = mask.layers[0]
         z = sample_random_mask(mask, 0.6, substream(2, "mask.random"))[0]
         raw = MlpModel([w.copy()], [np.zeros(40, np.float32)])
-        assert _masked_model(raw, [z]).weights[0].tobytes() == (w * m * z).tobytes()
+        assert masked_model(raw, [z]).weights[0].tobytes() == (w * m * z).tobytes()
         _apply_topology(raw, mask)
         assert raw.weights[0].tobytes() == (w * m).tobytes()
         assert raw.weights[0].tobytes() == (raw.weights[0] * m).tobytes()
@@ -138,17 +136,6 @@ class TestTrainLoop:
         with pytest.raises(NonFiniteLossError) as err:
             train(cfg, tr, te)
         assert "iteration" in err.value.diagnostics
-
-    def test_method_specific_entry_points(self):
-        tr, te = small_data()
-        with pytest.raises(ValueError):
-            train_cigl(small_config("rigl"), tr, te)
-        with pytest.raises(ValueError):
-            train_rigl(small_config("cigl"), tr, te)
-        with pytest.raises(ValueError):
-            train_variant(small_config("cigl"), tr, te)
-        res = train_variant(small_config("dense"), tr, te)
-        assert res.config.method == "dense"
 
     def test_all_methods_run(self):
         tr, te = small_data(n=200)
@@ -182,7 +169,7 @@ class TestEvaluate:
                          [np.zeros(2, np.float32)])
         res = evaluate(model, data)
         assert res.accuracy == 1.0
-        assert res.nll < 1e-9
+        assert nll(res.probs, data.labels) < 1e-9
 
     def test_prob_rows_sum_to_one(self):
         tr, _ = small_data()
