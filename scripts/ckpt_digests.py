@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""One sha256 per training method on a short two-moons config.
+"""One sha256 per training method on a short two-moons config, plus two
+over the files the runner writes.
 
 Trains every method in `cigl.train.METHODS` on the same data and prints a
 digest over the output weights, topology masks, biases, the final test
-probabilities and the per-epoch history. A change that claims to keep the
-training bits must print the same lines before and after:
+probabilities and the per-epoch history. Two more lines cover the runner:
+`cigl_run` hashes the five artifacts of a `run_experiment` with temperature
+scaling, label smoothing and mixup on, and `rigl_mcdp_eval` hashes the
+`correlate` report and the `export-reliability` CSV of a rigl_mcdp run. A
+change that claims to keep the output bits must print the same lines
+before and after:
 
     PYTHONPATH=src python3 scripts/ckpt_digests.py --seed 0
 """
@@ -12,11 +17,28 @@ training bits must print the same lines before and after:
 import argparse
 import hashlib
 import json
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
-from cigl import TrainConfig, inject_label_noise, substream, synth_two_moons, train
+from cigl import TrainConfig, inject_label_noise, run_experiment, substream, synth_two_moons, train
+from cigl.config import parse_config_text
+from cigl.runner import ARTIFACTS, run_correlate, run_export_reliability
 from cigl.train import METHODS
+
+RUN_CONFIG = """
+train.epochs = 8
+train.batch_size = 32
+train.hidden = 32, 32
+train.sparsity = 0.8
+train.update_interval = 10
+train.wma_start_epoch = 4
+train.lr_milestones = 6
+train.mc_samples = 5
+data.n = 1200
+"""
 
 
 def make_data(seed):
@@ -33,7 +55,30 @@ def digest(result) -> str:
         h.update(np.packbits(m).tobytes())
         h.update(np.ascontiguousarray(b).tobytes())
     h.update(np.ascontiguousarray(result.final_probs).tobytes())
-    h.update(json.dumps([r.to_dict() for r in result.history]).encode())
+    h.update(json.dumps([asdict(r) for r in result.history]).encode())
+    return h.hexdigest()
+
+
+def run_config(seed, lines):
+    return parse_config_text(RUN_CONFIG + f"train.seed = {seed}\n" + lines)
+
+
+def run_digest(seed, out_root) -> str:
+    cfg = run_config(seed, "run.id = cigl\ntrain.method = cigl\ncalib.temperature = true\n"
+                           "calib.label_smoothing = 0.1\ncalib.mixup_alpha = 0.2\n")
+    out_dir = run_experiment(cfg, out_root=out_root).out_dir
+    h = hashlib.sha256()
+    for name in ARTIFACTS:
+        h.update((out_dir / name).read_bytes())
+    return h.hexdigest()
+
+
+def eval_digest(seed, out_root) -> str:
+    cfg = run_config(seed, "run.id = rigl_mcdp\ntrain.method = rigl_mcdp\n")
+    ckpt = run_experiment(cfg, out_root=out_root).out_dir / "model.ckpt"
+    h = hashlib.sha256()
+    h.update(json.dumps(run_correlate(cfg, ckpt)).encode())
+    h.update(run_export_reliability(cfg, ckpt, Path(out_root) / "reliability.csv").read_bytes())
     return h.hexdigest()
 
 
@@ -59,6 +104,9 @@ def main():
             mc_samples=5,
         )
         print(f"{method:<12} {digest(train(cfg, tr, te))}")
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f"{'cigl_run':<12} {run_digest(args.seed, tmp)}")
+        print(f"{'rigl_mcdp_eval':<12} {eval_digest(args.seed, tmp)}")
 
 
 if __name__ == "__main__":

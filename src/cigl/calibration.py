@@ -115,11 +115,10 @@ def _nll_of_logits(logits: np.ndarray, labels: np.ndarray, temperature: float) -
     return float(np.mean(lse - z[np.arange(len(labels)), labels]))
 
 
-def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 10.0,
-                    tol: float = 1e-4) -> float:
+def fit_temperature(logits, labels) -> float:
     """Scalar temperature minimising validation NLL of softmax(logits / T).
 
-    Golden-section search over [lo, hi] down to an interval of `tol`.
+    Golden-section search over [0.05, 10] down to an interval of 1e-4.
     Falls back to T=1 when scaling does not improve the NLL, so the fitted
     temperature never increases it. Degenerate logits (all rows constant)
     return T=1 with a warning.
@@ -136,7 +135,8 @@ def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 10.0,
         return _nll_of_logits(logits, labels, t)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    tol = 1e-4
+    a, b = 0.05, 10.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .train import TrainConfig
+from .train import TrainConfig, TrainConfigError
 
 
 class ConfigError(ValueError):
@@ -126,6 +126,10 @@ _KEYS = {
 }
 
 
+# TrainConfig field -> the file key that sets it
+_TRAIN_KEYS = {attr: key for key, (section, attr, _) in _KEYS.items() if section == "train"}
+
+
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
     cfg = ExperimentConfig()
     seen = set()
@@ -171,8 +175,8 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     try:
         cfg.train.validate()
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from None
+    except TrainConfigError as exc:
+        raise ConfigError(f"{_TRAIN_KEYS[exc.field]}: {exc.reason}") from None
     if not cfg.run_id:
         raise ConfigError("run.id: must be nonempty")
     d = cfg.data

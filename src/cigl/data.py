@@ -24,7 +24,6 @@ class Dataset:
     features: np.ndarray  # [n, d] float32
     labels: np.ndarray  # [n] int64, values in [0, n_classes)
     n_classes: int
-    provenance: str = ""
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.labels.ndim != 1:
@@ -84,7 +83,6 @@ def load_csv(path, label_column: str) -> Dataset:
         np.asarray(feats, dtype=np.float32),
         np.asarray(labels, dtype=np.int64),
         n_classes=len(remap),
-        provenance=f"csv:{path}",
     )
 
 
@@ -135,7 +133,6 @@ def load_idx(images_path, labels_path) -> Dataset:
         pixels.astype(np.float32) / np.float32(255.0),
         labels,
         n_classes=int(labels.max()) + 1 if n else 0,
-        provenance=f"idx:{images_path}",
     )
 
 
@@ -167,7 +164,7 @@ def synth_two_moons(n: int, noise_sd: float, rng: np.random.Generator) -> Datase
     )
     pts = pts + noise_sd * rng.standard_normal(pts.shape)
     labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    return Dataset(pts.astype(np.float32), labels, n_classes=2, provenance=f"two_moons:n={n}")
+    return Dataset(pts.astype(np.float32), labels, n_classes=2)
 
 
 def inject_label_noise(dataset: Dataset, rate: float, rng: np.random.Generator):
@@ -183,9 +180,7 @@ def inject_label_noise(dataset: Dataset, rate: float, rng: np.random.Generator):
             raise ValueError("cannot flip labels with fewer than 2 classes")
         offsets = rng.integers(1, dataset.n_classes, size=idx.size)
         labels[idx] = (labels[idx] + offsets) % dataset.n_classes
-    noisy = replace(dataset, labels=labels,
-                    provenance=f"{dataset.provenance}+noise:{rate}")
-    return noisy, idx
+    return replace(dataset, labels=labels), idx
 
 
 def split_dataset(dataset: Dataset, fractions, rng: np.random.Generator):
@@ -204,17 +199,10 @@ def split_dataset(dataset: Dataset, fractions, rng: np.random.Generator):
     perm = rng.permutation(n)
     parts = []
     start = 0
-    for i, size in enumerate(sizes):
+    for size in sizes:
         sel = perm[start : start + size]
         start += size
-        parts.append(
-            replace(
-                dataset,
-                features=dataset.features[sel],
-                labels=dataset.labels[sel],
-                provenance=f"{dataset.provenance}#split{i}",
-            )
-        )
+        parts.append(replace(dataset, features=dataset.features[sel], labels=dataset.labels[sel]))
     return parts
 
 
@@ -227,7 +215,7 @@ def standardize(train: Dataset, *others: Dataset):
 
     def apply(ds: Dataset) -> Dataset:
         feats = ((ds.features.astype(np.float64) - mean) / sd).astype(np.float32)
-        return replace(ds, features=feats, provenance=f"{ds.provenance}+std")
+        return replace(ds, features=feats)
 
     out = [apply(train)] + [apply(ds) for ds in others]
     return out[0] if not others else tuple(out)

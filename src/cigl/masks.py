@@ -19,13 +19,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SparsityPlan:
-    """Global target sparsity plus the per-layer allocation realizing it."""
-
-    global_sparsity: float
-    mode: str  # "uniform" | "erk"
-    layer_sparsities: tuple[float, ...]
+SPARSITY_MODES = ("uniform", "erk")
 
 
 def erk_allocate(shapes, global_sparsity: float) -> list[float]:
@@ -64,11 +58,12 @@ def erk_allocate(shapes, global_sparsity: float) -> list[float]:
     return [1.0 - d for d in densities]
 
 
-def build_sparsity_plan(shapes, global_sparsity, mode="uniform", exclude=()) -> SparsityPlan:
-    """Allocation over maskable layers; excluded layer indices stay dense."""
+def build_sparsity_plan(shapes, global_sparsity, mode="uniform", exclude=()) -> tuple[float, ...]:
+    """Per-layer sparsities allocating global_sparsity over the maskable
+    layers; excluded layer indices stay dense."""
     if not 0.0 <= global_sparsity < 1.0:
         raise ValueError("global sparsity must be in [0, 1)")
-    if mode not in ("uniform", "erk"):
+    if mode not in SPARSITY_MODES:
         raise ValueError(f"unknown sparsity mode {mode!r}")
     exclude = set(exclude)
     maskable = [i for i in range(len(shapes)) if i not in exclude]
@@ -80,7 +75,7 @@ def build_sparsity_plan(shapes, global_sparsity, mode="uniform", exclude=()) -> 
         alloc = erk_allocate([shapes[i] for i in maskable], global_sparsity)
         for i, s in zip(maskable, alloc):
             per_layer[i] = s
-    return SparsityPlan(global_sparsity, mode, tuple(per_layer))
+    return tuple(per_layer)
 
 
 @dataclass
@@ -105,23 +100,17 @@ class DeterministicMask:
     def nnz(self) -> tuple[int, ...]:
         return tuple(int(np.count_nonzero(m)) for m in self.layers)
 
-    def numel(self) -> int:
-        return sum(m.size for m in self.layers)
-
     def sparsity(self) -> float:
-        return 1.0 - sum(self.nnz()) / self.numel()
-
-    def copy(self) -> "DeterministicMask":
-        return DeterministicMask([m.copy() for m in self.layers], self.target_nnz)
+        return 1.0 - sum(self.nnz()) / sum(m.size for m in self.layers)
 
 
-def init_mask(shapes, plan: SparsityPlan, rng: np.random.Generator) -> DeterministicMask:
+def init_mask(shapes, layer_sparsities, rng: np.random.Generator) -> DeterministicMask:
     """Random topology: per layer, round((1 - s_l) * numel) positions set,
     drawn uniformly without replacement. Nonzero counts round half to even."""
-    if len(shapes) != len(plan.layer_sparsities):
+    if len(shapes) != len(layer_sparsities):
         raise ValueError("plan does not cover all layers")
     layers, targets = [], []
-    for li, (shape, s) in enumerate(zip(shapes, plan.layer_sparsities)):
+    for li, (shape, s) in enumerate(zip(shapes, layer_sparsities)):
         numel = int(np.prod(shape))
         keep = int(round((1.0 - s) * numel))
         if keep <= 0:

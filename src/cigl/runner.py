@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,7 +130,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
 
     save_checkpoint(out_dir / "model.ckpt", _checkpoint_from_result(result))
     atomic_write_text(out_dir / "metrics.jsonl",
-                      "".join(json.dumps(r.to_dict()) + "\n" for r in result.history))
+                      "".join(json.dumps(asdict(r)) + "\n" for r in result.history))
     write_reliability_csv(bins, out_dir / "calibration.csv")
     atomic_write_text(out_dir / "report.json", json.dumps({
         "ece": report.ece,
@@ -205,21 +205,24 @@ def correlate(model: MlpModel, mask: DeterministicMask, data: Dataset, keep_prob
     }
 
 
-def run_correlate(cfg: ExperimentConfig, ckpt_path, keep_prob: float = 0.9,
-                  n_draws: int = 5) -> dict:
+def _load_for_eval(cfg: ExperimentConfig, ckpt_path):
+    """(resolved config, checkpoint, model, topology mask, test split)."""
     cfg = resolve_config(cfg)
     ckpt = load_checkpoint(ckpt_path)
     model, mask = model_from_checkpoint(ckpt)
     _, test_ds = build_datasets(cfg)
+    return cfg, ckpt, model, mask, test_ds
+
+
+def run_correlate(cfg: ExperimentConfig, ckpt_path, keep_prob: float = 0.9,
+                  n_draws: int = 5) -> dict:
+    cfg, _, model, mask, test_ds = _load_for_eval(cfg, ckpt_path)
     rng = substream(cfg.train.seed, "correlate.z")
     return correlate(model, mask, test_ds, keep_prob, n_draws, rng)
 
 
 def run_export_reliability(cfg: ExperimentConfig, ckpt_path, out_file, n_bins=None) -> Path:
-    cfg = resolve_config(cfg)
-    ckpt = load_checkpoint(ckpt_path)
-    model, mask = model_from_checkpoint(ckpt)
-    _, test_ds = build_datasets(cfg)
+    cfg, ckpt, model, mask, test_ds = _load_for_eval(cfg, ckpt_path)
     if METHODS[ckpt.method].mc_predict:
         probs = predict_mc_dropout(model, mask, cfg.train.keep_prob, cfg.train.mc_samples,
                                    test_ds.features, substream(cfg.train.seed, "mc.export"))

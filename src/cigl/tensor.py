@@ -35,9 +35,6 @@ class MlpModel:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "MlpModel":
-        return MlpModel([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
 
 def init_mlp(dims, rng, dtype=np.float32) -> MlpModel:
     """He-initialised MLP with layer sizes dims = [d_in, h1, ..., d_out]."""

@@ -17,6 +17,7 @@ import numpy as np
 from .calibration import ece, label_smoothing_targets, mixup_batch
 from .data import BatchIterator, Dataset
 from .masks import (
+    SPARSITY_MODES,
     DeterministicMask,
     WmaAccumulator,
     build_sparsity_plan,
@@ -41,6 +42,8 @@ from .tensor import (
 )
 
 log = logging.getLogger(__name__)
+
+BLOCK_ROWS = 512  # rows per forward pass in prediction
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,15 @@ METHODS = {
     # ablation: no averaging (returns the final iterate)
     "cigl_no_wma": Method(sparse=True, random_mask=True, wma=False, mc_predict=False),
 }
+
+
+class TrainConfigError(ValueError):
+    """An invalid TrainConfig value; `field` names the field."""
+
+    def __init__(self, field: str, reason: str):
+        super().__init__(f"{field}: {reason}")
+        self.field = field
+        self.reason = reason
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -110,35 +122,47 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise TrainConfigError("method", f"unknown method {self.method!r}")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise TrainConfigError("epochs", "must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise TrainConfigError("batch_size", "must be >= 1")
         if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError("hidden layer sizes must be positive")
+            raise TrainConfigError("hidden", "layer sizes must be positive")
         if not 0.0 <= self.sparsity < 1.0:
-            raise ValueError("sparsity must be in [0, 1)")
+            raise TrainConfigError("sparsity", "must be in [0, 1)")
+        if self.sparsity_mode not in SPARSITY_MODES:
+            raise TrainConfigError("sparsity_mode", f"unknown mode {self.sparsity_mode!r}")
+        if any(not 0 <= i <= len(self.hidden) for i in self.mask_exclude):
+            raise TrainConfigError("mask_exclude", f"layer indices must be in [0, {len(self.hidden)}]")
         if self.update_interval < 1:
-            raise ValueError("update_interval must be >= 1")
+            raise TrainConfigError("update_interval", "must be >= 1")
         if not 0.0 <= self.update_fraction <= 1.0:
-            raise ValueError("update_fraction must be in [0, 1]")
+            raise TrainConfigError("update_fraction", "must be in [0, 1]")
         if not 0.0 < self.update_end_fraction <= 1.0:
-            raise ValueError("update_end_fraction must be in (0, 1]")
+            raise TrainConfigError("update_end_fraction", "must be in (0, 1]")
         if not 0.0 <= self.keep_prob <= 1.0:
-            raise ValueError("keep_prob must be in [0, 1]")
+            raise TrainConfigError("keep_prob", "must be in [0, 1]")
         if self.resolved_wma_start() >= self.epochs:
-            raise ValueError("wma_start_epoch must be < epochs")
+            raise TrainConfigError("wma_start_epoch", "must be < epochs")
         if self.wma_every < 1:
-            raise ValueError("wma_every must be >= 1")
+            raise TrainConfigError("wma_every", "must be >= 1")
+        if self.base_lr <= 0:
+            raise TrainConfigError("base_lr", "must be > 0")
+        if any(b <= a for a, b in zip(self.lr_milestones, self.lr_milestones[1:])):
+            raise TrainConfigError("lr_milestones", "must be strictly increasing")
+        if not 0.0 < self.lr_decay < 1.0:
+            raise TrainConfigError("lr_decay", "must be in (0, 1)")
+        if not 0.0 <= self.momentum < 1.0:
+            raise TrainConfigError("momentum", "must be in [0, 1)")
+        if self.weight_decay < 0.0:
+            raise TrainConfigError("weight_decay", "must be >= 0")
         if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
+            raise TrainConfigError("mc_samples", "must be >= 1")
         if not 0.0 <= self.label_smoothing < 1.0:
-            raise ValueError("label_smoothing must be in [0, 1)")
+            raise TrainConfigError("label_smoothing", "must be in [0, 1)")
         if self.mixup_alpha < 0.0:
-            raise ValueError("mixup_alpha must be >= 0")
-        # constructing the schedule validates base_lr / milestones / decay
-        LrSchedule(self.base_lr, self.lr_milestones, self.lr_decay)
+            raise TrainConfigError("mixup_alpha", "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -150,17 +174,6 @@ class EpochRecord:
     lr: float
     current_sparsity: float
     n_models_in_wma: int
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "test_accuracy": self.test_accuracy,
-            "test_ece": self.test_ece,
-            "lr": self.lr,
-            "current_sparsity": self.current_sparsity,
-            "n_models_in_wma": self.n_models_in_wma,
-        }
 
 
 @dataclass
@@ -180,17 +193,17 @@ class EvalResult:
     probs: np.ndarray
 
 
-def predict_logits(model: MlpModel, features: np.ndarray, batch_size: int = 512) -> np.ndarray:
+def predict_logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
     out = np.empty((len(features), model.weights[-1].shape[0]), dtype=np.float64)
-    for start in range(0, len(features), batch_size):
-        out[start : start + batch_size] = forward(model, features[start : start + batch_size])
+    for start in range(0, len(features), BLOCK_ROWS):
+        out[start : start + BLOCK_ROWS] = forward(model, features[start : start + BLOCK_ROWS])
     return out
 
 
-def evaluate(model: MlpModel, data: Dataset, batch_size: int = 512) -> EvalResult:
+def evaluate(model: MlpModel, data: Dataset) -> EvalResult:
     """Accuracy and probability rows; argmax ties break to the lowest class
     index."""
-    probs = softmax_inplace(predict_logits(model, data.features, batch_size))
+    probs = softmax_inplace(predict_logits(model, data.features))
     pred = probs.argmax(axis=1)
     acc = float(np.mean(pred == data.labels))
     return EvalResult(acc, probs)
@@ -227,16 +240,6 @@ def _apply_topology(model: MlpModel, mask: DeterministicMask) -> None:
         w *= m
 
 
-def _snapshot(model: MlpModel, z):
-    return masked_model(model, z).weights + [b.copy() for b in model.biases]
-
-
-def _model_from_mean(acc: WmaAccumulator, mask: DeterministicMask, n_layers: int) -> MlpModel:
-    weights = [a.astype(np.float32) * m for a, m in zip(acc.means[:n_layers], mask.layers)]
-    biases = [a.astype(np.float32) for a in acc.means[n_layers:]]
-    return MlpModel(weights, biases)
-
-
 def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> TrainResult:
     """Run the configured method end to end. One epoch record per epoch;
     the test metrics track the model the method would output if stopped at
@@ -251,8 +254,9 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
     model = init_mlp(dims, substream(seed, "init.weights"))
     shapes = [w.shape for w in model.weights]
     sparsity = config.sparsity if method.sparse else 0.0
-    plan = build_sparsity_plan(shapes, sparsity, config.sparsity_mode, config.mask_exclude)
-    mask = init_mask(shapes, plan, substream(seed, "mask.init"))
+    layer_sparsities = build_sparsity_plan(shapes, sparsity, config.sparsity_mode,
+                                           config.mask_exclude)
+    mask = init_mask(shapes, layer_sparsities, substream(seed, "mask.init"))
     _apply_topology(model, mask)
 
     state = SgdState.for_model(model, config.momentum, config.weight_decay)
@@ -268,13 +272,11 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
     acc = WmaAccumulator()
     history: list[EpochRecord] = []
     update_log: list[tuple[int, tuple[int, ...]]] = []
-    final_probs: np.ndarray | None = None
     t = 0
 
     for epoch in range(1, config.epochs + 1):
         lr = lr_at(schedule, epoch - 1)
         loss_sum = 0.0
-        n_batches = 0
         for xb, yb in batches.epoch_batches(epoch - 1):
             t += 1
             targets = label_smoothing_targets(yb, config.label_smoothing, train_data.n_classes)
@@ -319,12 +321,12 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
             sgd_step(model, gw, gb, state, lr)
             _apply_topology(model, mask)
             loss_sum += loss
-            n_batches += 1
 
         if method.wma and epoch > wma_start and (epoch - wma_start) % config.wma_every == 0:
-            wma_update(acc, _snapshot(model, z))
+            # wma_update copies every array it folds, so the live biases can go in
+            wma_update(acc, masked_model(model, z).weights + model.biases)
 
-        current = _output_model(model, mask, acc, method.wma)
+        current = _output_model(model, mask, acc)
         if method.mc_predict:
             probs = predict_mc_dropout(model, mask, config.keep_prob, config.mc_samples,
                                        test_data.features, substream(seed, f"mc.eval.{epoch}"))
@@ -334,7 +336,7 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
         history.append(
             EpochRecord(
                 epoch=epoch,
-                train_loss=loss_sum / n_batches,
+                train_loss=loss_sum / batches.batches_per_epoch(),
                 test_accuracy=float(np.mean(pred == test_data.labels)),
                 test_ece=ece(probs, test_data.labels),
                 lr=lr,
@@ -342,23 +344,25 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
                 n_models_in_wma=acc.n_models,
             )
         )
-        final_probs = probs
 
-    result_model = _output_model(model, mask, acc, method.wma)
+    # the last epoch's output model holds fresh arrays, no training buffer
     return TrainResult(
-        model=result_model,
+        model=current,
         mask=mask,
         history=history,
         n_models=acc.n_models,
         mask_update_log=update_log,
-        final_probs=final_probs,
+        final_probs=probs,
         config=config,
     )
 
 
-def _output_model(model: MlpModel, mask: DeterministicMask, acc: WmaAccumulator,
-                  collects: bool) -> MlpModel:
-    if collects and acc.n_models > 0:
-        return _model_from_mean(acc, mask, len(model.weights))
+def _output_model(model: MlpModel, mask: DeterministicMask, acc: WmaAccumulator) -> MlpModel:
+    """The snapshot average once a snapshot is in (only WMA methods collect
+    any), else the bare masked weights."""
+    if acc.n_models > 0:
+        n = len(model.weights)
+        return MlpModel([a.astype(np.float32) * m for a, m in zip(acc.means[:n], mask.layers)],
+                        [a.astype(np.float32) for a in acc.means[n:]])
     return MlpModel([w * m for w, m in zip(model.weights, mask.layers)],
                     [b.copy() for b in model.biases])

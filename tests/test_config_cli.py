@@ -146,6 +146,26 @@ class TestRunCommand:
         assert "label_smoothing" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("line", [
+        "train.momentum = 1.5",
+        "train.weight_decay = -0.1",
+        "train.sparsity_mode = dense",
+        "train.mask_exclude = 7",
+        "train.mask_exclude = -1",
+        "calib.label_smoothing = 1.5",
+        "calib.mixup_alpha = -0.5",
+        "train.lr_decay = 2",
+        "train.lr_milestones = 3, 2",
+    ])
+    def test_invalid_knob_exits_2_naming_its_key(self, tmp_path, capsys, line):
+        key = line.partition(" = ")[0]
+        kept = [row for row in TINY_CONFIG.splitlines() if not row.startswith(key + " ")]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(kept + [line]) + "\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"invalid configuration: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweepCommand:
     @pytest.mark.parametrize("sparsities, seeds", [

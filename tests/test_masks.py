@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cigl.masks import (
     DeterministicMask,
-    SparsityPlan,
     WmaAccumulator,
     build_sparsity_plan,
     erk_allocate,
@@ -44,9 +43,8 @@ class TestInitMask:
         assert any(not np.array_equal(x, y) for x, y in zip(a.layers, c.layers))
 
     def test_empty_layer_is_an_error(self):
-        plan = SparsityPlan(0.999, "uniform", (0.999,))
         with pytest.raises(ValueError, match="no active weights"):
-            init_mask([(2, 2)], plan, substream(0, "mask.init"))
+            init_mask([(2, 2)], (0.999,), substream(0, "mask.init"))
 
 
 class TestErkAllocate:

@@ -3,7 +3,13 @@ import pytest
 
 from cigl.calibration import nll
 from cigl.data import inject_label_noise, split_dataset, synth_two_moons
-from cigl.masks import DeterministicMask, build_sparsity_plan, init_mask, sample_random_mask
+from cigl.masks import (
+    DeterministicMask,
+    build_sparsity_plan,
+    erk_allocate,
+    init_mask,
+    sample_random_mask,
+)
 from cigl.rng import substream
 from cigl.tensor import MlpModel, init_mlp
 from cigl.train import (
@@ -11,6 +17,7 @@ from cigl.train import (
     _apply_topology,
     NonFiniteLossError,
     TrainConfig,
+    TrainConfigError,
     evaluate,
     masked_model,
     predict_mc_dropout,
@@ -150,6 +157,57 @@ class TestTrainLoop:
             TrainConfig(epochs=10, wma_start_epoch=10).validate()
         with pytest.raises(ValueError):
             TrainConfig(keep_prob=1.5).validate()
+
+    def test_mask_exclude_covers_every_layer_and_no_more(self):
+        TrainConfig(hidden=(8, 8), mask_exclude=(0, 1, 2)).validate()
+        for bad in [(3,), (-1,)]:
+            with pytest.raises(TrainConfigError) as err:
+                TrainConfig(hidden=(8, 8), mask_exclude=bad).validate()
+            assert err.value.field == "mask_exclude"
+
+
+class TestKnobsThroughTrain:
+    def test_erk_targets_match_the_allocation_and_are_conserved(self):
+        tr, te = small_data()
+        res = train(small_config("cigl", sparsity_mode="erk"), tr, te)
+        sizes = [w.size for w in res.model.weights]
+        alloc = erk_allocate([w.shape for w in res.model.weights], 0.8)
+        want = tuple(int(round((1.0 - s) * n)) for s, n in zip(alloc, sizes))
+        assert want != tuple(int(round(0.2 * n)) for n in sizes)  # not the uniform split
+        assert res.mask.target_nnz == want
+        assert len(res.mask_update_log) > 0
+        for _, nnz in res.mask_update_log:
+            assert nnz == want
+        assert res.mask.nnz() == want
+
+    def test_excluded_layer_stays_dense_through_updates(self):
+        tr, te = small_data()
+        res = train(small_config("cigl", mask_exclude=(2,)), tr, te)
+        sizes = [w.size for w in res.model.weights]
+        assert len(res.mask_update_log) > 0
+        for _, nnz in res.mask_update_log:
+            assert nnz == (int(round(0.2 * sizes[0])), int(round(0.2 * sizes[1])), sizes[2])
+        assert res.mask.layers[2].all()
+
+    def test_wma_every_other_epoch(self):
+        tr, te = small_data()
+        res = train(small_config("cigl", epochs=10, wma_start_epoch=5, wma_every=2), tr, te)
+        assert [r.n_models_in_wma for r in res.history] == [0] * 6 + [1, 1, 2, 2]
+        assert res.n_models == 2
+
+    @pytest.mark.parametrize("knobs", [
+        {"label_smoothing": 0.1},
+        {"mixup_alpha": 0.2},
+        {"label_smoothing": 0.1, "mixup_alpha": 0.2},
+    ])
+    def test_calibration_knobs_rerun_bit_identical_and_change_the_weights(self, knobs):
+        tr, te = small_data()
+        a = train(small_config("cigl", **knobs), tr, te)
+        b = train(small_config("cigl", **knobs), tr, te)
+        off = train(small_config("cigl"), tr, te)
+        assert weights_bytes(a.model) == weights_bytes(b.model)
+        assert a.history == b.history
+        assert weights_bytes(a.model) != weights_bytes(off.model)
 
 
 class TestEvaluate:
