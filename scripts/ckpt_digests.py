@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""One sha256 per training method on a short two-moons config, plus two
+"""One sha256 per training method on a short two-moons config, plus three
 over the files the runner writes.
 
 Trains every method in `cigl.train.METHODS` on the same data and prints a
 digest over the output weights, topology masks, biases, the final test
 probabilities and the per-epoch history. Two more lines cover the runner:
 `cigl_run` hashes the five artifacts of a `run_experiment` with temperature
-scaling, label smoothing and mixup on, and `rigl_mcdp_eval` hashes the
-`correlate` report and the `export-reliability` CSV of a rigl_mcdp run. A
-change that claims to keep the output bits must print the same lines
-before and after:
+scaling, label smoothing and mixup on. `rigl_mcdp_eval` and `cigl_eval`
+hash the `correlate` report and the `export-reliability` CSV of a
+rigl_mcdp run (MC-dropout prediction) and of the `cigl_run` checkpoint
+(a single softmax). A change that claims to keep the output bits must
+print the same lines before and after:
 
     PYTHONPATH=src python3 scripts/ckpt_digests.py --seed 0
 """
@@ -19,7 +20,6 @@ import hashlib
 import json
 import tempfile
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -63,22 +63,18 @@ def run_config(seed, lines):
     return parse_config_text(RUN_CONFIG + f"train.seed = {seed}\n" + lines)
 
 
-def run_digest(seed, out_root) -> str:
-    cfg = run_config(seed, "run.id = cigl\ntrain.method = cigl\ncalib.temperature = true\n"
-                           "calib.label_smoothing = 0.1\ncalib.mixup_alpha = 0.2\n")
-    out_dir = run_experiment(cfg, out_root=out_root).out_dir
+def run_digest(out_dir) -> str:
     h = hashlib.sha256()
     for name in ARTIFACTS:
         h.update((out_dir / name).read_bytes())
     return h.hexdigest()
 
 
-def eval_digest(seed, out_root) -> str:
-    cfg = run_config(seed, "run.id = rigl_mcdp\ntrain.method = rigl_mcdp\n")
-    ckpt = run_experiment(cfg, out_root=out_root).out_dir / "model.ckpt"
+def eval_digest(cfg, out_dir) -> str:
+    ckpt = out_dir / "model.ckpt"
     h = hashlib.sha256()
     h.update(json.dumps(run_correlate(cfg, ckpt)).encode())
-    h.update(run_export_reliability(cfg, ckpt, Path(out_root) / "reliability.csv").read_bytes())
+    h.update(run_export_reliability(cfg, ckpt, out_dir / "reliability.csv").read_bytes())
     return h.hexdigest()
 
 
@@ -105,8 +101,15 @@ def main():
         )
         print(f"{method:<12} {digest(train(cfg, tr, te))}")
     with tempfile.TemporaryDirectory() as tmp:
-        print(f"{'cigl_run':<12} {run_digest(args.seed, tmp)}")
-        print(f"{'rigl_mcdp_eval':<12} {eval_digest(args.seed, tmp)}")
+        cigl = run_config(args.seed, "run.id = cigl\ntrain.method = cigl\n"
+                          "calib.temperature = true\ncalib.label_smoothing = 0.1\n"
+                          "calib.mixup_alpha = 0.2\n")
+        cigl_dir = run_experiment(cigl, out_root=tmp).out_dir
+        print(f"{'cigl_run':<12} {run_digest(cigl_dir)}")
+        mcdp = run_config(args.seed, "run.id = rigl_mcdp\ntrain.method = rigl_mcdp\n")
+        mcdp_dir = run_experiment(mcdp, out_root=tmp).out_dir
+        print(f"{'rigl_mcdp_eval':<12} {eval_digest(mcdp, mcdp_dir)}")
+        print(f"{'cigl_eval':<12} {eval_digest(cigl, cigl_dir)}")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@
 For each sparsity, trains the dual-mask method, then compares the test
 accuracy of the bare masked weights against the mean accuracy over random
 mask draws. The accuracy drop grows with sparsity: sparse weights depend
-on the masks they were trained with, dense ones barely notice.
+on the masks they were trained with, dense ones barely notice. The data
+and training config are those of scripts/compare_methods.py.
 
     python3 scripts/correlation_probe.py --sparsities 0,0.5,0.8,0.9
 """
@@ -13,8 +14,9 @@ import argparse
 
 import numpy as np
 
-from cigl import TrainConfig, inject_label_noise, substream, synth_two_moons, train
+from cigl import substream, train
 from cigl.runner import correlate
+from compare_methods import add_data_args, experiment_config, make_data
 
 
 def main():
@@ -24,6 +26,7 @@ def main():
     ap.add_argument("--epochs", type=int, default=100)
     ap.add_argument("--keep-prob", type=float, default=0.9)
     ap.add_argument("--draws", type=int, default=5)
+    add_data_args(ap)
     args = ap.parse_args()
     sparsities = [float(s) for s in args.sparsities.split(",")]
 
@@ -31,26 +34,8 @@ def main():
     for sparsity in sparsities:
         drops, bases, masked = [], [], []
         for seed in range(args.seeds):
-            tr = synth_two_moons(2000, 0.25, substream(seed, "data.synth.train"))
-            tr, _ = inject_label_noise(tr, 0.15, substream(seed, "data.noise.train"))
-            te = synth_two_moons(10000, 0.25, substream(seed, "data.synth.test"))
-            te, _ = inject_label_noise(te, 0.15, substream(seed, "data.noise.test"))
-            cfg = TrainConfig(
-                method="cigl",
-                epochs=args.epochs,
-                batch_size=48,
-                seed=seed,
-                hidden=(64, 64),
-                sparsity=sparsity,
-                update_interval=50,
-                update_end_fraction=0.5,
-                wma_start_epoch=args.epochs // 2,
-                base_lr=0.15,
-                lr_milestones=(),
-                weight_decay=5e-4,
-                keep_prob=0.99,
-            )
-            res = train(cfg, tr, te)
+            tr, te = make_data(seed, args)
+            res = train(experiment_config("cigl", seed, args.epochs, sparsity), tr, te)
             rep = correlate(res.model, res.mask, te, args.keep_prob, args.draws,
                             substream(seed, "correlate.z"))
             bases.append(rep["base_accuracy"])

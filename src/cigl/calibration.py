@@ -29,6 +29,11 @@ class ReliabilityBins:
     n_bins: int
     total: int
     bins: tuple[BinStats, ...]
+    n_correct: int  # top-label predictions equal to the label
+
+    @property
+    def accuracy(self) -> float:  # bit for bit np.mean(probs.argmax(1) == labels)
+        return self.n_correct / self.total
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,7 @@ def _validate_probs(probs: np.ndarray) -> np.ndarray:
     if probs.ndim != 2 or probs.shape[0] == 0 or probs.shape[1] == 0:
         raise ValueError("probs must be a nonempty [n, K] array")
     sums = probs.sum(axis=1, dtype=np.float64)
-    if np.max(np.abs(sums - 1.0)) > 1e-6:
+    if not np.all(np.abs(sums - 1.0) <= 1e-6):  # NaN rows fail too
         raise ValueError("probability rows must sum to 1 within 1e-6")
     return probs
 
@@ -84,7 +89,8 @@ def reliability_bins(probs, labels, n_bins: int = 15) -> ReliabilityBins:
                 mean_accuracy=float(acc_sum[m] / c) if c else None,
             )
         )
-    return ReliabilityBins(n_bins=n_bins, total=len(conf), bins=tuple(bins))
+    return ReliabilityBins(n_bins=n_bins, total=len(conf), bins=tuple(bins),
+                           n_correct=int(np.count_nonzero(correct)))
 
 
 def ece_from_bins(rb: ReliabilityBins) -> float:

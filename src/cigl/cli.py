@@ -77,9 +77,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -170,7 +170,8 @@ def update_deterministic_mask(weights, dense_grads, mask: DeterministicMask,
     smallest |weight| are deactivated and the k inactive positions with the
     largest |gradient| are activated. Ties resolve to the lowest flat
     row-major index, so each set is the first k of a stable sort. k is
-    clamped (with a warning) when fewer than k inactive positions exist.
+    clamped when fewer than k inactive positions exist, with a warning
+    unless the layer is fully dense (an excluded layer, or sparsity 0).
     Pruning looks at the persistent weights, not the per-iteration masked
     product. Each set is found by selection, not sorting, so an update is
     linear in the layer size.
@@ -184,8 +185,9 @@ def update_deterministic_mask(weights, dense_grads, mask: DeterministicMask,
         inactive = np.flatnonzero(~flat_m)
         k = int(fraction * active.size)
         if k > inactive.size:
-            log.warning("layer %d: prune/regrow count %d clamped to %d inactive positions",
-                        li, k, inactive.size)
+            if inactive.size:  # a dense layer has nothing to regrow into: no warning
+                log.warning("layer %d: prune/regrow count %d clamped to %d inactive positions",
+                            li, k, inactive.size)
             k = inactive.size
         new = flat_m.copy()
         if k > 0:

@@ -23,18 +23,10 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig, format_config, resolve_config
 from .fileio import atomic_write_text
 from .data import Dataset, load_csv, load_idx, inject_label_noise, split_dataset, standardize, synth_two_moons
-from .masks import DeterministicMask, sample_random_mask
+from .masks import DeterministicMask
 from .rng import substream
-from .tensor import MlpModel, softmax
-from .train import (
-    METHODS,
-    TrainResult,
-    evaluate,
-    masked_model,
-    predict_logits,
-    predict_mc_dropout,
-    train,
-)
+from .tensor import MlpModel, softmax_inplace
+from .train import METHODS, TrainResult, evaluate, predict_logits, predict_mc_dropout, train
 
 log = logging.getLogger(__name__)
 
@@ -113,17 +105,18 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
 
     if use_temperature:
         temp = fit_temperature(predict_logits(result.model, val_ds.features), val_ds.labels)
-        probs = softmax(predict_logits(result.model, test_ds.features) / temp)
+        logits = predict_logits(result.model, test_ds.features)
+        logits /= temp
+        probs = softmax_inplace(logits)
     else:
         temp = None
         probs = result.final_probs
 
     bins = reliability_bins(probs, test_ds.labels, cfg.calib.n_bins)
-    pred = probs.argmax(axis=1)
     report = CalibrationReport(
         ece=ece_from_bins(bins),
         nll=nll(probs, test_ds.labels),
-        accuracy=float(np.mean(pred == test_ds.labels)),
+        accuracy=bins.accuracy,
         bins=bins,
         temperature=temp,
     )
@@ -183,18 +176,19 @@ def correlate(model: MlpModel, mask: DeterministicMask, data: Dataset, keep_prob
               n_draws: int, rng: np.random.Generator) -> dict:
     """Accuracy of the bare masked weights vs the mean over random-mask draws.
 
-    A larger drop indicates a stronger coupling between the random mask and
-    the weights it was trained with.
+    Each draw is a one-sample MC-dropout prediction on the shared stream
+    rng. A larger drop indicates a stronger coupling between the random mask
+    and the weights it was trained with.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    base = evaluate(model, data).accuracy
+    base_probs = softmax_inplace(predict_logits(model, data.features))
+    base = reliability_bins(base_probs, data.labels).accuracy
     # integer correct-counts so the keep_prob=1 drop is exactly zero
     correct = 0
     for _ in range(n_draws):
-        z = sample_random_mask(mask, keep_prob, rng)
-        pred = evaluate(masked_model(model, z), data).probs.argmax(axis=1)
-        correct += int(np.sum(pred == data.labels))
+        probs = predict_mc_dropout(model, mask, keep_prob, 1, data.features, rng)
+        correct += reliability_bins(probs, data.labels).n_correct
     mean_masked = correct / (n_draws * len(data))
     return {
         "base_accuracy": base,
@@ -223,12 +217,9 @@ def run_correlate(cfg: ExperimentConfig, ckpt_path, keep_prob: float = 0.9,
 
 def run_export_reliability(cfg: ExperimentConfig, ckpt_path, out_file, n_bins=None) -> Path:
     cfg, ckpt, model, mask, test_ds = _load_for_eval(cfg, ckpt_path)
-    if METHODS[ckpt.method].mc_predict:
-        probs = predict_mc_dropout(model, mask, cfg.train.keep_prob, cfg.train.mc_samples,
-                                   test_ds.features, substream(cfg.train.seed, "mc.export"))
-    else:
-        probs = evaluate(model, test_ds).probs
-    bins = reliability_bins(probs, test_ds.labels, n_bins or cfg.calib.n_bins)
+    # the checkpoint's method decides how it predicts
+    _, bins = evaluate(model, mask, replace(cfg.train, method=ckpt.method), test_ds, "mc.export",
+                       n_bins or cfg.calib.n_bins)
     out_file = Path(out_file)
     out_file.parent.mkdir(parents=True, exist_ok=True)
     write_reliability_csv(bins, out_file)

@@ -113,7 +113,7 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     row_sums = np.sum(targets, axis=1, dtype=np.float64)
     if row_sums.size == 0:
         raise ValueError("empty batch")
-    if np.max(np.abs(row_sums - 1.0)) > 1e-6:
+    if not np.all(np.abs(row_sums - 1.0) <= 1e-6):  # NaN rows fail too
         raise ValueError("target rows must sum to 1 within 1e-6")
 
     z = np.asarray(logits, dtype=np.float64)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import ece, label_smoothing_targets, mixup_batch
+from .calibration import (ReliabilityBins, ece_from_bins, label_smoothing_targets, mixup_batch,
+                          reliability_bins)
 from .data import BatchIterator, Dataset
 from .masks import (
     SPARSITY_MODES,
@@ -187,12 +188,6 @@ class TrainResult:
     config: TrainConfig
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    accuracy: float
-    probs: np.ndarray
-
-
 def predict_logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
     out = np.empty((len(features), model.weights[-1].shape[0]), dtype=np.float64)
     for start in range(0, len(features), BLOCK_ROWS):
@@ -200,21 +195,25 @@ def predict_logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate(model: MlpModel, data: Dataset) -> EvalResult:
-    """Accuracy and probability rows; argmax ties break to the lowest class
-    index."""
-    probs = softmax_inplace(predict_logits(model, data.features))
-    pred = probs.argmax(axis=1)
-    acc = float(np.mean(pred == data.labels))
-    return EvalResult(acc, probs)
+def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data: Dataset,
+             stream: str, n_bins: int = 15) -> tuple[np.ndarray, ReliabilityBins]:
+    """The method's probability rows for data and their reliability bins,
+    which carry accuracy and ECE. The one place that chooses MC dropout,
+    drawn on substream(config.seed, stream), over a single softmax."""
+    if METHODS[config.method].mc_predict:
+        probs = predict_mc_dropout(model, mask, config.keep_prob, config.mc_samples,
+                                   data.features, substream(config.seed, stream))
+    else:
+        probs = softmax_inplace(predict_logits(model, data.features))
+    return probs, reliability_bins(probs, data.labels, n_bins)
 
 
 def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: float,
                        n_samples: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Mean softmax over n_samples random-mask draws applied to the weights.
 
-    Each draw runs the same blocked forward as evaluate, so a single draw at
-    keep_prob=1 reproduces evaluate's probabilities bit for bit. Each draw's
+    Each draw runs the same blocked forward as evaluate's single softmax, so
+    a single draw at keep_prob=1 reproduces it bit for bit. Each draw's
     softmax is computed in its logits buffer.
     """
     if n_samples < 1:
@@ -327,18 +326,13 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
             wma_update(acc, masked_model(model, z).weights + model.biases)
 
         current = _output_model(model, mask, acc)
-        if method.mc_predict:
-            probs = predict_mc_dropout(model, mask, config.keep_prob, config.mc_samples,
-                                       test_data.features, substream(seed, f"mc.eval.{epoch}"))
-        else:
-            probs = softmax_inplace(predict_logits(current, test_data.features))
-        pred = probs.argmax(axis=1)
+        probs, bins = evaluate(current, mask, config, test_data, f"mc.eval.{epoch}")
         history.append(
             EpochRecord(
                 epoch=epoch,
                 train_loss=loss_sum / batches.batches_per_epoch(),
-                test_accuracy=float(np.mean(pred == test_data.labels)),
-                test_ece=ece(probs, test_data.labels),
+                test_accuracy=bins.accuracy,
+                test_ece=ece_from_bins(bins),
                 lr=lr,
                 current_sparsity=mask.sparsity(),
                 n_models_in_wma=acc.n_models,

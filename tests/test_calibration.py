@@ -53,6 +53,12 @@ class TestEce:
         with pytest.raises(ValueError, match="sum to 1"):
             ece(np.array([[0.2, 0.2]]), np.array([0]))
 
+    @pytest.mark.parametrize("metric", [ece, nll, reliability_bins])
+    def test_nan_rows_rejected(self, metric):
+        probs = np.array([[np.nan, np.nan], [0.3, 0.7]])
+        with pytest.raises(ValueError, match="sum to 1"):
+            metric(probs, np.array([0, 1]))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_in_unit_interval_and_permutation_invariant(self, seed):
@@ -98,6 +104,27 @@ class TestReliabilityBins:
         probs, labels = random_prob_instance(seed, n_max=200)
         rb = reliability_bins(probs, labels)
         assert ece_from_bins(rb) == ece(probs, labels)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_accuracy_is_the_argmax_mean_bit_for_bit(self, seed):
+        probs, labels = random_prob_instance(seed, n_max=300)
+        rng = np.random.default_rng(seed)
+        # tied rows (uniform, and a tied top pair) predict the lowest tied class
+        tied = rng.random(len(probs)) < 0.3
+        k = probs.shape[1]
+        probs[tied] = 1.0 / k
+        probs[0] = [0.5, 0.5] + [0.0] * (k - 2)
+        rb = reliability_bins(probs, labels)
+        want = float(np.mean(probs.argmax(axis=1) == labels))
+        assert rb.accuracy.hex() == want.hex()
+        assert rb.n_correct == int(np.sum(probs.argmax(axis=1) == labels))
+
+    def test_accuracy_ties_go_to_the_lowest_class(self):
+        probs = np.array([[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]])
+        rb = reliability_bins(probs, np.array([0, 1, 1]))
+        assert rb.n_correct == 2
+        assert rb.accuracy == 2 / 3
 
     def test_csv_roundtrip_preserves_ece(self, tmp_path):
         probs, labels = random_prob_instance(17, n_max=500)

@@ -5,7 +5,7 @@ import pytest
 
 from cigl.cli import main
 from cigl.config import ConfigError, ExperimentConfig, format_config, parse_config_text, resolve_config
-from cigl.checkpoint import load_checkpoint
+from cigl.checkpoint import load_checkpoint, save_checkpoint
 from cigl.runner import run_sweep
 from cigl.train import TrainConfig
 
@@ -139,6 +139,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "data.csv_path" in capsys.readouterr().err
 
+    def test_missing_config_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "absent.cfg" in err
+        assert not (tmp_path / "o").exists()
+
     def test_out_of_range_label_smoothing_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(TINY_CONFIG + "calib.label_smoothing = 1.5\n")
@@ -254,6 +261,20 @@ class TestExportReliability:
             if cells[2] != "0":
                 recomputed += int(cells[2]) / total * abs(float(cells[4]) - float(cells[3]))
         assert recomputed == pytest.approx(report["ece"], abs=1e-9)
+
+    def test_diverged_checkpoint_is_refused(self, tiny_config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--config", str(tiny_config_file), "--out", str(out)])
+        ckpt_path = out / "demo" / "model.ckpt"
+        ckpt = load_checkpoint(ckpt_path)
+        ckpt.tensors[0][ckpt.masks[0]] = np.nan
+        save_checkpoint(ckpt_path, ckpt)
+        target = tmp_path / "rel.csv"
+        rc = main(["export-reliability", "--config", str(tiny_config_file),
+                   "--ckpt", str(ckpt_path), "--out-file", str(target)])
+        assert rc == 1
+        assert "sum to 1" in capsys.readouterr().err
+        assert not target.exists()
 
 
 def test_checkpoint_stores_weight_bias_pairs(tiny_config_file, tmp_path):

@@ -99,6 +99,11 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError, match="sum to 1"):
             softmax_cross_entropy(_f32([1.0, 0.0]), _f32([0.7, 0.6]))
 
+    def test_rejects_nan_target_rows(self):
+        targets = np.array([[np.nan, np.nan], [0.0, 1.0]], dtype=np.float32)
+        with pytest.raises(ValueError, match="sum to 1"):
+            softmax_cross_entropy(np.zeros((2, 2), dtype=np.float32), targets)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_logits_raise_a_typed_value_error(self, bad):
         with pytest.raises(NonFiniteError, match="non-finite logits") as err:

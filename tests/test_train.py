@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cigl.calibration import nll
+from cigl.calibration import nll, reliability_bins
 from cigl.data import inject_label_noise, split_dataset, synth_two_moons
 from cigl.masks import (
     DeterministicMask,
@@ -180,9 +180,11 @@ class TestKnobsThroughTrain:
             assert nnz == want
         assert res.mask.nnz() == want
 
-    def test_excluded_layer_stays_dense_through_updates(self):
+    def test_excluded_layer_stays_dense_through_updates(self, caplog):
         tr, te = small_data()
-        res = train(small_config("cigl", mask_exclude=(2,)), tr, te)
+        with caplog.at_level("WARNING", logger="cigl.masks"):
+            res = train(small_config("cigl", mask_exclude=(2,)), tr, te)
+        assert "clamped" not in caplog.text  # a dense layer is skipped silently
         sizes = [w.size for w in res.model.weights]
         assert len(res.mask_update_log) > 0
         for _, nnz in res.mask_update_log:
@@ -210,12 +212,22 @@ class TestKnobsThroughTrain:
         assert weights_bytes(a.model) != weights_bytes(off.model)
 
 
+def full_mask(model):
+    return DeterministicMask([np.ones(w.shape, bool) for w in model.weights],
+                             tuple(w.size for w in model.weights))
+
+
+def plain_evaluate(model, data):
+    """evaluate under a method without MC prediction: one softmax."""
+    return evaluate(model, full_mask(model), TrainConfig(method="rigl"), data, "eval")
+
+
 class TestEvaluate:
     def test_uniform_logits_tie_break_to_class_zero(self):
         tr, _ = small_data()
         model = MlpModel([np.zeros((2, 2), np.float32)], [np.zeros(2, np.float32)])
-        res = evaluate(model, tr)
-        assert res.accuracy == pytest.approx(float(np.mean(tr.labels == 0)))
+        _, bins = plain_evaluate(model, tr)
+        assert bins.accuracy == pytest.approx(float(np.mean(tr.labels == 0)))
 
     def test_saturated_logits_give_perfect_accuracy_and_tiny_nll(self):
         from cigl.data import Dataset
@@ -225,17 +237,34 @@ class TestEvaluate:
         data = Dataset(x, y, 2)
         model = MlpModel([np.array([[30.0, 0.0], [-30.0, 0.0]], np.float32)],
                          [np.zeros(2, np.float32)])
-        res = evaluate(model, data)
-        assert res.accuracy == 1.0
-        assert nll(res.probs, data.labels) < 1e-9
+        probs, bins = plain_evaluate(model, data)
+        assert bins.accuracy == 1.0
+        assert nll(probs, data.labels) < 1e-9
 
     def test_prob_rows_sum_to_one(self):
         tr, _ = small_data()
         rng = substream(0, "eval")
         model = MlpModel([rng.normal(0, 1, (2, 2)).astype(np.float32)],
                          [np.zeros(2, np.float32)])
-        res = evaluate(model, tr)
-        assert np.max(np.abs(res.probs.sum(axis=1) - 1.0)) < 1e-6
+        probs, _ = plain_evaluate(model, tr)
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-6
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_method_chooses_mc_dropout_or_one_softmax(self, method):
+        tr, _ = small_data()
+        model = init_mlp([2, 16, 2], substream(1, "eval.init"))
+        shapes = [w.shape for w in model.weights]
+        mask = init_mask(shapes, build_sparsity_plan(shapes, 0.5), substream(1, "eval.mask"))
+        _apply_topology(model, mask)
+        cfg = TrainConfig(method=method, seed=5, keep_prob=0.7, mc_samples=3)
+        probs, bins = evaluate(model, mask, cfg, tr, "eval.stream", n_bins=7)
+        if METHODS[method].mc_predict:
+            want = predict_mc_dropout(model, mask, 0.7, 3, tr.features,
+                                      substream(5, "eval.stream"))
+        else:
+            want, _ = plain_evaluate(model, tr)
+        np.testing.assert_array_equal(probs, want)
+        assert bins == reliability_bins(want, tr.labels, 7)
 
 
 class TestMcDropout:
@@ -265,7 +294,7 @@ class TestMcDropout:
         tr, _ = small_data(n=100)
         model, mask = self._tiny_model()
         probs = predict_mc_dropout(model, mask, 1.0, 1, tr.features, substream(0, "mc"))
-        plain = evaluate(model, tr).probs
+        plain, _ = plain_evaluate(model, tr)
         np.testing.assert_array_equal(probs, plain)
 
     def test_single_sample_full_keep_equals_plain_evaluate_across_blocks(self):
@@ -273,7 +302,7 @@ class TestMcDropout:
         assert len(tr) == 3000
         model, mask = self._wide_model()
         probs = predict_mc_dropout(model, mask, 1.0, 1, tr.features, substream(0, "mc"))
-        plain = evaluate(model, tr).probs
+        plain, _ = plain_evaluate(model, tr)
         np.testing.assert_array_equal(probs, plain)
 
     def test_draw_stream_matches_reference_loop(self):
