@@ -3,8 +3,8 @@
 
 Trains each requested method on identical per-seed datasets and prints
 mean test accuracy, mean ECE, and per-seed ECE wins against the rigl
-baseline. `make_data`, `add_data_args` and `experiment_config` define the
-experiment; scripts/correlation_probe.py imports them.
+baseline. `make_data` and `experiment_config` define the experiment;
+scripts/correlation_probe.py imports them.
 
     python3 scripts/compare_methods.py --seeds 10 --methods cigl,rigl,cigl_no_rm
 """
@@ -17,19 +17,11 @@ import numpy as np
 from cigl import TrainConfig, inject_label_noise, substream, synth_two_moons, train
 
 
-def add_data_args(ap):
-    ap.add_argument("--n-train", type=int, default=2000)
-    ap.add_argument("--n-test", type=int, default=10000)
-    ap.add_argument("--noise-sd", type=float, default=0.25)
-    ap.add_argument("--label-noise", type=float, default=0.15)
-
-
-def make_data(seed, args):
-    """Noisy two-moons train and test sets of seed, sized by add_data_args."""
-    tr = synth_two_moons(args.n_train, args.noise_sd, substream(seed, "data.synth.train"))
-    tr, _ = inject_label_noise(tr, args.label_noise, substream(seed, "data.noise.train"))
-    te = synth_two_moons(args.n_test, args.noise_sd, substream(seed, "data.synth.test"))
-    te, _ = inject_label_noise(te, args.label_noise, substream(seed, "data.noise.test"))
+def make_data(seed, n_train=2000, n_test=10000, noise_sd=0.25, label_noise=0.15):
+    tr = synth_two_moons(n_train, noise_sd, substream(seed, "data.synth.train"))
+    tr, _ = inject_label_noise(tr, label_noise, substream(seed, "data.noise.train"))
+    te = synth_two_moons(n_test, noise_sd, substream(seed, "data.synth.test"))
+    te, _ = inject_label_noise(te, label_noise, substream(seed, "data.noise.test"))
     return tr, te
 
 
@@ -57,14 +49,17 @@ def main():
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--epochs", type=int, default=100)
     ap.add_argument("--sparsity", type=float, default=0.9)
-    add_data_args(ap)
+    ap.add_argument("--n-train", type=int, default=2000)
+    ap.add_argument("--n-test", type=int, default=10000)
+    ap.add_argument("--noise-sd", type=float, default=0.25)
+    ap.add_argument("--label-noise", type=float, default=0.15)
     args = ap.parse_args()
     methods = args.methods.split(",")
 
     t0 = time.time()
     results = {m: [] for m in methods}
     for seed in range(args.seeds):
-        tr, te = make_data(seed, args)
+        tr, te = make_data(seed, args.n_train, args.n_test, args.noise_sd, args.label_noise)
         for method in methods:
             cfg = experiment_config(method, seed, args.epochs, args.sparsity)
             last = train(cfg, tr, te).history[-1]

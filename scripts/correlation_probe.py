@@ -16,7 +16,7 @@ import numpy as np
 
 from cigl import substream, train
 from cigl.runner import correlate
-from compare_methods import add_data_args, experiment_config, make_data
+from compare_methods import experiment_config, make_data
 
 
 def main():
@@ -26,7 +26,6 @@ def main():
     ap.add_argument("--epochs", type=int, default=100)
     ap.add_argument("--keep-prob", type=float, default=0.9)
     ap.add_argument("--draws", type=int, default=5)
-    add_data_args(ap)
     args = ap.parse_args()
     sparsities = [float(s) for s in args.sparsities.split(",")]
 
@@ -34,7 +33,7 @@ def main():
     for sparsity in sparsities:
         drops, bases, masked = [], [], []
         for seed in range(args.seeds):
-            tr, te = make_data(seed, args)
+            tr, te = make_data(seed)
             res = train(experiment_config("cigl", seed, args.epochs, sparsity), tr, te)
             rep = correlate(res.model, res.mask, te, args.keep_prob, args.draws,
                             substream(seed, "correlate.z"))

@@ -40,9 +40,12 @@ class ReliabilityBins:
 class CalibrationReport:
     ece: float
     nll: float
-    accuracy: float
     bins: ReliabilityBins
     temperature: float | None = None
+
+    @property
+    def accuracy(self) -> float:
+        return self.bins.accuracy
 
 
 def _validate_probs(probs: np.ndarray) -> np.ndarray:

@@ -116,7 +116,6 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
     report = CalibrationReport(
         ece=ece_from_bins(bins),
         nll=nll(probs, test_ds.labels),
-        accuracy=bins.accuracy,
         bins=bins,
         temperature=temp,
     )

@@ -6,7 +6,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TINY_DATA = ["--seeds", "1", "--epochs", "2", "--n-train", "2500", "--n-test", "300"]
 
 
 def run_script(name, *args):
@@ -17,7 +16,8 @@ def run_script(name, *args):
 
 
 def test_compare_methods_runs():
-    proc = run_script("compare_methods.py", "--methods", "cigl,rigl", *TINY_DATA)
+    proc = run_script("compare_methods.py", "--methods", "cigl,rigl", "--seeds", "1",
+                      "--epochs", "2", "--n-test", "300")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("seed 0: cigl: ece=")
     rows = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith(("cigl ", "rigl "))]
@@ -25,8 +25,9 @@ def test_compare_methods_runs():
 
 
 def test_correlation_probe_runs_and_a_dense_net_warns_nothing():
-    # 2 epochs of 53 batches reach the topology update at iteration 50
-    proc = run_script("correlation_probe.py", "--sparsities", "0,0.8", "--draws", "2", *TINY_DATA)
+    # 3 epochs of 42 batches reach the topology update at iteration 50 (< update end 63)
+    proc = run_script("correlation_probe.py", "--sparsities", "0,0.8", "--seeds", "1",
+                      "--epochs", "3", "--draws", "2")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["sparsity", "base", "acc", "masked", "acc", "drop"]
