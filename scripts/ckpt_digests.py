@@ -13,6 +13,11 @@ rigl_mcdp run (MC-dropout prediction) and of the `cigl_run` checkpoint
 print the same lines before and after:
 
     PYTHONPATH=src python3 scripts/ckpt_digests.py --seed 0
+
+The `rigl_mcdp_eval` line changed once on purpose: export used to draw
+its MC samples on its own stream, and now redraws the run's last-epoch
+stream, so its CSV equals the run's calibration.csv (at seed 0 the line
+went from da84ef72... to 72093c95...).
 """
 
 import argparse

@@ -35,10 +35,17 @@ class ReliabilityBins:
     def accuracy(self) -> float:  # bit for bit np.mean(probs.argmax(1) == labels)
         return self.n_correct / self.total
 
+    @property
+    def ece(self) -> float:  # sum of (count/n) * |accuracy - confidence|, in bin order
+        total = 0.0
+        for b in self.bins:
+            if b.count:
+                total += (b.count / self.total) * abs(b.mean_accuracy - b.mean_confidence)
+        return total
+
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    ece: float
     nll: float
     bins: ReliabilityBins
     temperature: float | None = None
@@ -46,6 +53,10 @@ class CalibrationReport:
     @property
     def accuracy(self) -> float:
         return self.bins.accuracy
+
+    @property
+    def ece(self) -> float:
+        return self.bins.ece
 
 
 def _validate_probs(probs: np.ndarray) -> np.ndarray:
@@ -58,6 +69,11 @@ def _validate_probs(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
+def correct_rows(probs, labels) -> np.ndarray:
+    """Which validated rows' top class, ties to the lowest index, is the label."""
+    return _validate_probs(probs).argmax(axis=1) == np.asarray(labels)
+
+
 def reliability_bins(probs, labels, n_bins: int = 15) -> ReliabilityBins:
     """Top-label reliability histogram.
 
@@ -66,13 +82,10 @@ def reliability_bins(probs, labels, n_bins: int = 15) -> ReliabilityBins:
     to the lowest class index. Per-bin means accumulate in float64 and in
     sample order.
     """
-    probs = _validate_probs(probs)
-    labels = np.asarray(labels)
+    correct = correct_rows(probs, labels)
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    conf = probs.max(axis=1).astype(np.float64)
-    pred = probs.argmax(axis=1)
-    correct = (pred == labels).astype(np.float64)
+    conf = np.asarray(probs).max(axis=1).astype(np.float64)
 
     uppers = np.array([(m + 1) / n_bins for m in range(n_bins)])
     idx = np.minimum(np.searchsorted(uppers, conf, side="left"), n_bins - 1)
@@ -96,17 +109,8 @@ def reliability_bins(probs, labels, n_bins: int = 15) -> ReliabilityBins:
                            n_correct=int(np.count_nonzero(correct)))
 
 
-def ece_from_bins(rb: ReliabilityBins) -> float:
-    """Sum of (count/n) * |accuracy - confidence| over bins, in bin order."""
-    total = 0.0
-    for b in rb.bins:
-        if b.count:
-            total += (b.count / rb.total) * abs(b.mean_accuracy - b.mean_confidence)
-    return total
-
-
 def ece(probs, labels, n_bins: int = 15) -> float:
-    return ece_from_bins(reliability_bins(probs, labels, n_bins))
+    return reliability_bins(probs, labels, n_bins).ece
 
 
 def nll(probs, labels) -> float:

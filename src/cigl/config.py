@@ -32,18 +32,12 @@ class DataConfig:
 
 
 @dataclass
-class CalibConfig:
-    n_bins: int = 15
-    temperature: bool = False
-
-
-@dataclass
 class ExperimentConfig:
     run_id: str = "run"
     out_dir: str = "runs"
     train: TrainConfig = field(default_factory=TrainConfig)
     data: DataConfig = field(default_factory=DataConfig)
-    calib: CalibConfig = field(default_factory=CalibConfig)
+    temperature: bool = False  # fit a softmax temperature on a validation split
 
 
 def _parse_bool(raw: str) -> bool:
@@ -118,9 +112,9 @@ _KEYS = {
     "data.idx_images": ("data", "idx_images", _parse_opt_str),
     "data.idx_labels": ("data", "idx_labels", _parse_opt_str),
     "data.standardize": ("data", "standardize", _parse_bool),
-    "calib.n_bins": ("calib", "n_bins", int),
-    "calib.temperature": ("calib", "temperature", _parse_bool),
-    # training knobs, kept under their historical calib.* keys
+    # calib.* keys other than calib.temperature set TrainConfig fields
+    "calib.n_bins": ("train", "n_bins", int),
+    "calib.temperature": ("", "temperature", _parse_bool),
     "calib.mixup_alpha": ("train", "mixup_alpha", float),
     "calib.label_smoothing": ("train", "label_smoothing", float),
 }
@@ -165,9 +159,8 @@ def load_config(path) -> ExperimentConfig:
 def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Materialize all defaults and validate. The result round-trips through
     format_config/parse_config_text unchanged."""
-    train = replace(cfg.train, wma_start_epoch=cfg.train.resolved_wma_start())
-    out = ExperimentConfig(run_id=cfg.run_id, out_dir=cfg.out_dir, train=train,
-                           data=replace(cfg.data), calib=replace(cfg.calib))
+    out = replace(cfg, train=replace(cfg.train, wma_start_epoch=cfg.train.resolved_wma_start()),
+                  data=replace(cfg.data))
     validate_config(out)
     return out
 
@@ -201,8 +194,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("data.label_noise: must be in [0, 1]")
     if len(d.split) != 2 or abs(sum(d.split) - 1.0) > 1e-9 or any(f <= 0 for f in d.split):
         raise ConfigError("data.split: need two positive fractions summing to 1")
-    if cfg.calib.n_bins < 1:
-        raise ConfigError("calib.n_bins: must be >= 1")
 
 
 def format_config(cfg: ExperimentConfig) -> str:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .calibration import (
     CalibrationReport,
-    ece_from_bins,
+    correct_rows,
     fit_temperature,
     nll,
     reliability_bins,
@@ -26,7 +26,7 @@ from .data import Dataset, load_csv, load_idx, inject_label_noise, split_dataset
 from .masks import DeterministicMask
 from .rng import substream
 from .tensor import MlpModel, softmax_inplace
-from .train import METHODS, TrainResult, evaluate, predict_logits, predict_mc_dropout, train
+from .train import METHODS, TrainConfig, TrainResult, evaluate, predict_logits, predict_mc_dropout, train
 
 log = logging.getLogger(__name__)
 
@@ -54,14 +54,14 @@ def build_datasets(cfg: ExperimentConfig):
     return train_ds, test_ds
 
 
-def _checkpoint_from_result(result: TrainResult) -> Checkpoint:
+def _checkpoint_from_result(result: TrainResult, config: TrainConfig) -> Checkpoint:
     tensors, masks = [], []
     for w, m, b in zip(result.model.weights, result.mask.layers, result.model.biases):
         tensors.append(w)
         masks.append(m)
         tensors.append(b)
         masks.append(np.ones_like(b, dtype=bool))
-    return Checkpoint(result.config.method, result.config.seed, tensors, masks, result.n_models)
+    return Checkpoint(config.method, config.seed, tensors, masks, result.history[-1].n_models_in_wma)
 
 
 def model_from_checkpoint(ckpt: Checkpoint):
@@ -93,8 +93,8 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
 
     train_ds, test_ds = build_datasets(cfg)
     mc_predict = METHODS[cfg.train.method].mc_predict
-    use_temperature = cfg.calib.temperature and not mc_predict
-    if cfg.calib.temperature and mc_predict:
+    use_temperature = cfg.temperature and not mc_predict
+    if cfg.temperature and mc_predict:
         log.warning("temperature scaling skipped: MC-dropout prediction has no single logit set")
     if use_temperature:
         fit_ds, val_ds = split_dataset(train_ds, (0.9, 0.1), substream(cfg.train.seed, "data.valsplit"))
@@ -112,15 +112,10 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
         temp = None
         probs = result.final_probs
 
-    bins = reliability_bins(probs, test_ds.labels, cfg.calib.n_bins)
-    report = CalibrationReport(
-        ece=ece_from_bins(bins),
-        nll=nll(probs, test_ds.labels),
-        bins=bins,
-        temperature=temp,
-    )
+    bins = reliability_bins(probs, test_ds.labels, cfg.train.n_bins)
+    report = CalibrationReport(nll=nll(probs, test_ds.labels), bins=bins, temperature=temp)
 
-    save_checkpoint(out_dir / "model.ckpt", _checkpoint_from_result(result))
+    save_checkpoint(out_dir / "model.ckpt", _checkpoint_from_result(result, cfg.train))
     atomic_write_text(out_dir / "metrics.jsonl",
                       "".join(json.dumps(asdict(r)) + "\n" for r in result.history))
     write_reliability_csv(bins, out_dir / "calibration.csv")
@@ -129,7 +124,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
         "nll": report.nll,
         "accuracy": report.accuracy,
         "temperature": report.temperature,
-        "n_bins": cfg.calib.n_bins,
+        "n_bins": cfg.train.n_bins,
         "method": cfg.train.method,
         "seed": cfg.train.seed,
         "sparsity": cfg.train.sparsity,
@@ -140,7 +135,8 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
 
 def run_sweep(cfg: ExperimentConfig, sparsities, seeds, out_root=None, force: bool = False) -> Path:
     """|sparsities| x |seeds| independent runs; rows sorted by (sparsity, seed).
-    Cells that would share a run directory are rejected before any training."""
+    Cells that would share a run directory are rejected before any training;
+    sweep.csv is rewritten after each cell, so a failing cell keeps the rows before it."""
     if not seeds:
         raise ConfigError("sweep: need at least one seed")
     for s in sparsities:
@@ -156,18 +152,13 @@ def run_sweep(cfg: ExperimentConfig, sparsities, seeds, out_root=None, force: bo
             raise ConfigError(f"sweep: two cells share run id {run_id!r} "
                               "(a repeated seed, or sparsities equal when printed with %g)")
         run_ids.add(run_id)
-    rows = []
+    path = out_root / "sweep.csv"
+    lines = ["sparsity,test_accuracy,ece,nll,seed"]
     for s, seed, run_id in cells:
         cell = replace(cfg, run_id=run_id, train=replace(cfg.train, sparsity=s, seed=seed))
-        out = run_experiment(cell, out_root=out_root / "sweep_runs", force=force)
-        rows.append((s, out.report.accuracy, out.report.ece, out.report.nll, seed))
-
-    path = out_root / "sweep.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["sparsity,test_accuracy,ece,nll,seed"]
-    for s, acc, e, n, seed in rows:
-        lines.append(f"{s:g},{repr(acc)},{repr(e)},{repr(n)},{seed}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        report = run_experiment(cell, out_root=out_root / "sweep_runs", force=force).report
+        lines.append(f"{s:g},{report.accuracy!r},{report.ece!r},{report.nll!r},{seed}")
+        atomic_write_text(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -181,13 +172,14 @@ def correlate(model: MlpModel, mask: DeterministicMask, data: Dataset, keep_prob
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    base_probs = softmax_inplace(predict_logits(model, data.features))
-    base = reliability_bins(base_probs, data.labels).accuracy
+    def n_correct(probs) -> int:
+        return int(np.count_nonzero(correct_rows(probs, data.labels)))
+
+    base = n_correct(softmax_inplace(predict_logits(model, data.features))) / len(data)
     # integer correct-counts so the keep_prob=1 drop is exactly zero
     correct = 0
     for _ in range(n_draws):
-        probs = predict_mc_dropout(model, mask, keep_prob, 1, data.features, rng)
-        correct += reliability_bins(probs, data.labels).n_correct
+        correct += n_correct(predict_mc_dropout(model, mask, keep_prob, 1, data.features, rng))
     mean_masked = correct / (n_draws * len(data))
     return {
         "base_accuracy": base,
@@ -202,6 +194,9 @@ def _load_for_eval(cfg: ExperimentConfig, ckpt_path):
     """(resolved config, checkpoint, model, topology mask, test split)."""
     cfg = resolve_config(cfg)
     ckpt = load_checkpoint(ckpt_path)
+    if ckpt.seed != cfg.train.seed:
+        raise ConfigError(f"train.seed: {cfg.train.seed} differs from the checkpoint's seed "
+                          f"{ckpt.seed}, so the test split would not be the run's")
     model, mask = model_from_checkpoint(ckpt)
     _, test_ds = build_datasets(cfg)
     return cfg, ckpt, model, mask, test_ds
@@ -215,10 +210,14 @@ def run_correlate(cfg: ExperimentConfig, ckpt_path, keep_prob: float = 0.9,
 
 
 def run_export_reliability(cfg: ExperimentConfig, ckpt_path, out_file, n_bins=None) -> Path:
+    """The checkpoint's reliability table on the test split: under the run's own
+    config, the run's calibration.csv unless the run fitted a temperature."""
+    if n_bins is not None:
+        cfg = replace(cfg, train=replace(cfg.train, n_bins=n_bins))
     cfg, ckpt, model, mask, test_ds = _load_for_eval(cfg, ckpt_path)
-    # the checkpoint's method decides how it predicts
-    _, bins = evaluate(model, mask, replace(cfg.train, method=ckpt.method), test_ds, "mc.export",
-                       n_bins or cfg.calib.n_bins)
+    # the checkpoint's method decides how it predicts, on the last epoch's stream
+    _, bins = evaluate(model, mask, replace(cfg.train, method=ckpt.method), test_ds,
+                       cfg.train.epochs)
     out_file = Path(out_file)
     out_file.parent.mkdir(parents=True, exist_ok=True)
     write_reliability_csv(bins, out_file)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import (ReliabilityBins, ece_from_bins, label_smoothing_targets, mixup_batch,
-                          reliability_bins)
+from .calibration import ReliabilityBins, label_smoothing_targets, mixup_batch, reliability_bins
 from .data import BatchIterator, Dataset
 from .masks import (
     SPARSITY_MODES,
@@ -115,6 +114,7 @@ class TrainConfig:
     mc_samples: int = 30
     label_smoothing: float = 0.0
     mixup_alpha: float = 0.0
+    n_bins: int = 15  # reliability bins of the test accuracy and ECE
 
     def resolved_wma_start(self) -> int:
         if self.wma_start_epoch is not None:
@@ -164,6 +164,8 @@ class TrainConfig:
             raise TrainConfigError("label_smoothing", "must be in [0, 1)")
         if self.mixup_alpha < 0.0:
             raise TrainConfigError("mixup_alpha", "must be >= 0")
+        if self.n_bins < 1:
+            raise TrainConfigError("n_bins", "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -182,10 +184,8 @@ class TrainResult:
     model: MlpModel  # the method's output weights (masked / averaged)
     mask: DeterministicMask
     history: list[EpochRecord]
-    n_models: int
     mask_update_log: list[tuple[int, tuple[int, ...]]]  # (iteration, nnz per layer)
     final_probs: np.ndarray  # test probabilities of the output model
-    config: TrainConfig
 
 
 def predict_logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
@@ -196,16 +196,18 @@ def predict_logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
 
 
 def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data: Dataset,
-             stream: str, n_bins: int = 15) -> tuple[np.ndarray, ReliabilityBins]:
-    """The method's probability rows for data and their reliability bins,
-    which carry accuracy and ECE. The one place that chooses MC dropout,
-    drawn on substream(config.seed, stream), over a single softmax."""
+             epoch: int) -> tuple[np.ndarray, ReliabilityBins]:
+    """The method's probability rows for data and their config.n_bins
+    reliability bins, which carry accuracy and ECE. The one place that
+    chooses MC dropout, drawn on the stream of the epoch just trained, over
+    a single softmax; export passes the last epoch, so it redraws the run's
+    table."""
     if METHODS[config.method].mc_predict:
         probs = predict_mc_dropout(model, mask, config.keep_prob, config.mc_samples,
-                                   data.features, substream(config.seed, stream))
+                                   data.features, substream(config.seed, f"mc.eval.{epoch}"))
     else:
         probs = softmax_inplace(predict_logits(model, data.features))
-    return probs, reliability_bins(probs, data.labels, n_bins)
+    return probs, reliability_bins(probs, data.labels, config.n_bins)
 
 
 def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: float,
@@ -214,15 +216,18 @@ def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: floa
 
     Each draw runs the same blocked forward as evaluate's single softmax, so
     a single draw at keep_prob=1 reproduces it bit for bit. Each draw's
-    softmax is computed in its logits buffer.
+    softmax is computed in its logits buffer, and the first draw's buffer
+    holds the sum.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    total = np.zeros((len(x), model.weights[-1].shape[0]), dtype=np.float64)
-    for _ in range(n_samples):
-        z = sample_random_mask(mask, keep_prob, rng)
-        total += softmax_inplace(predict_logits(masked_model(model, z), x))
-    return total / n_samples
+    zs = (sample_random_mask(mask, keep_prob, rng) for _ in range(n_samples))
+    draws = (softmax_inplace(predict_logits(masked_model(model, z), x)) for z in zs)
+    total = next(draws)
+    for probs in draws:
+        total += probs
+    total /= n_samples
+    return total
 
 
 def masked_model(model: MlpModel, z) -> MlpModel:
@@ -326,13 +331,13 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
             wma_update(acc, masked_model(model, z).weights + model.biases)
 
         current = _output_model(model, mask, acc)
-        probs, bins = evaluate(current, mask, config, test_data, f"mc.eval.{epoch}")
+        probs, bins = evaluate(current, mask, config, test_data, epoch)
         history.append(
             EpochRecord(
                 epoch=epoch,
                 train_loss=loss_sum / batches.batches_per_epoch(),
                 test_accuracy=bins.accuracy,
-                test_ece=ece_from_bins(bins),
+                test_ece=bins.ece,
                 lr=lr,
                 current_sparsity=mask.sparsity(),
                 n_models_in_wma=acc.n_models,
@@ -344,10 +349,8 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
         model=current,
         mask=mask,
         history=history,
-        n_models=acc.n_models,
         mask_update_log=update_log,
         final_probs=probs,
-        config=config,
     )
 
 

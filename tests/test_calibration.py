@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cigl.calibration import (
+    correct_rows,
     ece,
-    ece_from_bins,
     fit_temperature,
     label_smoothing_targets,
     mixup_batch,
@@ -53,7 +53,7 @@ class TestEce:
         with pytest.raises(ValueError, match="sum to 1"):
             ece(np.array([[0.2, 0.2]]), np.array([0]))
 
-    @pytest.mark.parametrize("metric", [ece, nll, reliability_bins])
+    @pytest.mark.parametrize("metric", [ece, nll, reliability_bins, correct_rows])
     def test_nan_rows_rejected(self, metric):
         probs = np.array([[np.nan, np.nan], [0.3, 0.7]])
         with pytest.raises(ValueError, match="sum to 1"):
@@ -103,7 +103,7 @@ class TestReliabilityBins:
     def test_ece_reconstructs_exactly(self, seed):
         probs, labels = random_prob_instance(seed, n_max=200)
         rb = reliability_bins(probs, labels)
-        assert ece_from_bins(rb) == ece(probs, labels)
+        assert rb.ece == ece(probs, labels)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -123,6 +123,7 @@ class TestReliabilityBins:
     def test_accuracy_ties_go_to_the_lowest_class(self):
         probs = np.array([[0.5, 0.5], [0.5, 0.5], [0.25, 0.75]])
         rb = reliability_bins(probs, np.array([0, 1, 1]))
+        assert correct_rows(probs, np.array([0, 1, 1])).tolist() == [True, False, True]
         assert rb.n_correct == 2
         assert rb.accuracy == 2 / 3
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,15 @@ data.n = 240
 data.noise_sd = 0.25
 data.label_noise = 0.1
 """
+
+TWO_MOONS_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "two_moons_cigl.cfg"
+
+
+def with_lines(text, *lines):
+    """text with each `key = value` line replacing that key's line, if any."""
+    keys = {line.partition(" = ")[0] for line in lines}
+    kept = [row for row in text.splitlines() if row.partition(" = ")[0] not in keys]
+    return "\n".join(kept + list(lines)) + "\n"
 
 
 class TestConfigParsing:
@@ -163,15 +173,27 @@ class TestRunCommand:
         "calib.mixup_alpha = -0.5",
         "train.lr_decay = 2",
         "train.lr_milestones = 3, 2",
+        "calib.n_bins = 0",
     ])
     def test_invalid_knob_exits_2_naming_its_key(self, tmp_path, capsys, line):
         key = line.partition(" = ")[0]
-        kept = [row for row in TINY_CONFIG.splitlines() if not row.startswith(key + " ")]
         bad = tmp_path / "bad.cfg"
-        bad.write_text("\n".join(kept + [line]) + "\n")
+        bad.write_text(with_lines(TINY_CONFIG, line))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert f"invalid configuration: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_last_epoch_metrics_use_the_configured_bin_count(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(with_lines(TWO_MOONS_CONFIG.read_text(), "train.epochs = 10",
+                                  "train.wma_start_epoch = 5", "calib.n_bins = 10"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        run_dir = tmp_path / "o" / "two_moons_cigl"
+        report = json.loads((run_dir / "report.json").read_text())
+        last = json.loads((run_dir / "metrics.jsonl").read_text().splitlines()[-1])
+        assert report["n_bins"] == 10
+        assert last["test_ece"] == report["ece"]
+        assert last["test_accuracy"] == report["accuracy"]
 
 
 class TestSweepCommand:
@@ -196,6 +218,16 @@ class TestSweepCommand:
         cells = [line.split(",") for line in lines[1:]]
         assert len(cells) == 4
         assert [(c[0], c[4]) for c in cells] == [("0.5", "1"), ("0.5", "2"), ("0.8", "1"), ("0.8", "2")]
+
+    def test_failing_cell_keeps_the_finished_rows(self, tiny_config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--config", str(tiny_config_file), "--out", str(out),
+                   "--sparsities", "0.8,0.999", "--seeds", "1"])
+        assert rc == 1
+        assert "no active weights" in capsys.readouterr().err
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "sparsity,test_accuracy,ece,nll,seed"
+        assert [(c[0], c[4]) for c in (line.split(",") for line in lines[1:])] == [("0.8", "1")]
 
     def test_single_cell_matches_plain_run(self, tiny_config_file, tmp_path):
         out = tmp_path / "out"
@@ -237,6 +269,34 @@ class TestCorrelateCommand:
         assert report["n_draws"] == 3
         assert report["base_accuracy"] >= report["mean_masked_accuracy"] - 1.0
 
+    def test_diverged_checkpoint_is_refused(self, tiny_config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--config", str(tiny_config_file), "--out", str(out)])
+        ckpt_path = out / "demo" / "model.ckpt"
+        ckpt = load_checkpoint(ckpt_path)
+        ckpt.tensors[0][ckpt.masks[0]] = np.nan
+        save_checkpoint(ckpt_path, ckpt)
+        capsys.readouterr()
+        rc = main(["correlate", "--config", str(tiny_config_file), "--ckpt", str(ckpt_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "sum to 1" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["correlate", "export-reliability"])
+    def test_checkpoint_of_another_seed_is_refused(self, tiny_config_file, tmp_path, capsys,
+                                                   command):
+        out = tmp_path / "out"
+        main(["run", "--config", str(tiny_config_file), "--out", str(out)])
+        capsys.readouterr()
+        target = tmp_path / "rel.csv"
+        extra = ["--out-file", str(target)] if command == "export-reliability" else []
+        rc = main([command, "--config", str(tiny_config_file), "--seed", "3",
+                   "--ckpt", str(out / "demo" / "model.ckpt"), *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: train.seed: 3 ") and "seed 7" in err
+        assert not target.exists()
+
 
 class TestExportReliability:
     def test_csv_shape_and_ece_reconstruction(self, tiny_config_file, tmp_path):
@@ -261,6 +321,32 @@ class TestExportReliability:
             if cells[2] != "0":
                 recomputed += int(cells[2]) / total * abs(float(cells[4]) - float(cells[3]))
         assert recomputed == pytest.approx(report["ece"], abs=1e-9)
+
+    @pytest.mark.parametrize("n_bins", [10, 15])
+    def test_mc_dropout_export_reproduces_the_run_table(self, tmp_path, n_bins):
+        cfg = tmp_path / "mcdp.cfg"
+        cfg.write_text(with_lines(TINY_CONFIG, "train.method = rigl_mcdp",
+                                  "train.mc_samples = 5", f"calib.n_bins = {n_bins}"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        target = tmp_path / "rel.csv"
+        assert main(["export-reliability", "--config", str(cfg),
+                     "--ckpt", str(out / "demo" / "model.ckpt"), "--out-file", str(target)]) == 0
+        assert target.read_bytes() == (out / "demo" / "calibration.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_bins", ["0", "-2"])
+    def test_out_of_range_bins_override_exits_2(self, tiny_config_file, tmp_path, capsys,
+                                                n_bins):
+        out = tmp_path / "out"
+        main(["run", "--config", str(tiny_config_file), "--out", str(out)])
+        capsys.readouterr()
+        target = tmp_path / "rel.csv"
+        rc = main(["export-reliability", "--config", str(tiny_config_file),
+                   "--ckpt", str(out / "demo" / "model.ckpt"), "--bins", n_bins,
+                   "--out-file", str(target)])
+        assert rc == 2
+        assert "invalid configuration: calib.n_bins: must be >= 1" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_diverged_checkpoint_is_refused(self, tiny_config_file, tmp_path, capsys):
         out = tmp_path / "out"

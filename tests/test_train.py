@@ -91,7 +91,6 @@ class TestTrainLoop:
     def test_wma_snapshot_count(self):
         tr, te = small_data()
         res = train(small_config("cigl", epochs=10, wma_start_epoch=5), tr, te)
-        assert res.n_models == 5
         assert res.history[-1].n_models_in_wma == 5
 
     def test_history_one_record_per_epoch(self):
@@ -195,7 +194,7 @@ class TestKnobsThroughTrain:
         tr, te = small_data()
         res = train(small_config("cigl", epochs=10, wma_start_epoch=5, wma_every=2), tr, te)
         assert [r.n_models_in_wma for r in res.history] == [0] * 6 + [1, 1, 2, 2]
-        assert res.n_models == 2
+        assert res.history[-1].n_models_in_wma == 2
 
     @pytest.mark.parametrize("knobs", [
         {"label_smoothing": 0.1},
@@ -219,7 +218,7 @@ def full_mask(model):
 
 def plain_evaluate(model, data):
     """evaluate under a method without MC prediction: one softmax."""
-    return evaluate(model, full_mask(model), TrainConfig(method="rigl"), data, "eval")
+    return evaluate(model, full_mask(model), TrainConfig(method="rigl"), data, 1)
 
 
 class TestEvaluate:
@@ -256,11 +255,11 @@ class TestEvaluate:
         shapes = [w.shape for w in model.weights]
         mask = init_mask(shapes, build_sparsity_plan(shapes, 0.5), substream(1, "eval.mask"))
         _apply_topology(model, mask)
-        cfg = TrainConfig(method=method, seed=5, keep_prob=0.7, mc_samples=3)
-        probs, bins = evaluate(model, mask, cfg, tr, "eval.stream", n_bins=7)
+        cfg = TrainConfig(method=method, seed=5, keep_prob=0.7, mc_samples=3, n_bins=7)
+        probs, bins = evaluate(model, mask, cfg, tr, 4)
         if METHODS[method].mc_predict:
             want = predict_mc_dropout(model, mask, 0.7, 3, tr.features,
-                                      substream(5, "eval.stream"))
+                                      substream(5, "mc.eval.4"))
         else:
             want, _ = plain_evaluate(model, tr)
         np.testing.assert_array_equal(probs, want)
