@@ -17,7 +17,10 @@ print the same lines before and after:
 The `rigl_mcdp_eval` line changed once on purpose: export used to draw
 its MC samples on its own stream, and now redraws the run's last-epoch
 stream, so its CSV equals the run's calibration.csv (at seed 0 the line
-went from da84ef72... to 72093c95...).
+went from da84ef72... to 72093c95...). The `cigl_eval` line changed once
+on purpose too: export used to skip the temperature the run fitted, and
+now refits it on the run's validation split, so its CSV equals the run's
+calibration.csv (at seed 0 the line went from 5a70e6e6... to 0eb1acf3...).
 """
 
 import argparse

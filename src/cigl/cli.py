@@ -16,6 +16,19 @@ from .config import ConfigError, load_config
 from .runner import run_correlate, run_experiment, run_export_reliability, run_sweep
 
 
+def _checked(parse, need: str, ok=lambda _: True):
+    """An argparse type: exit 2 naming the flag unless parse(raw) succeeds and ok holds."""
+    def convert(raw: str):
+        try:
+            value = parse(raw)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {need}, got {raw!r}")
+    return convert
+
+
 def _add_common(p: argparse.ArgumentParser, force: bool = True) -> None:
     p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", default=None, help="output root (overrides run.out)")
@@ -33,19 +46,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="train over a sparsity x seed grid, emit sweep.csv")
     _add_common(p)
-    p.add_argument("--sparsities", required=True, help="comma-separated sparsity values")
-    p.add_argument("--seeds", required=True, help="comma-separated seeds")
+    p.add_argument("--sparsities", required=True, help="comma-separated sparsity values",
+                   type=_checked(lambda raw: [float(s) for s in raw.split(",")], "numbers"))
+    p.add_argument("--seeds", required=True, help="comma-separated seeds",
+                   type=_checked(lambda raw: [int(s) for s in raw.split(",")], "integers"))
 
     p = sub.add_parser("correlate", help="accuracy drop of random-masked vs bare weights")
     _add_common(p, force=False)
     p.add_argument("--ckpt", required=True, help="checkpoint to probe")
-    p.add_argument("--keep-prob", type=float, default=0.9)
-    p.add_argument("--draws", type=int, default=5)
+    p.add_argument("--keep-prob", default=0.9,
+                   type=_checked(float, "a number in [0, 1]", lambda q: 0.0 <= q <= 1.0))
+    p.add_argument("--draws", default=5, type=_checked(int, "an integer >= 1", lambda n: n >= 1))
 
     p = sub.add_parser("export-reliability", help="write the reliability-diagram CSV for a checkpoint")
     _add_common(p, force=False)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--bins", type=int, default=None, help="override calib.n_bins")
     p.add_argument("--out-file", required=True)
 
     return parser
@@ -63,15 +78,13 @@ def main(argv=None) -> int:
             print(f"run complete: accuracy={out.report.accuracy:.4f} "
                   f"ece={out.report.ece:.4f} -> {out.out_dir}")
         elif args.command == "sweep":
-            sparsities = [float(s) for s in args.sparsities.split(",")]
-            seeds = [int(s) for s in args.seeds.split(",")]
-            path = run_sweep(cfg, sparsities, seeds, out_root=args.out, force=args.force)
+            path = run_sweep(cfg, args.sparsities, args.seeds, out_root=args.out, force=args.force)
             print(f"sweep complete: {path}")
         elif args.command == "correlate":
             report = run_correlate(cfg, args.ckpt, keep_prob=args.keep_prob, n_draws=args.draws)
             print(json.dumps(report, indent=2))
         elif args.command == "export-reliability":
-            path = run_export_reliability(cfg, args.ckpt, args.out_file, n_bins=args.bins)
+            path = run_export_reliability(cfg, args.ckpt, args.out_file)
             print(f"reliability table written: {path}")
         return 0
     except ConfigError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .train import TrainConfig, TrainConfigError
+from .train import METHODS, TrainConfig, TrainConfigError
 
 
 class ConfigError(ValueError):
@@ -170,6 +170,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         cfg.train.validate()
     except TrainConfigError as exc:
         raise ConfigError(f"{_TRAIN_KEYS[exc.field]}: {exc.reason}") from None
+    if cfg.temperature and METHODS[cfg.train.method].mc_predict:
+        raise ConfigError(f"calib.temperature: {cfg.train.method} predicts by MC dropout, "
+                          "which has no single logit set to scale")
     if not cfg.run_id:
         raise ConfigError("run.id: must be nonempty")
     d = cfg.data

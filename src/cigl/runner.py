@@ -5,7 +5,6 @@ reliability-diagram export."""
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -26,16 +25,14 @@ from .data import Dataset, load_csv, load_idx, inject_label_noise, split_dataset
 from .masks import DeterministicMask
 from .rng import substream
 from .tensor import MlpModel, softmax_inplace
-from .train import METHODS, TrainConfig, TrainResult, evaluate, predict_logits, predict_mc_dropout, train
-
-log = logging.getLogger(__name__)
+from .train import TrainConfig, TrainResult, evaluate, predict_logits, predict_mc_dropout, train
 
 ARTIFACTS = ("model.ckpt", "metrics.jsonl", "calibration.csv", "report.json", "config.resolved")
 
 
 def build_datasets(cfg: ExperimentConfig):
-    """Source -> optional label noise -> train/test split -> optional
-    standardization, all on streams derived from the training seed."""
+    """(fit, val, test): source -> [label noise] -> train/test split -> [standardization]
+    -> [validation split if calib.temperature, else val None], on the seed's streams."""
     seed = cfg.train.seed
     d = cfg.data
     if d.source == "two_moons":
@@ -49,9 +46,13 @@ def build_datasets(cfg: ExperimentConfig):
     if d.label_noise > 0:
         ds, _ = inject_label_noise(ds, d.label_noise, substream(seed, "data.noise"))
     train_ds, test_ds = split_dataset(ds, d.split, substream(seed, "data.split"))
+    del ds  # the unsplit rows are dead; freeing them lowers the peak memory
     if d.standardize:
         train_ds, test_ds = standardize(train_ds, test_ds)
-    return train_ds, test_ds
+    if not cfg.temperature:
+        return train_ds, None, test_ds
+    fit_ds, val_ds = split_dataset(train_ds, (0.9, 0.1), substream(seed, "data.valsplit"))
+    return fit_ds, val_ds, test_ds
 
 
 def _checkpoint_from_result(result: TrainResult, config: TrainConfig) -> Checkpoint:
@@ -77,6 +78,20 @@ def model_from_checkpoint(ckpt: Checkpoint):
     return MlpModel(list(weights), list(biases)), mask
 
 
+def _report(cfg: ExperimentConfig, model: MlpModel, val_ds: Dataset | None, test_ds: Dataset,
+            probs: np.ndarray) -> CalibrationReport:
+    """The run's test calibration at calib.n_bins: of probs, or with a validation
+    split, of the test logits' softmax at the temperature fitted on it."""
+    temp = None
+    if val_ds is not None:
+        temp = fit_temperature(predict_logits(model, val_ds.features), val_ds.labels)
+        logits = predict_logits(model, test_ds.features)
+        logits /= temp
+        probs = softmax_inplace(logits)
+    bins = reliability_bins(probs, test_ds.labels, cfg.train.n_bins)
+    return CalibrationReport(nll=nll(probs, test_ds.labels), bins=bins, temperature=temp)
+
+
 @dataclass
 class RunOutputs:
     out_dir: Path
@@ -91,34 +106,14 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
         raise ConfigError(f"run.id: output {out_dir} already holds run artifacts (use --force)")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_ds, test_ds = build_datasets(cfg)
-    mc_predict = METHODS[cfg.train.method].mc_predict
-    use_temperature = cfg.temperature and not mc_predict
-    if cfg.temperature and mc_predict:
-        log.warning("temperature scaling skipped: MC-dropout prediction has no single logit set")
-    if use_temperature:
-        fit_ds, val_ds = split_dataset(train_ds, (0.9, 0.1), substream(cfg.train.seed, "data.valsplit"))
-    else:
-        fit_ds, val_ds = train_ds, None
-
+    fit_ds, val_ds, test_ds = build_datasets(cfg)
     result = train(cfg.train, fit_ds, test_ds)
-
-    if use_temperature:
-        temp = fit_temperature(predict_logits(result.model, val_ds.features), val_ds.labels)
-        logits = predict_logits(result.model, test_ds.features)
-        logits /= temp
-        probs = softmax_inplace(logits)
-    else:
-        temp = None
-        probs = result.final_probs
-
-    bins = reliability_bins(probs, test_ds.labels, cfg.train.n_bins)
-    report = CalibrationReport(nll=nll(probs, test_ds.labels), bins=bins, temperature=temp)
+    report = _report(cfg, result.model, val_ds, test_ds, result.final_probs)
 
     save_checkpoint(out_dir / "model.ckpt", _checkpoint_from_result(result, cfg.train))
     atomic_write_text(out_dir / "metrics.jsonl",
                       "".join(json.dumps(asdict(r)) + "\n" for r in result.history))
-    write_reliability_csv(bins, out_dir / "calibration.csv")
+    write_reliability_csv(report.bins, out_dir / "calibration.csv")
     atomic_write_text(out_dir / "report.json", json.dumps({
         "ece": report.ece,
         "nll": report.nll,
@@ -191,34 +186,31 @@ def correlate(model: MlpModel, mask: DeterministicMask, data: Dataset, keep_prob
 
 
 def _load_for_eval(cfg: ExperimentConfig, ckpt_path):
-    """(resolved config, checkpoint, model, topology mask, test split)."""
+    """(resolved config, model, mask, val split, test split) of a checkpoint of cfg's run."""
     cfg = resolve_config(cfg)
     ckpt = load_checkpoint(ckpt_path)
-    if ckpt.seed != cfg.train.seed:
-        raise ConfigError(f"train.seed: {cfg.train.seed} differs from the checkpoint's seed "
-                          f"{ckpt.seed}, so the test split would not be the run's")
+    for key, ours, theirs in (("seed", cfg.train.seed, ckpt.seed),
+                              ("method", cfg.train.method, ckpt.method)):
+        if ours != theirs:
+            raise ConfigError(f"train.{key}: {ours} differs from the checkpoint's {key} "
+                              f"{theirs}, so its evaluation would not be the run's")
     model, mask = model_from_checkpoint(ckpt)
-    _, test_ds = build_datasets(cfg)
-    return cfg, ckpt, model, mask, test_ds
+    _, val_ds, test_ds = build_datasets(cfg)
+    return cfg, model, mask, val_ds, test_ds
 
 
 def run_correlate(cfg: ExperimentConfig, ckpt_path, keep_prob: float = 0.9,
                   n_draws: int = 5) -> dict:
-    cfg, _, model, mask, test_ds = _load_for_eval(cfg, ckpt_path)
+    cfg, model, mask, _, test_ds = _load_for_eval(cfg, ckpt_path)
     rng = substream(cfg.train.seed, "correlate.z")
     return correlate(model, mask, test_ds, keep_prob, n_draws, rng)
 
 
-def run_export_reliability(cfg: ExperimentConfig, ckpt_path, out_file, n_bins=None) -> Path:
-    """The checkpoint's reliability table on the test split: under the run's own
-    config, the run's calibration.csv unless the run fitted a temperature."""
-    if n_bins is not None:
-        cfg = replace(cfg, train=replace(cfg.train, n_bins=n_bins))
-    cfg, ckpt, model, mask, test_ds = _load_for_eval(cfg, ckpt_path)
-    # the checkpoint's method decides how it predicts, on the last epoch's stream
-    _, bins = evaluate(model, mask, replace(cfg.train, method=ckpt.method), test_ds,
-                       cfg.train.epochs)
+def run_export_reliability(cfg: ExperimentConfig, ckpt_path, out_file) -> Path:
+    """The checkpoint's test reliability table: under its run's config, the run's calibration.csv."""
+    cfg, model, mask, val_ds, test_ds = _load_for_eval(cfg, ckpt_path)
+    probs, _ = evaluate(model, mask, cfg.train, test_ds, cfg.train.epochs)
     out_file = Path(out_file)
     out_file.parent.mkdir(parents=True, exist_ok=True)
-    write_reliability_csv(bins, out_file)
+    write_reliability_csv(_report(cfg, model, val_ds, test_ds, probs).bins, out_file)
     return out_file

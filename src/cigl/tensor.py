@@ -1,5 +1,5 @@
 """Dense MLP with manual reverse-mode gradients, softmax cross-entropy,
-SGD with momentum, and a piecewise-constant learning-rate schedule.
+and SGD with momentum.
 
 Parameters are stored as float32 during training; loss and metric
 reductions accumulate in float64. forward/backward are dtype-generic so
@@ -191,26 +191,3 @@ def sgd_step(model: MlpModel, grads_w, grads_b, state: SgdState, lr: float) -> N
         v += g
         b -= lr * v
 
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Piecewise-constant decay: lr(e) = base_lr * decay_factor**(#milestones <= e)."""
-
-    base_lr: float
-    milestones: tuple[int, ...] = ()
-    decay_factor: float = 0.1
-
-    def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be > 0")
-        if not 0.0 < self.decay_factor < 1.0:
-            raise ValueError("decay_factor must be in (0, 1)")
-        if any(b <= a for a, b in zip(self.milestones, self.milestones[1:])):
-            raise ValueError("milestones must be strictly increasing")
-
-
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
-    passed = sum(1 for m in schedule.milestones if m <= epoch)
-    return schedule.base_lr * schedule.decay_factor**passed

@@ -29,14 +29,12 @@ from .masks import (
 )
 from .rng import substream
 from .tensor import (
-    LrSchedule,
     MlpModel,
     NonFiniteError,
     SgdState,
     backward,
     forward,
     init_mlp,
-    lr_at,
     sgd_step,
     softmax_inplace,
 )
@@ -120,6 +118,10 @@ class TrainConfig:
         if self.wma_start_epoch is not None:
             return self.wma_start_epoch
         return int(0.8 * self.epochs)
+
+    def lr_at(self, epoch: int) -> float:
+        """Piecewise-constant decay: base_lr * lr_decay**(#milestones <= epoch)."""
+        return self.base_lr * self.lr_decay**sum(m <= epoch for m in self.lr_milestones)
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -264,7 +266,6 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
     _apply_topology(model, mask)
 
     state = SgdState.for_model(model, config.momentum, config.weight_decay)
-    schedule = LrSchedule(config.base_lr, config.lr_milestones, config.lr_decay)
     batches = BatchIterator(train_data, config.batch_size, seed)
     total_iters = config.epochs * batches.batches_per_epoch()
     update_end = int(config.update_end_fraction * total_iters)
@@ -279,7 +280,7 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
     t = 0
 
     for epoch in range(1, config.epochs + 1):
-        lr = lr_at(schedule, epoch - 1)
+        lr = config.lr_at(epoch - 1)
         loss_sum = 0.0
         for xb, yb in batches.epoch_batches(epoch - 1):
             t += 1

@@ -183,6 +183,33 @@ class TestRunCommand:
         assert f"invalid configuration: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_temperature_with_mc_dropout_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(with_lines(TINY_CONFIG, "train.method = rigl_mcdp",
+                                  "calib.temperature = true"))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("invalid configuration: calib.temperature: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("correlate", "--draws", "0"),
+        ("correlate", "--keep-prob", "1.5"),
+        ("correlate", "--keep-prob", "nan"),
+        ("sweep", "--sparsities", "0.5,x"),
+        ("sweep", "--seeds", "a"),
+    ])
+    def test_invalid_flag_value_exits_2_naming_the_flag(self, tiny_config_file, tmp_path,
+                                                        capsys, command, flag, value):
+        out = tmp_path / "o"
+        extra = {"correlate": ["--ckpt", str(tmp_path / "absent.ckpt")],
+                 "sweep": ["--sparsities", "0.8", "--seeds", "1"]}[command]
+        argv = [command, "--config", str(tiny_config_file), "--out", str(out), *extra, flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_last_epoch_metrics_use_the_configured_bin_count(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(with_lines(TWO_MOONS_CONFIG.read_text(), "train.epochs = 10",
@@ -298,6 +325,25 @@ class TestCorrelateCommand:
         assert not target.exists()
 
 
+    @pytest.mark.parametrize("command", ["correlate", "export-reliability"])
+    def test_checkpoint_of_another_method_is_refused(self, tiny_config_file, tmp_path, capsys,
+                                                     command):
+        mcdp = tmp_path / "mcdp.cfg"
+        mcdp.write_text(with_lines(TINY_CONFIG, "train.method = rigl_mcdp", "train.mc_samples = 5"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(mcdp), "--out", str(out)]) == 0
+        capsys.readouterr()
+        target = tmp_path / "rel.csv"
+        extra = ["--out-file", str(target)] if command == "export-reliability" else []
+        rc = main([command, "--config", str(tiny_config_file),
+                   "--ckpt", str(out / "demo" / "model.ckpt"), *extra])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration: train.method: cigl ")
+        assert "method rigl_mcdp" in captured.err and captured.out == ""
+        assert not target.exists()
+
+
 class TestExportReliability:
     def test_csv_shape_and_ece_reconstruction(self, tiny_config_file, tmp_path):
         out = tmp_path / "out"
@@ -334,16 +380,28 @@ class TestExportReliability:
                      "--ckpt", str(out / "demo" / "model.ckpt"), "--out-file", str(target)]) == 0
         assert target.read_bytes() == (out / "demo" / "calibration.csv").read_bytes()
 
+    def test_temperature_export_reproduces_the_run_table(self, tmp_path):
+        cfg = tmp_path / "temp.cfg"
+        cfg.write_text(with_lines(TINY_CONFIG, "calib.temperature = true"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "demo" / "report.json").read_text())["temperature"] != 1.0
+        target = tmp_path / "rel.csv"
+        assert main(["export-reliability", "--config", str(cfg),
+                     "--ckpt", str(out / "demo" / "model.ckpt"), "--out-file", str(target)]) == 0
+        assert target.read_bytes() == (out / "demo" / "calibration.csv").read_bytes()
+
     @pytest.mark.parametrize("n_bins", ["0", "-2"])
     def test_out_of_range_bins_override_exits_2(self, tiny_config_file, tmp_path, capsys,
                                                 n_bins):
         out = tmp_path / "out"
         main(["run", "--config", str(tiny_config_file), "--out", str(out)])
         capsys.readouterr()
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(with_lines(TINY_CONFIG, f"calib.n_bins = {n_bins}"))
         target = tmp_path / "rel.csv"
-        rc = main(["export-reliability", "--config", str(tiny_config_file),
-                   "--ckpt", str(out / "demo" / "model.ckpt"), "--bins", n_bins,
-                   "--out-file", str(target)])
+        rc = main(["export-reliability", "--config", str(bad),
+                   "--ckpt", str(out / "demo" / "model.ckpt"), "--out-file", str(target)])
         assert rc == 2
         assert "invalid configuration: calib.n_bins: must be >= 1" in capsys.readouterr().err
         assert not target.exists()

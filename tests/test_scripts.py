@@ -1,9 +1,12 @@
 """Smoke runs of the experiment scripts with tiny arguments."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from cigl.train import METHODS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +36,13 @@ def test_correlation_probe_runs_and_a_dense_net_warns_nothing():
     assert lines[0].split() == ["sparsity", "base", "acc", "masked", "acc", "drop"]
     assert [line.split()[0] for line in lines[1:]] == ["0.00", "0.80"]
     assert "clamped" not in proc.stderr
+
+
+def test_ckpt_digests_run_twice_print_the_same_lines():
+    runs = [run_script("ckpt_digests.py", "--seed", "0") for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in runs[0].stdout.splitlines()]
+    assert [row[0] for row in rows] == [*METHODS, "cigl_run", "rigl_mcdp_eval", "cigl_eval"]
+    assert all(len(row) == 2 and re.fullmatch(r"[0-9a-f]{64}", row[1]) for row in rows)
+    assert runs[1].stdout == runs[0].stdout

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cigl.rng import substream
 from cigl.tensor import (
-    LrSchedule,
     MlpModel,
     NonFiniteError,
     SgdState,
@@ -15,12 +14,13 @@ from cigl.tensor import (
     backward,
     forward,
     init_mlp,
-    lr_at,
     sgd_step,
     softmax,
     softmax_cross_entropy,
     softmax_inplace,
 )
+
+from cigl.train import TrainConfig, TrainConfigError
 
 from _oracles import finite_difference_grads, max_relative_error
 
@@ -259,19 +259,19 @@ class TestSoftmax:
 
 
 class TestLrSchedule:
-    sched = LrSchedule(0.1, (100, 150), 0.1)
+    config = TrainConfig(base_lr=0.1, lr_milestones=(100, 150), lr_decay=0.1)
 
     def test_before_first_milestone(self):
-        assert lr_at(self.sched, 50) == pytest.approx(0.1)
+        assert self.config.lr_at(50) == pytest.approx(0.1)
 
     def test_after_one_milestone(self):
-        assert lr_at(self.sched, 120) == pytest.approx(0.01)
+        assert self.config.lr_at(120) == pytest.approx(0.01)
 
     def test_after_all_milestones(self):
-        assert lr_at(self.sched, 200) == pytest.approx(0.001)
+        assert self.config.lr_at(200) == pytest.approx(0.001)
 
     def test_milestone_epoch_counts_itself(self):
-        assert lr_at(self.sched, 100) == pytest.approx(0.01)
+        assert self.config.lr_at(100) == pytest.approx(0.01)
 
     @given(
         st.floats(1e-4, 10.0),
@@ -281,16 +281,17 @@ class TestLrSchedule:
     )
     @settings(max_examples=60, deadline=None)
     def test_non_increasing_in_epoch(self, base, milestones, decay, epoch):
-        sched = LrSchedule(base, tuple(sorted(milestones)), decay)
-        assert lr_at(sched, epoch + 1) <= lr_at(sched, epoch) + 1e-18
+        config = TrainConfig(base_lr=base, lr_milestones=tuple(sorted(milestones)), lr_decay=decay)
+        config.validate()
+        assert config.lr_at(epoch + 1) <= config.lr_at(epoch) + 1e-18
 
     def test_invalid_schedules_rejected(self):
-        with pytest.raises(ValueError):
-            LrSchedule(0.0, (), 0.1)
-        with pytest.raises(ValueError):
-            LrSchedule(0.1, (5, 5), 0.1)
-        with pytest.raises(ValueError):
-            LrSchedule(0.1, (), 1.5)
+        with pytest.raises(TrainConfigError, match="^base_lr: "):
+            TrainConfig(base_lr=0.0, lr_milestones=(), lr_decay=0.1).validate()
+        with pytest.raises(TrainConfigError, match="^lr_milestones: "):
+            TrainConfig(base_lr=0.1, lr_milestones=(5, 5), lr_decay=0.1).validate()
+        with pytest.raises(TrainConfigError, match="^lr_decay: "):
+            TrainConfig(base_lr=0.1, lr_milestones=(), lr_decay=1.5).validate()
 
 
 def test_deterministic_init_and_steps():
