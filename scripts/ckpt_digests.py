@@ -27,11 +27,11 @@ import argparse
 import hashlib
 import json
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from cigl import TrainConfig, inject_label_noise, run_experiment, substream, synth_two_moons, train
+from cigl import inject_label_noise, run_experiment, substream, synth_two_moons, train
 from cigl.config import parse_config_text
 from cigl.runner import ARTIFACTS, run_correlate, run_export_reliability
 from cigl.train import METHODS
@@ -92,21 +92,7 @@ def main():
     args = ap.parse_args()
     tr, te = make_data(args.seed)
     for method in METHODS:
-        cfg = TrainConfig(
-            method=method,
-            epochs=8,
-            batch_size=32,
-            seed=args.seed,
-            hidden=(32, 32),
-            sparsity=0.8,
-            update_interval=10,
-            update_end_fraction=0.75,
-            keep_prob=0.9,
-            wma_start_epoch=4,
-            base_lr=0.1,
-            lr_milestones=(6,),
-            mc_samples=5,
-        )
+        cfg = replace(run_config(args.seed, "").train, method=method)
         print(f"{method:<12} {digest(train(cfg, tr, te))}")
     with tempfile.TemporaryDirectory() as tmp:
         cigl = run_config(args.seed, "run.id = cigl\ntrain.method = cigl\n"

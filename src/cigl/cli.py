@@ -7,6 +7,7 @@ Subcommands: run, sweep, correlate, export-reliability. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -29,37 +30,40 @@ def _checked(parse, need: str, ok=lambda _: True):
     return convert
 
 
-def _add_common(p: argparse.ArgumentParser, force: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, out: bool, seed: bool) -> None:
     p.add_argument("--config", required=True, help="experiment config file")
-    p.add_argument("--out", default=None, help="output root (overrides run.out)")
-    p.add_argument("--seed", type=int, default=None, help="override train.seed")
-    if force:
+    if out:
+        p.add_argument("--out", default=None, help="output root (overrides run.out)")
         p.add_argument("--force", action="store_true", help="overwrite an existing run id")
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="override train.seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cigl", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # exact flag names only: a prefix such as --out would otherwise silently mean --out-file
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("run", help="train one configured model and persist artifacts")
-    _add_common(p)
+    _add_common(p, out=True, seed=True)
 
     p = sub.add_parser("sweep", help="train over a sparsity x seed grid, emit sweep.csv")
-    _add_common(p)
+    _add_common(p, out=True, seed=False)
     p.add_argument("--sparsities", required=True, help="comma-separated sparsity values",
                    type=_checked(lambda raw: [float(s) for s in raw.split(",")], "numbers"))
     p.add_argument("--seeds", required=True, help="comma-separated seeds",
                    type=_checked(lambda raw: [int(s) for s in raw.split(",")], "integers"))
 
     p = sub.add_parser("correlate", help="accuracy drop of random-masked vs bare weights")
-    _add_common(p, force=False)
+    _add_common(p, out=False, seed=True)
     p.add_argument("--ckpt", required=True, help="checkpoint to probe")
     p.add_argument("--keep-prob", default=0.9,
                    type=_checked(float, "a number in [0, 1]", lambda q: 0.0 <= q <= 1.0))
     p.add_argument("--draws", default=5, type=_checked(int, "an integer >= 1", lambda n: n >= 1))
 
     p = sub.add_parser("export-reliability", help="write the reliability-diagram CSV for a checkpoint")
-    _add_common(p, force=False)
+    _add_common(p, out=False, seed=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out-file", required=True)
 
@@ -71,7 +75,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
+        if args.command != "sweep" and args.seed is not None:
             cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
         if args.command == "run":
             out = run_experiment(cfg, out_root=args.out, force=args.force)

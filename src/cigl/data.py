@@ -206,7 +206,7 @@ def split_dataset(dataset: Dataset, fractions, rng: np.random.Generator):
     return parts
 
 
-def standardize(train: Dataset, *others: Dataset):
+def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     """Per-feature zero-mean/unit-variance transform, statistics taken from
     the training split only. Constant features are left unscaled."""
     mean = train.features.mean(axis=0, dtype=np.float64)
@@ -217,8 +217,7 @@ def standardize(train: Dataset, *others: Dataset):
         feats = ((ds.features.astype(np.float64) - mean) / sd).astype(np.float32)
         return replace(ds, features=feats)
 
-    out = [apply(train)] + [apply(ds) for ds in others]
-    return out[0] if not others else tuple(out)
+    return apply(train), apply(test)
 
 
 class BatchIterator:

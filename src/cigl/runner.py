@@ -12,6 +12,7 @@ import numpy as np
 
 from .calibration import (
     CalibrationReport,
+    ReliabilityBins,
     correct_rows,
     fit_temperature,
     nll,
@@ -79,16 +80,17 @@ def model_from_checkpoint(ckpt: Checkpoint):
 
 
 def _report(cfg: ExperimentConfig, model: MlpModel, val_ds: Dataset | None, test_ds: Dataset,
-            probs: np.ndarray) -> CalibrationReport:
-    """The run's test calibration at calib.n_bins: of probs, or with a validation
-    split, of the test logits' softmax at the temperature fitted on it."""
+            probs: np.ndarray, bins: ReliabilityBins) -> CalibrationReport:
+    """The run's test calibration: probs and their bins as given, or with a
+    validation split, the test logits' softmax at the temperature fitted on it,
+    binned at calib.n_bins."""
     temp = None
     if val_ds is not None:
         temp = fit_temperature(predict_logits(model, val_ds.features), val_ds.labels)
         logits = predict_logits(model, test_ds.features)
         logits /= temp
         probs = softmax_inplace(logits)
-    bins = reliability_bins(probs, test_ds.labels, cfg.train.n_bins)
+        bins = reliability_bins(probs, test_ds.labels, cfg.train.n_bins)
     return CalibrationReport(nll=nll(probs, test_ds.labels), bins=bins, temperature=temp)
 
 
@@ -108,7 +110,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
 
     fit_ds, val_ds, test_ds = build_datasets(cfg)
     result = train(cfg.train, fit_ds, test_ds)
-    report = _report(cfg, result.model, val_ds, test_ds, result.final_probs)
+    report = _report(cfg, result.model, val_ds, test_ds, result.final_probs, result.final_bins)
 
     save_checkpoint(out_dir / "model.ckpt", _checkpoint_from_result(result, cfg.train))
     atomic_write_text(out_dir / "metrics.jsonl",
@@ -129,30 +131,26 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
 
 
 def run_sweep(cfg: ExperimentConfig, sparsities, seeds, out_root=None, force: bool = False) -> Path:
-    """|sparsities| x |seeds| independent runs; rows sorted by (sparsity, seed).
-    Cells that would share a run directory are rejected before any training;
+    """|sparsities| x |seeds| runs; rows sorted by (sparsity, seed). Every cell is resolved,
+    and cells that would share a run directory are rejected, before any training;
     sweep.csv is rewritten after each cell, so a failing cell keeps the rows before it."""
-    if not seeds:
-        raise ConfigError("sweep: need at least one seed")
-    for s in sparsities:
-        if not 0.0 <= s < 1.0:
-            raise ConfigError(f"sweep: sparsity {s} outside [0, 1)")
-    cfg = resolve_config(cfg)
-    out_root = Path(out_root if out_root is not None else cfg.out_dir)
-    cells = [(s, seed, f"{cfg.run_id}_s{s:g}_seed{seed}")
+    cells = [resolve_config(replace(cfg, run_id=f"{cfg.run_id}_s{s:g}_seed{seed}",
+                                    train=replace(cfg.train, sparsity=s, seed=seed)))
              for s in sorted(sparsities) for seed in sorted(seeds)]
-    run_ids = set()
-    for _, _, run_id in cells:
-        if run_id in run_ids:
+    if not cells:
+        raise ConfigError("sweep: need at least one sparsity and one seed")
+    run_ids = [cell.run_id for cell in cells]
+    for run_id in run_ids:
+        if run_ids.count(run_id) > 1:
             raise ConfigError(f"sweep: two cells share run id {run_id!r} "
                               "(a repeated seed, or sparsities equal when printed with %g)")
-        run_ids.add(run_id)
+    out_root = Path(out_root if out_root is not None else cfg.out_dir)
     path = out_root / "sweep.csv"
     lines = ["sparsity,test_accuracy,ece,nll,seed"]
-    for s, seed, run_id in cells:
-        cell = replace(cfg, run_id=run_id, train=replace(cfg.train, sparsity=s, seed=seed))
+    for cell in cells:
         report = run_experiment(cell, out_root=out_root / "sweep_runs", force=force).report
-        lines.append(f"{s:g},{report.accuracy!r},{report.ece!r},{report.nll!r},{seed}")
+        lines.append(f"{cell.train.sparsity:g},{report.accuracy!r},{report.ece!r},"
+                     f"{report.nll!r},{cell.train.seed}")
         atomic_write_text(path, "\n".join(lines) + "\n")
     return path
 
@@ -209,8 +207,8 @@ def run_correlate(cfg: ExperimentConfig, ckpt_path, keep_prob: float = 0.9,
 def run_export_reliability(cfg: ExperimentConfig, ckpt_path, out_file) -> Path:
     """The checkpoint's test reliability table: under its run's config, the run's calibration.csv."""
     cfg, model, mask, val_ds, test_ds = _load_for_eval(cfg, ckpt_path)
-    probs, _ = evaluate(model, mask, cfg.train, test_ds, cfg.train.epochs)
+    probs, bins = evaluate(model, mask, cfg.train, test_ds, cfg.train.epochs)
     out_file = Path(out_file)
     out_file.parent.mkdir(parents=True, exist_ok=True)
-    write_reliability_csv(_report(cfg, model, val_ds, test_ds, probs).bins, out_file)
+    write_reliability_csv(_report(cfg, model, val_ds, test_ds, probs, bins).bins, out_file)
     return out_file

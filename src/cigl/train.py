@@ -188,6 +188,7 @@ class TrainResult:
     history: list[EpochRecord]
     mask_update_log: list[tuple[int, tuple[int, ...]]]  # (iteration, nnz per layer)
     final_probs: np.ndarray  # test probabilities of the output model
+    final_bins: ReliabilityBins  # their reliability bins, which history[-1] reads
 
 
 def predict_logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
@@ -352,6 +353,7 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
         history=history,
         mask_update_log=update_log,
         final_probs=probs,
+        final_bins=bins,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from cigl.cli import main
 from cigl.config import ConfigError, ExperimentConfig, format_config, parse_config_text, resolve_config
 from cigl.checkpoint import load_checkpoint, save_checkpoint
-from cigl.runner import run_sweep
+from cigl.runner import run_experiment, run_export_reliability, run_sweep
 from cigl.train import TrainConfig
 
 
@@ -202,13 +203,31 @@ class TestRunCommand:
                                                         capsys, command, flag, value):
         out = tmp_path / "o"
         extra = {"correlate": ["--ckpt", str(tmp_path / "absent.ckpt")],
-                 "sweep": ["--sparsities", "0.8", "--seeds", "1"]}[command]
-        argv = [command, "--config", str(tiny_config_file), "--out", str(out), *extra, flag, value]
+                 "sweep": ["--out", str(out), "--sparsities", "0.8", "--seeds", "1"]}[command]
+        argv = [command, "--config", str(tiny_config_file), *extra, flag, value]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("correlate", ["--out", "x"]),
+        ("export-reliability", ["--out", "x"]),  # once a prefix of --out-file
+        ("sweep", ["--seed", "9"]),  # once a prefix of --seeds
+        ("correlate", ["--keep", "1.0"]),  # a prefix of --keep-prob
+    ], ids=["correlate-out", "export-out", "sweep-seed", "correlate-keep"])
+    def test_unread_or_abbreviated_flag_exits_2(self, tiny_config_file, tmp_path, capsys,
+                                                command, flags):
+        out, target = tmp_path / "o", tmp_path / "rel.csv"
+        ckpt = ["--ckpt", str(tmp_path / "absent.ckpt")]
+        extra = {"correlate": ckpt, "export-reliability": [*ckpt, "--out-file", str(target)],
+                 "sweep": ["--out", str(out), "--sparsities", "0.8", "--seeds", "1"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(tiny_config_file), *extra, *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not out.exists() and not target.exists()
 
     def test_last_epoch_metrics_use_the_configured_bin_count(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -233,6 +252,26 @@ class TestSweepCommand:
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match="run id"):
             run_sweep(parse_config_text(TINY_CONFIG), sparsities, seeds, out_root=out, force=force)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sparsities, seeds, message", [
+        ([], [1], "sweep: need at least one sparsity and one seed"),
+        ([0.8], [], "sweep: need at least one sparsity and one seed"),
+        ([0.5, 1.5], [1], "train.sparsity: must be in [0, 1)"),
+    ], ids=["no-sparsity", "no-seed", "sparsity-1.5"])
+    def test_empty_grid_or_invalid_cell_rejected_before_training(self, tmp_path, sparsities,
+                                                                 seeds, message):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(parse_config_text(TINY_CONFIG), sparsities, seeds, out_root=out)
+        assert str(exc.value) == message
+        assert not out.exists()
+
+    def test_invalid_cell_exits_2_naming_its_key(self, tiny_config_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(tiny_config_file), "--out", str(out),
+                     "--sparsities", "0.5,1.5", "--seeds", "1"]) == 2
+        assert capsys.readouterr().err == "invalid configuration: train.sparsity: must be in [0, 1)\n"
         assert not out.exists()
 
     def test_grid_rows_sorted_and_complete(self, tiny_config_file, tmp_path):
@@ -369,9 +408,10 @@ class TestExportReliability:
         assert recomputed == pytest.approx(report["ece"], abs=1e-9)
 
     @pytest.mark.parametrize("n_bins", [10, 15])
-    def test_mc_dropout_export_reproduces_the_run_table(self, tmp_path, n_bins):
-        cfg = tmp_path / "mcdp.cfg"
-        cfg.write_text(with_lines(TINY_CONFIG, "train.method = rigl_mcdp",
+    @pytest.mark.parametrize("method", ["rigl_mcdp", "cigl"])
+    def test_export_without_temperature_reproduces_the_run_table(self, tmp_path, method, n_bins):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(with_lines(TINY_CONFIG, f"train.method = {method}",
                                   "train.mc_samples = 5", f"calib.n_bins = {n_bins}"))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
@@ -419,6 +459,51 @@ class TestExportReliability:
         assert rc == 1
         assert "sum to 1" in capsys.readouterr().err
         assert not target.exists()
+
+
+def _count_calls(monkeypatch, calls, module_name, attr):
+    """Record each call of module_name.attr in calls. Goes through sys.modules,
+    because `import cigl.train` binds the train function, not the module."""
+    module = sys.modules[module_name]
+    real = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(module_name)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, attr, counted)
+
+
+class TestFinalTable:
+    @pytest.mark.parametrize("method", ["cigl", "rigl_mcdp"])
+    def test_run_reports_the_table_train_binned(self, tmp_path, monkeypatch, method):
+        calls = []
+        _count_calls(monkeypatch, calls, "cigl.runner", "reliability_bins")
+        cfg = parse_config_text(with_lines(TINY_CONFIG, f"train.method = {method}",
+                                           "train.mc_samples = 5"))
+        out = run_experiment(cfg, out_root=tmp_path)
+        assert out.report.bins is out.result.final_bins
+        assert out.result.history[-1].test_ece == out.result.final_bins.ece
+        assert calls == []
+
+    def test_temperature_run_bins_the_rescaled_rows(self, tmp_path, monkeypatch):
+        calls = []
+        _count_calls(monkeypatch, calls, "cigl.runner", "reliability_bins")
+        cfg = parse_config_text(with_lines(TINY_CONFIG, "calib.temperature = true"))
+        out = run_experiment(cfg, out_root=tmp_path)
+        assert calls == ["cigl.runner"]
+        assert out.report.bins is not out.result.final_bins
+
+    @pytest.mark.parametrize("method", ["cigl", "rigl_mcdp"])
+    def test_export_bins_its_table_once(self, tmp_path, monkeypatch, method):
+        cfg = parse_config_text(with_lines(TINY_CONFIG, f"train.method = {method}",
+                                           "train.mc_samples = 5"))
+        run_dir = run_experiment(cfg, out_root=tmp_path).out_dir
+        calls = []
+        for module_name in ("cigl.train", "cigl.runner"):
+            _count_calls(monkeypatch, calls, module_name, "reliability_bins")
+        target = run_export_reliability(cfg, run_dir / "model.ckpt", tmp_path / "rel.csv")
+        assert calls == ["cigl.train"]
+        assert target.read_bytes() == (run_dir / "calibration.csv").read_bytes()
 
 
 def test_checkpoint_stores_weight_bias_pairs(tiny_config_file, tmp_path):
