@@ -169,9 +169,7 @@ def fit_temperature(logits, labels) -> float:
 
 
 def label_smoothing_targets(labels, epsilon: float, n_classes: int) -> np.ndarray:
-    """Smoothed one-hot rows: true class 1 - eps + eps/K, others eps/K."""
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must be in [0, 1)")
+    """Smoothed one-hot rows, eps in [0, 1): true class 1 - eps + eps/K, others eps/K."""
     labels = np.asarray(labels)
     out = np.full((len(labels), n_classes), epsilon / n_classes, dtype=np.float32)
     out[np.arange(len(labels)), labels] = 1.0 - epsilon + epsilon / n_classes
@@ -179,12 +177,10 @@ def label_smoothing_targets(labels, epsilon: float, n_classes: int) -> np.ndarra
 
 
 def mixup_batch(x1, y1, x2, y2, alpha: float, rng: np.random.Generator):
-    """Convex combination of two batches with one Beta(alpha, alpha) draw.
-
-    Targets must already be probability rows. Returns (x, y, lam).
+    """Convex combination of two batches with one Beta(alpha, alpha) draw,
+    which rejects alpha <= 0. Targets must already be probability rows.
+    Returns (x, y, lam).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
     if x1.shape != x2.shape or y1.shape != y2.shape:
         raise ValueError("mixup batches must have identical shapes")
     lam = float(rng.beta(alpha, alpha))

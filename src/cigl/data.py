@@ -94,16 +94,6 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    """Canonical CSV writer: columns x0..x{d-1} plus 'label', floats via repr
-    so a reload reproduces the float32 features exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"x{i}" for i in range(dataset.n_features)] + ["label"])
-        for row, y in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(y)])
-
-
 def load_idx(images_path, labels_path) -> Dataset:
     """MNIST-style IDX pair: u8 images (3 dims) and u8 labels (1 dim),
     big-endian headers. Pixels are scaled to [0, 1] and flattened."""
@@ -225,8 +215,6 @@ class BatchIterator:
     (seed, epoch); the last batch of an epoch may be short."""
 
     def __init__(self, dataset: Dataset, batch_size: int, seed: int):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.dataset = dataset
         self.batch_size = batch_size
         self.seed = seed

@@ -26,10 +26,9 @@ def erk_allocate(shapes, global_sparsity: float) -> list[float]:
     """Per-layer sparsities with density proportional to (n_in + n_out) / (n_in * n_out).
 
     Densities that would exceed 1 are clipped to 1 and their surplus
-    nonzero budget is redistributed over the remaining layers.
+    nonzero budget is redistributed over the remaining layers. The caller,
+    build_sparsity_plan, has checked global_sparsity is in [0, 1).
     """
-    if not 0.0 <= global_sparsity < 1.0:
-        raise ValueError("global sparsity must be in [0, 1)")
     numels = [int(np.prod(s)) for s in shapes]
     raw = [(s[0] + s[1]) / (s[0] * s[1]) for s in shapes]
     if len(shapes) == 1:
@@ -166,7 +165,8 @@ def update_deterministic_mask(weights, dense_grads, mask: DeterministicMask,
                               fraction: float) -> DeterministicMask:
     """Prune-and-regrow update of the topology, preserving nonzero counts.
 
-    Per layer, k = floor(fraction * nnz): the k active positions with the
+    Per layer, k = floor(fraction * nnz), fraction in [0, 1] as
+    mask_update_fraction returns it: the k active positions with the
     smallest |weight| are deactivated and the k inactive positions with the
     largest |gradient| are activated. Ties resolve to the lowest flat
     row-major index, so each set is the first k of a stable sort. k is
@@ -176,8 +176,6 @@ def update_deterministic_mask(weights, dense_grads, mask: DeterministicMask,
     product. Each set is found by selection, not sorting, so an update is
     linear in the layer size.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
     new_layers = []
     for li, (w, g, m, active) in enumerate(zip(weights, dense_grads, mask.layers,
                                                mask.active_indices())):

@@ -33,7 +33,8 @@ ARTIFACTS = ("model.ckpt", "metrics.jsonl", "calibration.csv", "report.json", "c
 
 def build_datasets(cfg: ExperimentConfig):
     """(fit, val, test): source -> [label noise] -> train/test split -> [standardization]
-    -> [validation split if calib.temperature, else val None], on the seed's streams."""
+    -> [validation split if calib.temperature, else val None], on the seed's streams.
+    An empty split is a ConfigError naming the key that emptied it."""
     seed = cfg.train.seed
     d = cfg.data
     if d.source == "two_moons":
@@ -47,12 +48,17 @@ def build_datasets(cfg: ExperimentConfig):
     if d.label_noise > 0:
         ds, _ = inject_label_noise(ds, d.label_noise, substream(seed, "data.noise"))
     train_ds, test_ds = split_dataset(ds, d.split, substream(seed, "data.split"))
+    if not (len(train_ds) and len(test_ds)):
+        raise ConfigError(f"data.split: leaves an empty train or test split of {len(ds)} rows")
     del ds  # the unsplit rows are dead; freeing them lowers the peak memory
     if d.standardize:
         train_ds, test_ds = standardize(train_ds, test_ds)
     if not cfg.temperature:
         return train_ds, None, test_ds
     fit_ds, val_ds = split_dataset(train_ds, (0.9, 0.1), substream(seed, "data.valsplit"))
+    if not len(val_ds):
+        raise ConfigError(f"calib.temperature: a tenth of {len(train_ds)} training rows "
+                          "leaves the validation split empty")
     return fit_ds, val_ds, test_ds
 
 
@@ -106,9 +112,8 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
     out_dir = Path(out_root if out_root is not None else cfg.out_dir) / cfg.run_id
     if not force and any((out_dir / name).exists() for name in ARTIFACTS):
         raise ConfigError(f"run.id: output {out_dir} already holds run artifacts (use --force)")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     fit_ds, val_ds, test_ds = build_datasets(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = train(cfg.train, fit_ds, test_ds)
     report = _report(cfg, result.model, val_ds, test_ds, result.final_probs, result.final_bins)
 

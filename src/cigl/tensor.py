@@ -159,10 +159,6 @@ class SgdState:
 
     @classmethod
     def for_model(cls, model: MlpModel, momentum: float, weight_decay: float) -> "SgdState":
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
         return cls(
             [np.zeros_like(w) for w in model.weights],
             [np.zeros_like(b) for b in model.biases],

@@ -10,7 +10,7 @@ equals rigl, and rigl at sparsity 0 equals dense.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -247,122 +247,128 @@ def _apply_topology(model: MlpModel, mask: DeterministicMask) -> None:
         w *= m
 
 
+@dataclass
+class TrainState:
+    """Everything the loop carries between steps. The model holds w * m
+    between steps, and z is the last iteration's effective mask."""
+
+    model: MlpModel
+    mask: DeterministicMask
+    sgd: SgdState
+    wma: WmaAccumulator
+    z_rng: np.random.Generator | None  # random-mask draws, for random-mask methods
+    mix_rng: np.random.Generator | None  # mixup draws, when mixup is on
+    z: list[np.ndarray] | None = None
+    t: int = 0  # iterations run
+    history: list[EpochRecord] = field(default_factory=list)
+    update_log: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
+
+    @classmethod
+    def start(cls, config: TrainConfig, data: Dataset) -> "TrainState":
+        """He-initialised weights under a random topology of the method's sparsity."""
+        method, seed = METHODS[config.method], config.seed
+        model = init_mlp([data.n_features, *config.hidden, data.n_classes],
+                         substream(seed, "init.weights"))
+        shapes = [w.shape for w in model.weights]
+        plan = build_sparsity_plan(shapes, config.sparsity if method.sparse else 0.0,
+                                   config.sparsity_mode, config.mask_exclude)
+        mask = init_mask(shapes, plan, substream(seed, "mask.init"))
+        _apply_topology(model, mask)
+        return cls(model, mask, SgdState.for_model(model, config.momentum, config.weight_decay),
+                   WmaAccumulator(),
+                   substream(seed, "mask.random") if method.random_mask else None,
+                   substream(seed, "train.mixup") if config.mixup_alpha > 0 else None)
+
+
 def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> TrainResult:
-    """Run the configured method end to end. One epoch record per epoch;
-    the test metrics track the model the method would output if stopped at
-    that epoch."""
+    """Run the configured method end to end: per iteration, a topology
+    update when one is due, then one SGD step; per epoch, the WMA fold and
+    an evaluation. One epoch record per epoch; its test metrics track the
+    model the method would output if stopped at that epoch. A WMA method
+    outputs the mean of the snapshots w * m_t * z_t masked by the final m,
+    so snapshots taken before the topology freezes can hold weights that
+    the final mask drops."""
     config.validate()
     if train_data.n_classes != test_data.n_classes:
         raise ValueError("train/test class count mismatch")
-    method = METHODS[config.method]
-    seed = config.seed
-
-    dims = [train_data.n_features, *config.hidden, train_data.n_classes]
-    model = init_mlp(dims, substream(seed, "init.weights"))
-    shapes = [w.shape for w in model.weights]
-    sparsity = config.sparsity if method.sparse else 0.0
-    layer_sparsities = build_sparsity_plan(shapes, sparsity, config.sparsity_mode,
-                                           config.mask_exclude)
-    mask = init_mask(shapes, layer_sparsities, substream(seed, "mask.init"))
-    _apply_topology(model, mask)
-
-    state = SgdState.for_model(model, config.momentum, config.weight_decay)
-    batches = BatchIterator(train_data, config.batch_size, seed)
-    total_iters = config.epochs * batches.batches_per_epoch()
-    update_end = int(config.update_end_fraction * total_iters)
-    wma_start = config.resolved_wma_start()
-
-    z_rng = substream(seed, "mask.random") if method.random_mask else None
-    mix_rng = substream(seed, "train.mixup") if config.mixup_alpha > 0 else None
-
-    acc = WmaAccumulator()
-    history: list[EpochRecord] = []
-    update_log: list[tuple[int, tuple[int, ...]]] = []
-    t = 0
-
+    s = TrainState.start(config, train_data)
+    batches = BatchIterator(train_data, config.batch_size, config.seed)
+    n_batches = batches.batches_per_epoch()
+    update_end = int(config.update_end_fraction * (config.epochs * n_batches))
     for epoch in range(1, config.epochs + 1):
         lr = config.lr_at(epoch - 1)
         loss_sum = 0.0
         for xb, yb in batches.epoch_batches(epoch - 1):
-            t += 1
-            targets = label_smoothing_targets(yb, config.label_smoothing, train_data.n_classes)
-            if mix_rng is not None:
-                perm = mix_rng.permutation(len(xb))
-                xb, targets, _ = mixup_batch(xb, targets, xb[perm], targets[perm],
-                                             config.mixup_alpha, mix_rng)
-
-            if method.sparse and t % config.update_interval == 0 and t < update_end:
-                # dense gradients (all positions) at the bare masked weights,
-                # which the model holds already
-                _, dense_gw, _ = backward(model, xb, targets)
-                frac = mask_update_fraction(t, config.update_fraction, update_end)
-                new_mask = update_deterministic_mask(model.weights, dense_gw, mask, frac)
-                for v, new_m, old_m in zip(state.velocity_w, new_mask.layers, mask.layers):
-                    v[new_m & ~old_m] = 0.0
-                mask = new_mask
-                _apply_topology(model, mask)
-                update_log.append((t, mask.nnz()))
-
-            # z is the effective mask: the random mask, zero off the topology,
-            # or the topology itself, under which the weights are already w * m
-            if method.random_mask:
-                z = sample_random_mask(mask, config.keep_prob, z_rng)
-                seen = masked_model(model, z)
-            else:
-                z, seen = mask.layers, model
-            try:
-                loss, gw, gb = backward(seen, xb, targets)
-            except NonFiniteError as exc:
-                raise NonFiniteLossError(
-                    f"training diverged at epoch {epoch}, iteration {t}: {exc}",
-                    {"epoch": epoch, "iteration": t, "lr": lr, "loss": float("nan")},
-                ) from None
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(
-                    f"non-finite loss at epoch {epoch}, iteration {t}",
-                    {"epoch": epoch, "iteration": t, "lr": lr, "loss": loss},
-                )
-            for g, zz in zip(gw, z):
-                g *= zz
-            sgd_step(model, gw, gb, state, lr)
-            _apply_topology(model, mask)
-            loss_sum += loss
-
-        if method.wma and epoch > wma_start and (epoch - wma_start) % config.wma_every == 0:
-            # wma_update copies every array it folds, so the live biases can go in
-            wma_update(acc, masked_model(model, z).weights + model.biases)
-
-        current = _output_model(model, mask, acc)
-        probs, bins = evaluate(current, mask, config, test_data, epoch)
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=loss_sum / batches.batches_per_epoch(),
-                test_accuracy=bins.accuracy,
-                test_ece=bins.ece,
-                lr=lr,
-                current_sparsity=mask.sparsity(),
-                n_models_in_wma=acc.n_models,
-            )
-        )
-
-    # the last epoch's output model holds fresh arrays, no training buffer
-    return TrainResult(
-        model=current,
-        mask=mask,
-        history=history,
-        mask_update_log=update_log,
-        final_probs=probs,
-        final_bins=bins,
-    )
+            loss_sum += _sgd_iteration(s, config, xb, yb, lr, epoch, update_end)
+        result = _end_epoch(s, config, test_data, epoch, lr, loss_sum / n_batches)
+    return result
 
 
-def _output_model(model: MlpModel, mask: DeterministicMask, acc: WmaAccumulator) -> MlpModel:
-    """The snapshot average once a snapshot is in (only WMA methods collect
-    any), else the bare masked weights."""
-    if acc.n_models > 0:
-        n = len(model.weights)
-        return MlpModel([a.astype(np.float32) * m for a, m in zip(acc.means[:n], mask.layers)],
-                        [a.astype(np.float32) for a in acc.means[n:]])
-    return MlpModel([w * m for w, m in zip(model.weights, mask.layers)],
-                    [b.copy() for b in model.biases])
+def _topology_update(s: TrainState, config: TrainConfig, xb: np.ndarray, targets: np.ndarray,
+                     update_end: int) -> None:
+    """Prune/regrow by the dense gradients at the bare masked weights, which
+    the model holds already; regrown weights start with zero velocity."""
+    _, dense_gw, _ = backward(s.model, xb, targets)
+    fraction = mask_update_fraction(s.t, config.update_fraction, update_end)
+    new_mask = update_deterministic_mask(s.model.weights, dense_gw, s.mask, fraction)
+    for v, new_m, old_m in zip(s.sgd.velocity_w, new_mask.layers, s.mask.layers):
+        v[new_m & ~old_m] = 0.0
+    s.mask = new_mask
+    _apply_topology(s.model, s.mask)
+    s.update_log.append((s.t, s.mask.nnz()))
+
+
+def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.ndarray,
+                   lr: float, epoch: int, update_end: int) -> float:
+    """Iteration t: the targets (label smoothing, then mixup), a topology
+    update every update_interval iterations before update_end, and an SGD
+    step on the weights seen under the effective mask z: the random mask
+    (zero off m), or m itself, under which the weights are already w * m."""
+    s.t += 1
+    targets = label_smoothing_targets(yb, config.label_smoothing, s.model.weights[-1].shape[0])
+    if s.mix_rng is not None:
+        perm = s.mix_rng.permutation(len(xb))
+        xb, targets, _ = mixup_batch(xb, targets, xb[perm], targets[perm], config.mixup_alpha,
+                                     s.mix_rng)
+    if METHODS[config.method].sparse and s.t % config.update_interval == 0 and s.t < update_end:
+        _topology_update(s, config, xb, targets, update_end)
+    if s.z_rng is not None:
+        s.z = sample_random_mask(s.mask, config.keep_prob, s.z_rng)
+        seen = masked_model(s.model, s.z)
+    else:
+        s.z, seen = s.mask.layers, s.model
+    try:
+        loss, gw, gb = backward(seen, xb, targets)
+    except NonFiniteError as exc:
+        raise NonFiniteLossError(
+            f"training diverged at epoch {epoch}, iteration {s.t}: {exc}",
+            {"epoch": epoch, "iteration": s.t, "lr": lr, "loss": float("nan")},
+        ) from None
+    for g, zz in zip(gw, s.z):
+        g *= zz
+    sgd_step(s.model, gw, gb, s.sgd, lr)
+    _apply_topology(s.model, s.mask)
+    return loss
+
+
+def _end_epoch(s: TrainState, config: TrainConfig, test_data: Dataset, epoch: int, lr: float,
+               train_loss: float) -> TrainResult:
+    """Fold a due WMA snapshot and evaluate and record the output model: the
+    snapshot mean under the current mask once a snapshot is in, else the bare
+    masked weights, in fresh arrays. Returns the result of a run stopped here."""
+    wma_start = config.resolved_wma_start()
+    if (METHODS[config.method].wma and epoch > wma_start
+            and (epoch - wma_start) % config.wma_every == 0):
+        # wma_update copies every array it folds, so the live biases can go in
+        wma_update(s.wma, masked_model(s.model, s.z).weights + s.model.biases)
+    if s.wma.n_models > 0:
+        n = len(s.model.weights)
+        model = MlpModel([a.astype(np.float32) * m for a, m in zip(s.wma.means[:n], s.mask.layers)],
+                         [a.astype(np.float32) for a in s.wma.means[n:]])
+    else:
+        model = MlpModel([w * m for w, m in zip(s.model.weights, s.mask.layers)],
+                         [b.copy() for b in s.model.biases])
+    probs, bins = evaluate(model, s.mask, config, test_data, epoch)
+    s.history.append(EpochRecord(epoch, train_loss, bins.accuracy, bins.ece, lr,
+                                 s.mask.sparsity(), s.wma.n_models))
+    return TrainResult(model, s.mask, s.history, s.update_log, probs, bins)

@@ -2,7 +2,12 @@
 
 Everything here is deliberately written with plain Python loops and
 sorting, not by calling back into the library code paths it verifies.
+reference_train reuses only the model, mask and target builders, forward,
+backward and substream; the loop, prune/regrow, SGD, averaging and
+scoring are its own.
 """
+
+import math
 
 import numpy as np
 
@@ -108,3 +113,146 @@ def mc_dropout_enumeration(model_weights, biases, mask_layers, keep_prob, x, for
         probs = forward_fn(masked, biases, x)
         expected = prob * probs if expected is None else expected + prob * probs
     return expected
+
+
+# Each method's parts, spelled out from the paper rather than read from
+# cigl.train.METHODS: (sparse topology, random mask, weight & mask
+# averaging, MC-dropout prediction).
+REFERENCE_METHODS = {
+    "cigl": (True, True, True, False),
+    "rigl": (True, False, False, False),
+    "rigl_wdp": (True, True, False, False),
+    "rigl_mcdp": (True, True, False, True),
+    "dense": (False, False, False, False),
+    "cigl_no_rm": (True, False, True, False),
+    "cigl_no_wma": (True, True, False, False),
+}
+
+
+def reference_train(config, train, test):
+    """The whole training loop, written out of place from the algorithm.
+
+    Per iteration: smoothed (and mixed) targets; every update_interval
+    iterations before the freeze, prune the smallest |w| and regrow the
+    largest dense |g| by stable argsort, zeroing the regrown velocity; then
+    the random mask z (a boolean scatter over the active positions), the
+    gradient at w * m * z, and SGD v = mu v + g + lambda w, w = (w - eta v) * m.
+    At each epoch end: fold the snapshot w * m * z into the running mean,
+    output mean * m_final (or w * m before any snapshot), and score it by
+    plain softmax (MC over mc.eval.<epoch> draws for MC prediction) with
+    ece_bruteforce.
+
+    Returns a dict: final weights, biases and mask layers, the unmasked
+    snapshot mean (weights then biases; None without snapshots), and per
+    epoch (train_loss, test_accuracy, test_ece). Raises NonFiniteError as
+    backward does when training diverges.
+    """
+    from cigl.calibration import label_smoothing_targets, mixup_batch
+    from cigl.masks import build_sparsity_plan, init_mask
+    from cigl.rng import substream
+    from cigl.tensor import MlpModel, backward, forward, init_mlp
+
+    sparse, random_mask, wma, mc_predict = REFERENCE_METHODS[config.method]
+    seed, n_classes = config.seed, train.n_classes
+
+    def scatter(m, rng, keep_prob):
+        z = np.zeros(m.size, dtype=bool)
+        active = np.flatnonzero(m)
+        z[active] = rng.random(active.size) < keep_prob
+        return z.reshape(m.shape)
+
+    def test_probs(w, b):
+        logits = forward(MlpModel(w, b), test.features).astype(np.float64)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    dims = [train.n_features, *config.hidden, n_classes]
+    init = init_mlp(dims, substream(seed, "init.weights"))
+    shapes = [w.shape for w in init.weights]
+    plan = build_sparsity_plan(shapes, config.sparsity if sparse else 0.0,
+                               config.sparsity_mode, config.mask_exclude)
+    m = init_mask(shapes, plan, substream(seed, "mask.init")).layers
+    w = [wl * ml for wl, ml in zip(init.weights, m)]
+    b = list(init.biases)
+    vw = [np.zeros_like(x) for x in w]
+    vb = [np.zeros_like(x) for x in b]
+
+    n, bs = len(train), config.batch_size
+    n_batches = -(-n // bs)
+    update_end = int(config.update_end_fraction * (config.epochs * n_batches))  # of all iterations
+    wma_start = (config.wma_start_epoch if config.wma_start_epoch is not None
+                 else int(0.8 * config.epochs))
+    z_rng = substream(seed, "mask.random")
+    mix_rng = substream(seed, "train.mixup")
+    mean, n_snapshots = None, 0
+    history = []
+    t = 0
+    for epoch in range(1, config.epochs + 1):
+        lr = config.base_lr * config.lr_decay ** sum(ms <= epoch - 1 for ms in config.lr_milestones)
+        order = substream(seed, f"data.shuffle.{epoch - 1}").permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, bs):
+            t += 1
+            sel = order[start:start + bs]
+            x = train.features[sel]
+            targets = label_smoothing_targets(train.labels[sel], config.label_smoothing, n_classes)
+            if config.mixup_alpha > 0:
+                perm = mix_rng.permutation(len(x))
+                x, targets, _ = mixup_batch(x, targets, x[perm], targets[perm],
+                                            config.mixup_alpha, mix_rng)
+
+            if sparse and t % config.update_interval == 0 and t < update_end:
+                _, dense_g, _ = backward(MlpModel(w, b), x, targets)
+                frac = config.update_fraction / 2 * (1 + math.cos(math.pi * t / update_end))
+                new_m = []
+                for wl, gl, ml in zip(w, dense_g, m):
+                    flat = ml.ravel()
+                    active, inactive = np.flatnonzero(flat), np.flatnonzero(~flat)
+                    k = min(int(frac * active.size), inactive.size)
+                    prune = active[np.argsort(np.abs(wl.ravel()[active]), kind="stable")[:k]]
+                    grow = inactive[np.argsort(-np.abs(gl.ravel()[inactive]), kind="stable")[:k]]
+                    out = flat.copy()
+                    out[prune] = False
+                    out[grow] = True
+                    new_m.append(out.reshape(ml.shape))
+                vw = [np.where(nm & ~om, np.float32(0), v) for v, nm, om in zip(vw, new_m, m)]
+                m = new_m
+                w = [wl * ml for wl, ml in zip(w, m)]
+
+            z = [scatter(ml, z_rng, config.keep_prob) for ml in m] if random_mask else m
+            seen = MlpModel([wl * ml * zl for wl, ml, zl in zip(w, m, z)], b)
+            loss, gw, gb = backward(seen, x, targets)
+            gw = [g * ml * zl for g, ml, zl in zip(gw, m, z)]
+            vw = [config.momentum * v + g + config.weight_decay * wl for v, g, wl in zip(vw, gw, w)]
+            vb = [config.momentum * v + g for v, g in zip(vb, gb)]
+            w = [(wl - lr * v) * ml for wl, v, ml in zip(w, vw, m)]
+            b = [bl - lr * v for bl, v in zip(b, vb)]
+            loss_sum += loss
+
+        if wma and epoch > wma_start and (epoch - wma_start) % config.wma_every == 0:
+            snap = [(wl * ml * zl).astype(np.float64) for wl, ml, zl in zip(w, m, z)]
+            snap += [bl.astype(np.float64) for bl in b]
+            mean = snap if mean is None else [(a * n_snapshots + s) / (n_snapshots + 1)
+                                              for a, s in zip(mean, snap)]
+            n_snapshots += 1
+        if n_snapshots:
+            out_w = [a.astype(np.float32) * ml for a, ml in zip(mean, m)]
+            out_b = [a.astype(np.float32) for a in mean[len(w):]]
+        else:
+            out_w, out_b = [wl * ml for wl, ml in zip(w, m)], list(b)
+
+        if mc_predict:
+            rng = substream(seed, f"mc.eval.{epoch}")
+            draws = [test_probs([wl * scatter(ml, rng, config.keep_prob)
+                                 for wl, ml in zip(out_w, m)], out_b)
+                     for _ in range(config.mc_samples)]
+            probs = draws[0]
+            for p in draws[1:]:
+                probs = probs + p
+            probs = probs / config.mc_samples
+        else:
+            probs = test_probs(out_w, out_b)
+        hits = sum(int(np.argmax(row)) == int(y) for row, y in zip(probs, test.labels))
+        history.append((loss_sum / n_batches, hits / len(test),
+                        ece_bruteforce(probs, test.labels, config.n_bins)))
+    return {"weights": out_w, "biases": out_b, "mask": m, "mean": mean, "history": history}

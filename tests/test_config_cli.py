@@ -192,6 +192,18 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("invalid configuration: calib.temperature: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("lines, key", [
+        (("data.n = 5", "data.split = 0.9, 0.1"), "data.split"),
+        (("data.n = 12", "calib.temperature = true"), "calib.temperature"),
+    ], ids=["empty-test-split", "empty-validation-split"])
+    def test_empty_split_exits_2_before_the_run_directory(self, tmp_path, capsys, lines, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(with_lines(TINY_CONFIG, *lines))
+        resolve_config(parse_config_text(bad.read_text()))  # a valid config on its own
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid configuration: {key}: ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("correlate", "--draws", "0"),
         ("correlate", "--keep-prob", "1.5"),

@@ -1,3 +1,4 @@
+import csv
 import struct
 
 import numpy as np
@@ -12,12 +13,21 @@ from cigl.data import (
     inject_label_noise,
     load_csv,
     load_idx,
-    save_csv,
     split_dataset,
     standardize,
     synth_two_moons,
 )
 from cigl.rng import substream
+
+
+def save_csv(dataset, path):
+    """Columns x0..x{d-1} plus 'label', floats via repr so a reload
+    reproduces the float32 features exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow([f"x{i}" for i in range(dataset.n_features)] + ["label"])
+        for row, y in zip(dataset.features, dataset.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(y)])
 
 
 class TestLoadCsv:

@@ -1,10 +1,13 @@
 """Smoke runs of the experiment scripts with tiny arguments."""
 
+import importlib.util
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from cigl.train import METHODS
 
@@ -46,3 +49,32 @@ def test_ckpt_digests_run_twice_print_the_same_lines():
     assert [row[0] for row in rows] == [*METHODS, "cigl_run", "rigl_mcdp_eval", "cigl_eval"]
     assert all(len(row) == 2 and re.fullmatch(r"[0-9a-f]{64}", row[1]) for row in rows)
     assert runs[1].stdout == runs[0].stdout
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("sparsity", [0.0, 0.9])
+def test_compare_methods_runs_the_acceptance_experiment_config(sparsity):
+    import test_acceptance
+
+    compare = load_script("compare_methods")
+    for method in METHODS:
+        for seed in (0, 7):
+            assert (compare.experiment_config(method, seed, 100, sparsity)
+                    == test_acceptance.experiment_config(method, seed, sparsity))
+
+
+def test_compare_methods_draws_the_acceptance_experiment_data():
+    import test_acceptance
+
+    compare = load_script("compare_methods")
+    for seed in (0, 7):
+        for ours, theirs in zip(compare.make_data(seed), test_acceptance.experiment_data(seed)):
+            assert ours.features.tobytes() == theirs.features.tobytes()
+            assert ours.labels.tobytes() == theirs.labels.tobytes()
+            assert ours.n_classes == theirs.n_classes

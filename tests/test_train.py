@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cigl.calibration import nll, reliability_bins
-from cigl.data import inject_label_noise, split_dataset, synth_two_moons
+from cigl.data import Dataset, inject_label_noise, split_dataset, synth_two_moons
 from cigl.masks import (
     DeterministicMask,
     build_sparsity_plan,
@@ -11,7 +13,7 @@ from cigl.masks import (
     sample_random_mask,
 )
 from cigl.rng import substream
-from cigl.tensor import MlpModel, init_mlp
+from cigl.tensor import MlpModel, NonFiniteError, init_mlp
 from cigl.train import (
     METHODS,
     _apply_topology,
@@ -24,7 +26,7 @@ from cigl.train import (
     train,
 )
 
-from _oracles import mc_dropout_enumeration
+from _oracles import mc_dropout_enumeration, reference_train
 
 
 def small_data(seed=0, n=400):
@@ -354,3 +356,103 @@ def test_rigl_loss_halves_in_200_fullbatch_steps_on_separable_data():
     cfg = small_config("rigl", epochs=200, batch_size=200, lr_milestones=(), update_interval=20)
     res = train(cfg, data, data)
     assert res.history[-1].train_loss <= 0.5 * res.history[0].train_loss
+
+
+def blob_data(seed, n, n_features, n_classes):
+    """Gaussian blobs around random class centres, a fresh draw per stream."""
+    rng = substream(seed, "blobs")
+    labels = rng.integers(0, n_classes, n)
+    centres = rng.normal(0.0, 2.0, (n_classes, n_features))
+    x = centres[labels] + rng.normal(0.0, 1.0, (n, n_features))
+    return Dataset(x.astype(np.float32), labels, n_classes)
+
+
+@st.composite
+def reference_cases(draw, method):
+    """A small config over every TrainConfig knob with at least one topology
+    update, and blob train/test sets (under 512 test rows, one forward block)."""
+    n_features, n_classes = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    n_train = draw(st.integers(24, 64))
+    batch_size = draw(st.integers(4, n_train // 2))
+    epochs = draw(st.integers(3, 6))
+    total_iters = epochs * -(-n_train // batch_size)
+    update_end_fraction = draw(st.floats(0.4, 1.0))
+    update_end = int(update_end_fraction * total_iters)
+    hidden = tuple(draw(st.lists(st.integers(3, 12), min_size=1, max_size=3)))
+    config = TrainConfig(
+        method=method,
+        epochs=epochs,
+        batch_size=batch_size,
+        seed=draw(st.integers(0, 2**16)),
+        hidden=hidden,
+        sparsity=draw(st.floats(0.0, 0.9)),
+        sparsity_mode=draw(st.sampled_from(["uniform", "erk"])),
+        mask_exclude=tuple(sorted(draw(st.sets(st.integers(0, len(hidden)), max_size=2)))),
+        update_interval=draw(st.integers(1, update_end - 1)),
+        update_fraction=draw(st.floats(0.0, 1.0)),
+        update_end_fraction=update_end_fraction,
+        keep_prob=draw(st.one_of(st.just(1.0), st.floats(0.3, 1.0))),
+        wma_start_epoch=draw(st.one_of(st.none(), st.integers(0, epochs - 1))),
+        wma_every=draw(st.integers(1, 3)),
+        base_lr=draw(st.floats(0.01, 0.3)),
+        lr_milestones=tuple(sorted(draw(st.sets(st.integers(0, 6), max_size=2)))),
+        lr_decay=draw(st.floats(0.05, 0.9)),
+        momentum=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.95))),
+        weight_decay=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.01))),
+        mc_samples=draw(st.integers(1, 4)),
+        label_smoothing=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3))),
+        mixup_alpha=draw(st.one_of(st.just(0.0), st.floats(0.1, 1.0))),
+        n_bins=draw(st.integers(1, 20)),
+    )
+    data_seed = draw(st.integers(0, 2**16))
+    train_data = blob_data(data_seed, n_train, n_features, n_classes)
+    test_data = blob_data(data_seed + 1, draw(st.integers(8, 64)), n_features, n_classes)
+    return config, train_data, test_data
+
+
+def assert_matches_reference(config, train_data, test_data):
+    try:
+        ref = reference_train(config, train_data, test_data)
+    except NonFiniteError:
+        with pytest.raises(NonFiniteLossError):
+            train(config, train_data, test_data)
+        return None
+    res = train(config, train_data, test_data)
+    for got, want in [(res.model.weights, ref["weights"]), (res.model.biases, ref["biases"]),
+                      (res.mask.layers, ref["mask"])]:
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert [(r.train_loss, r.test_accuracy, r.test_ece) for r in res.history] == ref["history"]
+    return ref
+
+
+class TestReferenceTrainer:
+    @pytest.mark.parametrize("method", list(METHODS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_train_matches_the_reference_bit_for_bit(self, method, data):
+        config, train_data, test_data = data.draw(reference_cases(method))
+        shapes = [(o, i) for i, o in zip([train_data.n_features, *config.hidden],
+                                         [*config.hidden, train_data.n_classes])]
+        plan = build_sparsity_plan(shapes, config.sparsity, config.sparsity_mode,
+                                   config.mask_exclude)
+        assume(all(round((1.0 - s) * o * i) >= 1 for s, (o, i) in zip(plan, shapes)))
+        assert_matches_reference(config, train_data, test_data)
+
+    def test_averaging_across_topology_updates_drops_mass_off_the_final_mask(self):
+        # snapshots from epoch 1 while the topology moves until the last
+        # iteration: the mean holds weights that the final mask drops
+        tr, te = blob_data(1, 60, 2, 2), blob_data(2, 40, 2, 2)
+        cfg = TrainConfig(method="cigl", epochs=5, batch_size=10, seed=4, hidden=(8, 8),
+                          sparsity=0.7, update_interval=4, update_end_fraction=1.0,
+                          wma_start_epoch=0, lr_milestones=())
+        ref = assert_matches_reference(cfg, tr, te)
+        dropped = [a[~m] for a, m in zip(ref["mean"], ref["mask"])]
+        assert any(np.any(d != 0) for d in dropped)
+
+    def test_update_end_is_a_share_of_all_iterations(self):
+        # 0.7 * (3 * 10) is 21.0, but (0.7 * 3) * 10 rounds below 21
+        tr, te = blob_data(3, 100, 2, 2), blob_data(4, 40, 2, 2)
+        cfg = TrainConfig(method="rigl", epochs=3, batch_size=10, hidden=(6,), sparsity=0.5,
+                          update_interval=5, update_end_fraction=0.7, lr_milestones=())
+        assert_matches_reference(cfg, tr, te)
+        assert [t for t, _ in train(cfg, tr, te).mask_update_log] == [5, 10, 15, 20]
