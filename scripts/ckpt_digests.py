@@ -2,7 +2,7 @@
 """One sha256 per training method on a short two-moons config, plus three
 over the files the runner writes.
 
-Trains every method in `cigl.train.METHODS` on the same data and prints a
+Trains every method in `cigl.config.METHODS` on the same data and prints a
 digest over the output weights, topology masks, biases, the final test
 probabilities and the per-epoch history. Two more lines cover the runner:
 `cigl_run` hashes the five artifacts of a `run_experiment` with temperature
@@ -32,9 +32,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from cigl import inject_label_noise, run_experiment, substream, synth_two_moons, train
-from cigl.config import parse_config_text
+from cigl.config import METHODS, parse_config_text
 from cigl.runner import ARTIFACTS, run_correlate, run_export_reliability
-from cigl.train import METHODS
 
 RUN_CONFIG = """
 train.epochs = 8

@@ -15,9 +15,12 @@ Layout (all integers little-endian):
                  padded to a byte boundary
     n_models u32      snapshot count of the averaged model (0 if unused)
 
-Weight matrices are stored as rank-2 tensors with their topology bitmap;
-bias vectors as rank-1 tensors with an all-ones bitmap (biases are never
-masked). Files are written atomically (temp file + rename).
+A model is stored as (weight, bias) record pairs, one per layer: the
+weight matrix as a rank-2 tensor with its topology bitmap, zero off it,
+and the bias vector as a rank-1 tensor with an all-ones bitmap (biases are
+never masked). `checkpoint_of` and `model_from_checkpoint` are the only
+code that knows this order. Files are written atomically (temp file +
+rename).
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import METHODS
 from .fileio import atomic_write_bytes
-from .train import METHODS
+from .masks import DeterministicMask
+from .tensor import MlpModel
 
 MAGIC = b"CIGL"
 VERSION = 1
@@ -46,6 +51,32 @@ class Checkpoint:
     tensors: list[np.ndarray]  # float32, rank 1 or 2
     masks: list[np.ndarray]  # bool, same shapes
     n_models: int
+
+
+def checkpoint_of(method: str, seed: int, model: MlpModel, mask: DeterministicMask,
+                  n_models: int) -> Checkpoint:
+    """The records of model under its topology mask, in the layout above."""
+    tensors, masks = [], []
+    for w, m, b in zip(model.weights, mask.layers, model.biases):
+        tensors += [w, b]
+        masks += [m, np.ones_like(b, dtype=bool)]
+    return Checkpoint(method, seed, tensors, masks, n_models)
+
+
+def model_from_checkpoint(ckpt: Checkpoint) -> tuple[MlpModel, DeterministicMask]:
+    """Rebuild (model, topology mask) from the (weight, bias) record pairs.
+    A weight off its bitmap is refused: that model is not the one stored."""
+    weights, biases = ckpt.tensors[0::2], ckpt.tensors[1::2]
+    if len(weights) != len(biases):
+        raise CheckpointError("checkpoint does not hold (weight, bias) pairs")
+    if any(w.ndim != 2 for w in weights) or any(b.ndim != 1 for b in biases):
+        raise CheckpointError("checkpoint tensors are not rank-2 weights with rank-1 biases")
+    mask_layers = [m.copy() for m in ckpt.masks[0::2]]
+    for i, (w, m) in enumerate(zip(weights, mask_layers)):
+        if np.any(w[~m]):
+            raise CheckpointError(f"checkpoint layer {i} holds nonzero weights off its bitmap")
+    mask = DeterministicMask(mask_layers, tuple(int(m.sum()) for m in mask_layers))
+    return MlpModel(list(weights), list(biases)), mask
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

@@ -19,14 +19,14 @@ from .calibration import (
     reliability_bins,
     write_reliability_csv,
 )
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import checkpoint_of, load_checkpoint, model_from_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig, format_config, resolve_config
 from .fileio import atomic_write_text
 from .data import Dataset, load_csv, load_idx, inject_label_noise, split_dataset, standardize, synth_two_moons
 from .masks import DeterministicMask
 from .rng import substream
 from .tensor import MlpModel, softmax_inplace
-from .train import TrainConfig, TrainResult, evaluate, predict_logits, predict_mc_dropout, train
+from .train import TrainResult, evaluate, predict_logits, predict_mc_dropout, train
 
 ARTIFACTS = ("model.ckpt", "metrics.jsonl", "calibration.csv", "report.json", "config.resolved")
 
@@ -41,10 +41,8 @@ def build_datasets(cfg: ExperimentConfig):
         ds = synth_two_moons(d.n, d.noise_sd, substream(seed, "data.synth"))
     elif d.source == "csv":
         ds = load_csv(d.csv_path, d.label_column)
-    elif d.source == "idx":
-        ds = load_idx(d.idx_images, d.idx_labels)
     else:
-        raise ConfigError(f"data.source: unknown source {d.source!r}")
+        ds = load_idx(d.idx_images, d.idx_labels)
     if d.label_noise > 0:
         ds, _ = inject_label_noise(ds, d.label_noise, substream(seed, "data.noise"))
     train_ds, test_ds = split_dataset(ds, d.split, substream(seed, "data.split"))
@@ -60,29 +58,6 @@ def build_datasets(cfg: ExperimentConfig):
         raise ConfigError(f"calib.temperature: a tenth of {len(train_ds)} training rows "
                           "leaves the validation split empty")
     return fit_ds, val_ds, test_ds
-
-
-def _checkpoint_from_result(result: TrainResult, config: TrainConfig) -> Checkpoint:
-    tensors, masks = [], []
-    for w, m, b in zip(result.model.weights, result.mask.layers, result.model.biases):
-        tensors.append(w)
-        masks.append(m)
-        tensors.append(b)
-        masks.append(np.ones_like(b, dtype=bool))
-    return Checkpoint(config.method, config.seed, tensors, masks, result.history[-1].n_models_in_wma)
-
-
-def model_from_checkpoint(ckpt: Checkpoint):
-    """Rebuild (model, topology mask) from the interleaved weight/bias records."""
-    if len(ckpt.tensors) % 2:
-        raise ValueError("checkpoint does not hold (weight, bias) pairs")
-    weights = ckpt.tensors[0::2]
-    biases = ckpt.tensors[1::2]
-    mask_layers = [m.copy() for m in ckpt.masks[0::2]]
-    if any(w.ndim != 2 for w in weights) or any(b.ndim != 1 for b in biases):
-        raise ValueError("checkpoint tensors are not rank-2 weights with rank-1 biases")
-    mask = DeterministicMask(mask_layers, tuple(int(m.sum()) for m in mask_layers))
-    return MlpModel(list(weights), list(biases)), mask
 
 
 def _report(cfg: ExperimentConfig, model: MlpModel, val_ds: Dataset | None, test_ds: Dataset,
@@ -113,11 +88,14 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
     if not force and any((out_dir / name).exists() for name in ARTIFACTS):
         raise ConfigError(f"run.id: output {out_dir} already holds run artifacts (use --force)")
     fit_ds, val_ds, test_ds = build_datasets(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = train(cfg.train, fit_ds, test_ds)
     report = _report(cfg, result.model, val_ds, test_ds, result.final_probs, result.final_bins)
 
-    save_checkpoint(out_dir / "model.ckpt", _checkpoint_from_result(result, cfg.train))
+    # made only now, so a run that fails leaves no directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(out_dir / "model.ckpt", checkpoint_of(
+        cfg.train.method, cfg.train.seed, result.model, result.mask,
+        result.history[-1].n_models_in_wma))
     atomic_write_text(out_dir / "metrics.jsonl",
                       "".join(json.dumps(asdict(r)) + "\n" for r in result.history))
     write_reliability_csv(report.bins, out_dir / "calibration.csv")
@@ -199,6 +177,11 @@ def _load_for_eval(cfg: ExperimentConfig, ckpt_path):
                               f"{theirs}, so its evaluation would not be the run's")
     model, mask = model_from_checkpoint(ckpt)
     _, val_ds, test_ds = build_datasets(cfg)
+    sizes = [test_ds.n_features, *cfg.train.hidden, test_ds.n_classes]
+    ours, theirs = list(zip(sizes[1:], sizes[:-1])), [w.shape for w in model.weights]
+    if ours != theirs:
+        raise ConfigError(f"train.hidden: weight shapes {ours} differ from the checkpoint's "
+                          f"{theirs}, so its evaluation would not be the run's")
     return cfg, model, mask, val_ds, test_ds
 
 

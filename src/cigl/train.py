@@ -1,23 +1,22 @@
 """Training loops for the dual-mask sparse trainer and its baselines.
 
-Every method is a row of METHODS: which of the two masks it uses, whether
-it averages weights and masks, and whether it predicts by MC dropout. All
-methods share one loop so degenerate configurations coincide bit-exactly:
-cigl with keep_prob=1 equals cigl_no_rm, cigl_no_wma with keep_prob=1
-equals rigl, and rigl at sparsity 0 equals dense.
+Every method is a row of config.METHODS: which of the two masks it uses,
+whether it averages weights and masks, and whether it predicts by MC
+dropout. All methods share one loop so degenerate configurations coincide
+bit-exactly: cigl with keep_prob=1 equals cigl_no_rm, cigl_no_wma with
+keep_prob=1 equals rigl, and rigl at sparsity 0 equals dense.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibration import ReliabilityBins, label_smoothing_targets, mixup_batch, reliability_bins
+from .config import METHODS, TrainConfig
 from .data import BatchIterator, Dataset
 from .masks import (
-    SPARSITY_MODES,
     DeterministicMask,
     WmaAccumulator,
     build_sparsity_plan,
@@ -39,45 +38,7 @@ from .tensor import (
     softmax_inplace,
 )
 
-log = logging.getLogger(__name__)
-
 BLOCK_ROWS = 512  # rows per forward pass in prediction
-
-
-@dataclass(frozen=True)
-class Method:
-    sparse: bool  # topology mask with prune/regrow; otherwise dense training
-    random_mask: bool  # Bernoulli random mask redrawn every iteration
-    wma: bool  # output is the weight & mask average of late snapshots
-    mc_predict: bool  # predicts by Monte Carlo dropout over random-mask draws
-
-
-# Insertion order is the checkpoint's on-disk method tag order: append only.
-METHODS = {
-    # dual-mask sparse training with weight & mask averaging
-    "cigl": Method(sparse=True, random_mask=True, wma=True, mc_predict=False),
-    # magnitude-prune / gradient-regrow baseline (single mask)
-    "rigl": Method(sparse=True, random_mask=False, wma=False, mc_predict=False),
-    # rigl plus per-iteration Bernoulli weight dropout
-    "rigl_wdp": Method(sparse=True, random_mask=True, wma=False, mc_predict=False),
-    # trained exactly like rigl_wdp; Monte Carlo dropout at prediction
-    "rigl_mcdp": Method(sparse=True, random_mask=True, wma=False, mc_predict=True),
-    # no sparsity constraint, plain SGD training
-    "dense": Method(sparse=False, random_mask=False, wma=False, mc_predict=False),
-    # ablation: no random mask (averages bare masked snapshots)
-    "cigl_no_rm": Method(sparse=True, random_mask=False, wma=True, mc_predict=False),
-    # ablation: no averaging (returns the final iterate)
-    "cigl_no_wma": Method(sparse=True, random_mask=True, wma=False, mc_predict=False),
-}
-
-
-class TrainConfigError(ValueError):
-    """An invalid TrainConfig value; `field` names the field."""
-
-    def __init__(self, field: str, reason: str):
-        super().__init__(f"{field}: {reason}")
-        self.field = field
-        self.reason = reason
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -86,88 +47,6 @@ class NonFiniteLossError(FloatingPointError):
     def __init__(self, message, diagnostics):
         super().__init__(message)
         self.diagnostics = diagnostics
-
-
-@dataclass
-class TrainConfig:
-    method: str = "cigl"
-    epochs: int = 100
-    batch_size: int = 128
-    seed: int = 0
-    hidden: tuple[int, ...] = (64, 64)
-    sparsity: float = 0.9
-    sparsity_mode: str = "uniform"  # uniform | erk
-    mask_exclude: tuple[int, ...] = ()
-    update_interval: int = 50  # iterations between topology updates
-    update_fraction: float = 0.3  # initial prune/regrow fraction
-    update_end_fraction: float = 0.75  # topology frozen past this share of iterations
-    keep_prob: float = 0.9  # random-mask keep probability
-    wma_start_epoch: int | None = None  # default: floor(0.8 * epochs)
-    wma_every: int = 1  # collect a snapshot every this many epochs
-    base_lr: float = 0.1
-    lr_milestones: tuple[int, ...] = (50, 75)
-    lr_decay: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    mc_samples: int = 30
-    label_smoothing: float = 0.0
-    mixup_alpha: float = 0.0
-    n_bins: int = 15  # reliability bins of the test accuracy and ECE
-
-    def resolved_wma_start(self) -> int:
-        if self.wma_start_epoch is not None:
-            return self.wma_start_epoch
-        return int(0.8 * self.epochs)
-
-    def lr_at(self, epoch: int) -> float:
-        """Piecewise-constant decay: base_lr * lr_decay**(#milestones <= epoch)."""
-        return self.base_lr * self.lr_decay**sum(m <= epoch for m in self.lr_milestones)
-
-    def validate(self) -> None:
-        if self.method not in METHODS:
-            raise TrainConfigError("method", f"unknown method {self.method!r}")
-        if self.epochs < 1:
-            raise TrainConfigError("epochs", "must be >= 1")
-        if self.batch_size < 1:
-            raise TrainConfigError("batch_size", "must be >= 1")
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise TrainConfigError("hidden", "layer sizes must be positive")
-        if not 0.0 <= self.sparsity < 1.0:
-            raise TrainConfigError("sparsity", "must be in [0, 1)")
-        if self.sparsity_mode not in SPARSITY_MODES:
-            raise TrainConfigError("sparsity_mode", f"unknown mode {self.sparsity_mode!r}")
-        if any(not 0 <= i <= len(self.hidden) for i in self.mask_exclude):
-            raise TrainConfigError("mask_exclude", f"layer indices must be in [0, {len(self.hidden)}]")
-        if self.update_interval < 1:
-            raise TrainConfigError("update_interval", "must be >= 1")
-        if not 0.0 <= self.update_fraction <= 1.0:
-            raise TrainConfigError("update_fraction", "must be in [0, 1]")
-        if not 0.0 < self.update_end_fraction <= 1.0:
-            raise TrainConfigError("update_end_fraction", "must be in (0, 1]")
-        if not 0.0 <= self.keep_prob <= 1.0:
-            raise TrainConfigError("keep_prob", "must be in [0, 1]")
-        if self.resolved_wma_start() >= self.epochs:
-            raise TrainConfigError("wma_start_epoch", "must be < epochs")
-        if self.wma_every < 1:
-            raise TrainConfigError("wma_every", "must be >= 1")
-        if self.base_lr <= 0:
-            raise TrainConfigError("base_lr", "must be > 0")
-        if any(b <= a for a, b in zip(self.lr_milestones, self.lr_milestones[1:])):
-            raise TrainConfigError("lr_milestones", "must be strictly increasing")
-        if not 0.0 < self.lr_decay < 1.0:
-            raise TrainConfigError("lr_decay", "must be in (0, 1)")
-        if not 0.0 <= self.momentum < 1.0:
-            raise TrainConfigError("momentum", "must be in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise TrainConfigError("weight_decay", "must be >= 0")
-        if self.mc_samples < 1:
-            raise TrainConfigError("mc_samples", "must be >= 1")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise TrainConfigError("label_smoothing", "must be in [0, 1)")
-        if self.mixup_alpha < 0.0:
-            raise TrainConfigError("mixup_alpha", "must be >= 0")
-        if self.n_bins < 1:
-            raise TrainConfigError("n_bins", "must be >= 1")
 
 
 @dataclass(frozen=True)

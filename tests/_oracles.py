@@ -116,7 +116,7 @@ def mc_dropout_enumeration(model_weights, biases, mask_layers, keep_prob, x, for
 
 
 # Each method's parts, spelled out from the paper rather than read from
-# cigl.train.METHODS: (sparse topology, random mask, weight & mask
+# cigl.config.METHODS: (sparse topology, random mask, weight & mask
 # averaging, MC-dropout prediction).
 REFERENCE_METHODS = {
     "cigl": (True, True, True, False),

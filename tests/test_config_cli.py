@@ -175,6 +175,13 @@ class TestRunCommand:
         "train.lr_decay = 2",
         "train.lr_milestones = 3, 2",
         "calib.n_bins = 0",
+        "calib.mixup_alpha = nan",
+        "train.base_lr = nan",
+        "train.base_lr = inf",
+        "train.weight_decay = nan",
+        "data.split = nan, 0.5",
+        "data.noise_sd = nan",
+        "train.wma_start_epoch = -1",
     ])
     def test_invalid_knob_exits_2_naming_its_key(self, tmp_path, capsys, line):
         key = line.partition(" = ")[0]
@@ -183,6 +190,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert f"invalid configuration: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_failed_run_writes_no_directory(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(with_lines(TINY_CONFIG, "train.sparsity = 0.999"))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "no active weights" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "demo").exists()
 
     def test_temperature_with_mc_dropout_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -306,6 +320,7 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "sparsity,test_accuracy,ece,nll,seed"
         assert [(c[0], c[4]) for c in (line.split(",") for line in lines[1:])] == [("0.8", "1")]
+        assert not (out / "sweep_runs" / "demo_s0.999_seed1").exists()
 
     def test_single_cell_matches_plain_run(self, tiny_config_file, tmp_path):
         out = tmp_path / "out"
@@ -392,6 +407,43 @@ class TestCorrelateCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("invalid configuration: train.method: cigl ")
         assert "method rigl_mcdp" in captured.err and captured.out == ""
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["correlate", "export-reliability"])
+    def test_checkpoint_of_other_layer_sizes_is_refused(self, tiny_config_file, tmp_path,
+                                                        capsys, command):
+        wide = tmp_path / "wide.cfg"
+        wide.write_text(with_lines(TINY_CONFIG, "train.hidden = 16, 16"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(wide), "--out", str(out)]) == 0
+        capsys.readouterr()
+        target = tmp_path / "rel.csv"
+        extra = ["--out-file", str(target)] if command == "export-reliability" else []
+        rc = main([command, "--config", str(tiny_config_file),
+                   "--ckpt", str(out / "demo" / "model.ckpt"), *extra])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid configuration: train.hidden: ")
+        assert captured.out == ""
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["correlate", "export-reliability"])
+    def test_weight_off_its_bitmap_is_refused(self, tiny_config_file, tmp_path, capsys,
+                                              command):
+        out = tmp_path / "out"
+        main(["run", "--config", str(tiny_config_file), "--out", str(out)])
+        ckpt_path = out / "demo" / "model.ckpt"
+        ckpt = load_checkpoint(ckpt_path)
+        kept = np.flatnonzero(ckpt.masks[0] & (ckpt.tensors[0] != 0))[0]
+        ckpt.masks[0].flat[kept] = False  # the weight stays
+        save_checkpoint(ckpt_path, ckpt)
+        capsys.readouterr()
+        target = tmp_path / "rel.csv"
+        extra = ["--out-file", str(target)] if command == "export-reliability" else []
+        rc = main([command, "--config", str(tiny_config_file), "--ckpt", str(ckpt_path), *extra])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "off its bitmap" in captured.err and captured.out == ""
         assert not target.exists()
 
 

@@ -148,7 +148,7 @@ class TestRandomMaskStream:
     def test_mask_rebuilt_from_checkpoint(self, mask, keep_prob, tmp_path):
         tensors, masks = [], []
         for m in mask.layers:
-            tensors += [np.ones(m.shape, np.float32), np.zeros(m.shape[0], np.float32)]
+            tensors += [m.astype(np.float32), np.zeros(m.shape[0], np.float32)]
             masks += [m, np.ones(m.shape[0], dtype=bool)]
         save_checkpoint(tmp_path / "model.ckpt", Checkpoint("cigl", 4, tensors, masks, 0))
         _, rebuilt = model_from_checkpoint(load_checkpoint(tmp_path / "model.ckpt"))

@@ -41,6 +41,22 @@ def test_correlation_probe_runs_and_a_dense_net_warns_nothing():
     assert "clamped" not in proc.stderr
 
 
+# `ckpt_digests.py --seed 0` output, recorded with numpy 2.4.6. A change that moves
+# any of these bytes must say why; the pinned lines keep every artifact bit-exact.
+SEED0_DIGESTS = {
+    "cigl": "d44b4e102d5586d84900204fc68175aca34c2e730d3f4220e80afc189fe95ead",
+    "rigl": "1246bad8e2a5742067c7830eadf22cb75630b65dc45ed4b7f373d32292467905",
+    "rigl_wdp": "41ae863a03ad8aa9acebecbd324b781f399d0dda0d041ddbece87a83216d1712",
+    "rigl_mcdp": "c3a4fe5f14598447c9d6aa5d939ec95af49ba029bd2a63cfc7852790d0361159",
+    "dense": "96243fc326adeef604ce740a744d3c6999ac5a7d7bb24738b0aca768fed98be3",
+    "cigl_no_rm": "91578cf0b1616122d7c905ecfb614949624c1b53811a1c607bf6637c31e06a87",
+    "cigl_no_wma": "41ae863a03ad8aa9acebecbd324b781f399d0dda0d041ddbece87a83216d1712",
+    "cigl_run": "62db24ef9328cf928b1409c15627e96db4ceb5205ab676ac4d0ba184a04228b5",
+    "rigl_mcdp_eval": "72093c95dd2b189848f9c7dd209b2bf468ba30f26c19d3971f02031fc245f353",
+    "cigl_eval": "0eb1acf35f6de6cf15053cee978a6cb2431d87b4af4fd6fabe43df7d8e34f1f2",
+}
+
+
 def test_ckpt_digests_run_twice_print_the_same_lines():
     runs = [run_script("ckpt_digests.py", "--seed", "0") for _ in range(2)]
     for proc in runs:
@@ -49,6 +65,7 @@ def test_ckpt_digests_run_twice_print_the_same_lines():
     assert [row[0] for row in rows] == [*METHODS, "cigl_run", "rigl_mcdp_eval", "cigl_eval"]
     assert all(len(row) == 2 and re.fullmatch(r"[0-9a-f]{64}", row[1]) for row in rows)
     assert runs[1].stdout == runs[0].stdout
+    assert dict(rows) == SEED0_DIGESTS
 
 
 def load_script(name):

@@ -20,7 +20,8 @@ from cigl.tensor import (
     softmax_inplace,
 )
 
-from cigl.train import TrainConfig, TrainConfigError
+from cigl.config import ConfigError
+from cigl.train import TrainConfig
 
 from _oracles import finite_difference_grads, max_relative_error
 
@@ -286,11 +287,11 @@ class TestLrSchedule:
         assert config.lr_at(epoch + 1) <= config.lr_at(epoch) + 1e-18
 
     def test_invalid_schedules_rejected(self):
-        with pytest.raises(TrainConfigError, match="^base_lr: "):
+        with pytest.raises(ConfigError, match=r"^train\.base_lr: "):
             TrainConfig(base_lr=0.0, lr_milestones=(), lr_decay=0.1).validate()
-        with pytest.raises(TrainConfigError, match="^lr_milestones: "):
+        with pytest.raises(ConfigError, match=r"^train\.lr_milestones: "):
             TrainConfig(base_lr=0.1, lr_milestones=(5, 5), lr_decay=0.1).validate()
-        with pytest.raises(TrainConfigError, match="^lr_decay: "):
+        with pytest.raises(ConfigError, match=r"^train\.lr_decay: "):
             TrainConfig(base_lr=0.1, lr_milestones=(), lr_decay=1.5).validate()
 
 

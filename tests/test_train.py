@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cigl.calibration import nll, reliability_bins
+from cigl.config import ConfigError
 from cigl.data import Dataset, inject_label_noise, split_dataset, synth_two_moons
 from cigl.masks import (
     DeterministicMask,
@@ -19,7 +20,6 @@ from cigl.train import (
     _apply_topology,
     NonFiniteLossError,
     TrainConfig,
-    TrainConfigError,
     evaluate,
     masked_model,
     predict_mc_dropout,
@@ -162,9 +162,18 @@ class TestTrainLoop:
     def test_mask_exclude_covers_every_layer_and_no_more(self):
         TrainConfig(hidden=(8, 8), mask_exclude=(0, 1, 2)).validate()
         for bad in [(3,), (-1,)]:
-            with pytest.raises(TrainConfigError) as err:
+            with pytest.raises(ConfigError, match=r"^train\.mask_exclude: "):
                 TrainConfig(hidden=(8, 8), mask_exclude=bad).validate()
-            assert err.value.field == "mask_exclude"
+
+    @pytest.mark.parametrize("knob, key", [
+        (dict(mixup_alpha=float("nan")), "calib.mixup_alpha"),
+        (dict(base_lr=float("inf")), "train.base_lr"),
+        (dict(weight_decay=float("nan")), "train.weight_decay"),
+        (dict(epochs=4, wma_start_epoch=-3), "train.wma_start_epoch"),
+    ])
+    def test_non_finite_or_negative_knob_names_its_file_key(self, knob, key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            TrainConfig(**knob).validate()
 
 
 class TestKnobsThroughTrain:
