@@ -182,6 +182,12 @@ class TestRunCommand:
         "data.split = nan, 0.5",
         "data.noise_sd = nan",
         "train.wma_start_epoch = -1",
+        "data.source = parquet",
+        "data.n = 1",
+        "data.noise_sd = -0.1",
+        "data.label_noise = 1.5",
+        "data.split = 0.7, 0.7",
+        "data.split = 1.0",
     ])
     def test_invalid_knob_exits_2_naming_its_key(self, tmp_path, capsys, line):
         key = line.partition(" = ")[0]
@@ -189,6 +195,44 @@ class TestRunCommand:
         bad.write_text(with_lines(TINY_CONFIG, line))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert f"invalid configuration: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lines, key", [
+        (("data.source = csv",), "data.csv_path"),
+        (("data.source = csv", "data.csv_path = absent.csv"), "data.label_column"),
+        (("data.source = idx",), "data.idx_images"),
+        (("data.source = idx", "data.idx_images = absent.idx"), "data.idx_labels"),
+    ], ids=["csv-path", "csv-label-column", "idx-images", "idx-labels"])
+    def test_missing_source_file_key_exits_2_naming_it(self, tmp_path, capsys, lines, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(with_lines(TINY_CONFIG, *lines))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        source = lines[0].partition(" = ")[2]
+        assert capsys.readouterr().err == (
+            f"invalid configuration: {key}: required when data.source = {source}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_run_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(with_lines(TINY_CONFIG, "train.method = dense", "train.epochs = 10",
+                                  "train.batch_size = 32", "train.seed = 3",
+                                  "train.hidden = 16, 16", "train.base_lr = 10000",
+                                  "train.lr_milestones = ", "data.n = 400"))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: training diverged at epoch 1, iteration 4: non-finite logits\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_csv_feature_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,y\n" + "".join(f"{i},{i % 3},{i % 2}\n" for i in range(30))
+                        + "nan,1,0\n")
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(with_lines(TINY_CONFIG, "data.source = csv", f"data.csv_path = {data}",
+                                  "data.label_column = y"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: non-finite feature values\n"
         assert not (tmp_path / "o").exists()
 
     def test_failed_run_writes_no_directory(self, tmp_path, capsys):
@@ -444,6 +488,32 @@ class TestCorrelateCommand:
         assert rc == 1
         captured = capsys.readouterr()
         assert "off its bitmap" in captured.err and captured.out == ""
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command", ["correlate", "export-reliability"])
+    @pytest.mark.parametrize("damage", ["short-bias", "odd-record-count", "rank-1-weight"])
+    def test_checkpoint_of_malformed_layers_is_refused(self, tiny_config_file, tmp_path, capsys,
+                                                      command, damage):
+        out = tmp_path / "out"
+        main(["run", "--config", str(tiny_config_file), "--out", str(out)])
+        ckpt_path = out / "demo" / "model.ckpt"
+        ckpt = load_checkpoint(ckpt_path)
+        if damage == "short-bias":
+            ckpt.tensors[1], ckpt.masks[1] = ckpt.tensors[1][:1], ckpt.masks[1][:1]
+        elif damage == "odd-record-count":
+            del ckpt.tensors[-1], ckpt.masks[-1]
+        else:
+            ckpt.tensors[0], ckpt.masks[0] = ckpt.tensors[0].ravel(), ckpt.masks[0].ravel()
+        save_checkpoint(ckpt_path, ckpt)
+        capsys.readouterr()
+        target = tmp_path / "rel.csv"
+        extra = ["--out-file", str(target)] if command == "export-reliability" else []
+        rc = main([command, "--config", str(tiny_config_file), "--ckpt", str(ckpt_path), *extra])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        if damage == "short-bias":
+            assert captured.err == "error: layer 0: bias is (1,), expected (8,)\n"
         assert not target.exists()
 
 

@@ -231,3 +231,11 @@ def test_standardize_uses_train_statistics():
     np.testing.assert_allclose(tr2.features.std(axis=0), 1.0, atol=1e-5)
     # test split transformed with train stats, not its own
     assert abs(te2.features.mean()) > 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(bad):
+    features = np.zeros((3, 2), dtype=np.float32)
+    features[1, 0] = bad
+    with pytest.raises(DataError, match="non-finite feature values"):
+        Dataset(features, np.zeros(3, dtype=np.int64), 2)

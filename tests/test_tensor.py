@@ -63,6 +63,17 @@ class TestForward:
         with pytest.raises(ShapeError, match="layer 0"):
             forward(model, np.ones((2, 4), dtype=np.float32))
 
+    @pytest.mark.parametrize("weights, biases, message", [
+        ([(3, 5), (2, 4)], [3, 2], r"^layer 1: weight is \(2, 4\), expected input dim 3$"),
+        ([(3, 5), (2, 3)], [3, 3], r"^layer 1: bias is \(3,\), expected \(2,\)$"),
+        ([(3, 5)], [4], r"^layer 0: bias is \(4,\), expected \(3,\)$"),
+    ], ids=["unchained-weights", "wrong-bias", "wrong-first-bias"])
+    def test_malformed_layers_are_refused_naming_the_layer(self, weights, biases, message):
+        with pytest.raises(ShapeError, match=message):
+            model = MlpModel([np.zeros(s, np.float32) for s in weights],
+                             [np.zeros(n, np.float32) for n in biases])
+            forward(model, np.ones((2, 5), dtype=np.float32))
+
     def test_matches_out_of_place_reference_bit_for_bit(self):
         rng = substream(8, "t")
         model = init_mlp([3, 16, 16, 4], rng)
