@@ -64,19 +64,14 @@ def checkpoint_of(method: str, seed: int, model: MlpModel, mask: DeterministicMa
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[MlpModel, DeterministicMask]:
-    """Rebuild (model, topology mask) from the (weight, bias) record pairs.
-    A weight off its bitmap is refused: that model is not the one stored."""
-    weights, biases = ckpt.tensors[0::2], ckpt.tensors[1::2]
-    if len(weights) != len(biases):
-        raise CheckpointError("checkpoint does not hold (weight, bias) pairs")
-    if any(w.ndim != 2 for w in weights) or any(b.ndim != 1 for b in biases):
-        raise CheckpointError("checkpoint tensors are not rank-2 weights with rank-1 biases")
+    """Rebuild (model, topology mask) from the (weight, bias) record pairs;
+    MlpModel refuses unchained layers, and this refuses a weight off its bitmap."""
+    model = MlpModel(ckpt.tensors[0::2], ckpt.tensors[1::2])
     mask_layers = [m.copy() for m in ckpt.masks[0::2]]
-    for i, (w, m) in enumerate(zip(weights, mask_layers)):
+    for i, (w, m) in enumerate(zip(model.weights, mask_layers)):
         if np.any(w[~m]):
             raise CheckpointError(f"checkpoint layer {i} holds nonzero weights off its bitmap")
-    mask = DeterministicMask(mask_layers, tuple(int(m.sum()) for m in mask_layers))
-    return MlpModel(list(weights), list(biases)), mask
+    return model, DeterministicMask(mask_layers, tuple(int(m.sum()) for m in mask_layers))
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

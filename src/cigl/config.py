@@ -48,13 +48,17 @@ METHODS = {
 }
 
 
-def _check_finite(obj, section: str) -> None:
-    """ConfigError naming the first field of obj that holds a non-finite float."""
+def _check(obj, section: str, rules) -> None:
+    """ConfigError naming the file key of the first field of obj that holds a
+    non-finite float, else of the first (field, holds, reason) rule that fails."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if any(isinstance(x, float) and not math.isfinite(x)
                for x in (value if isinstance(value, tuple) else (value,))):
             raise ConfigError(f"{_KEY_OF[section, f.name]}: must be finite")
+    for attr, holds, reason in rules:
+        if not holds:
+            raise ConfigError(f"{_KEY_OF[section, attr]}: {reason}")
 
 
 @dataclass
@@ -94,12 +98,12 @@ class TrainConfig:
 
     def validate(self) -> None:
         """ConfigError naming the file key of the first invalid field."""
-        _check_finite(self, "train")
         n_layers = len(self.hidden)
-        for attr, ok, reason in (
+        _check(self, "train", (
             ("method", self.method in METHODS, f"unknown method {self.method!r}"),
             ("epochs", self.epochs >= 1, "must be >= 1"),
             ("batch_size", self.batch_size >= 1, "must be >= 1"),
+            ("seed", 0 <= self.seed < 2**64, "must be in [0, 2**64)"),
             ("hidden", n_layers and all(h >= 1 for h in self.hidden),
              "layer sizes must be positive"),
             ("sparsity", 0.0 <= self.sparsity < 1.0, "must be in [0, 1)"),
@@ -124,9 +128,7 @@ class TrainConfig:
             ("label_smoothing", 0.0 <= self.label_smoothing < 1.0, "must be in [0, 1)"),
             ("mixup_alpha", self.mixup_alpha >= 0.0, "must be >= 0"),
             ("n_bins", self.n_bins >= 1, "must be >= 1"),
-        ):
-            if not ok:
-                raise ConfigError(f"{_KEY_OF['train', attr]}: {reason}")
+        ))
 
 
 @dataclass
@@ -141,6 +143,22 @@ class DataConfig:
     idx_images: str | None = None
     idx_labels: str | None = None
     standardize: bool = False
+
+    def validate(self) -> None:
+        """ConfigError naming the file key of the first invalid field."""
+        moons, csv, idx = (self.source == s for s in ("two_moons", "csv", "idx"))
+        _check(self, "data", (
+            ("source", moons or csv or idx, f"unknown source {self.source!r}"),
+            ("n", not moons or self.n >= 2, "need at least 2 samples"),
+            ("noise_sd", not moons or self.noise_sd >= 0, "must be >= 0"),
+            ("csv_path", not csv or self.csv_path, "required when data.source = csv"),
+            ("label_column", not csv or self.label_column, "required when data.source = csv"),
+            ("idx_images", not idx or self.idx_images, "required when data.source = idx"),
+            ("idx_labels", not idx or self.idx_labels, "required when data.source = idx"),
+            ("label_noise", 0.0 <= self.label_noise <= 1.0, "must be in [0, 1]"),
+            ("split", len(self.split) == 2 and abs(sum(self.split) - 1.0) <= 1e-9
+             and all(f > 0 for f in self.split), "need two positive fractions summing to 1"),
+        ))
 
 
 @dataclass
@@ -279,29 +297,7 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
                           "which has no single logit set to scale")
     if not out.run_id:
         raise ConfigError("run.id: must be nonempty")
-    d = out.data
-    _check_finite(d, "data")
-    if d.source not in ("two_moons", "csv", "idx"):
-        raise ConfigError(f"data.source: unknown source {d.source!r}")
-    if d.source == "two_moons":
-        if d.n < 2:
-            raise ConfigError("data.n: need at least 2 samples")
-        if d.noise_sd < 0:
-            raise ConfigError("data.noise_sd: must be >= 0")
-    if d.source == "csv":
-        if not d.csv_path:
-            raise ConfigError("data.csv_path: required when data.source = csv")
-        if not d.label_column:
-            raise ConfigError("data.label_column: required when data.source = csv")
-    if d.source == "idx":
-        if not d.idx_images:
-            raise ConfigError("data.idx_images: required when data.source = idx")
-        if not d.idx_labels:
-            raise ConfigError("data.idx_labels: required when data.source = idx")
-    if not 0.0 <= d.label_noise <= 1.0:
-        raise ConfigError("data.label_noise: must be in [0, 1]")
-    if len(d.split) != 2 or abs(sum(d.split) - 1.0) > 1e-9 or any(f <= 0 for f in d.split):
-        raise ConfigError("data.split: need two positive fractions summing to 1")
+    out.data.validate()
     return out
 
 

@@ -26,8 +26,8 @@ def erk_allocate(shapes, global_sparsity: float) -> list[float]:
     """Per-layer sparsities with density proportional to (n_in + n_out) / (n_in * n_out).
 
     Densities that would exceed 1 are clipped to 1 and their surplus
-    nonzero budget is redistributed over the remaining layers. The caller,
-    build_sparsity_plan, has checked global_sparsity is in [0, 1).
+    nonzero budget is redistributed over the remaining layers.
+    global_sparsity is in [0, 1): TrainConfig.validate checks train.sparsity.
     """
     numels = [int(np.prod(s)) for s in shapes]
     raw = [(s[0] + s[1]) / (s[0] * s[1]) for s in shapes]
@@ -60,10 +60,6 @@ def erk_allocate(shapes, global_sparsity: float) -> list[float]:
 def build_sparsity_plan(shapes, global_sparsity, mode="uniform", exclude=()) -> tuple[float, ...]:
     """Per-layer sparsities allocating global_sparsity over the maskable
     layers; excluded layer indices stay dense."""
-    if not 0.0 <= global_sparsity < 1.0:
-        raise ValueError("global sparsity must be in [0, 1)")
-    if mode not in SPARSITY_MODES:
-        raise ValueError(f"unknown sparsity mode {mode!r}")
     exclude = set(exclude)
     maskable = [i for i in range(len(shapes)) if i not in exclude]
     per_layer = [0.0] * len(shapes)
@@ -106,8 +102,6 @@ class DeterministicMask:
 def init_mask(shapes, layer_sparsities, rng: np.random.Generator) -> DeterministicMask:
     """Random topology: per layer, round((1 - s_l) * numel) positions set,
     drawn uniformly without replacement. Nonzero counts round half to even."""
-    if len(shapes) != len(layer_sparsities):
-        raise ValueError("plan does not cover all layers")
     layers, targets = [], []
     for li, (shape, s) in enumerate(zip(shapes, layer_sparsities)):
         numel = int(np.prod(shape))

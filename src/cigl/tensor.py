@@ -26,10 +26,24 @@ class MlpModel:
     """Fully connected net: weights[l] is [out, in], biases[l] is [out].
 
     Hidden layers use ReLU, the output layer is linear (emits logits).
+    The layer chain is checked once, here; forward and backward trust it.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+
+    def __post_init__(self):
+        n_w, n_b = len(self.weights), len(self.biases)
+        if not n_w or n_w != n_b:
+            raise ShapeError(f"layer {min(n_w, n_b)}: {n_w} weights vs {n_b} biases")
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.ndim != 2:
+                raise ShapeError(f"layer {i}: weight is {w.shape}, expected [out, in]")
+            if i and w.shape[1] != d:
+                raise ShapeError(f"layer {i}: weight is {w.shape}, expected input dim {d}")
+            if b.shape != (w.shape[0],):
+                raise ShapeError(f"layer {i}: bias is {b.shape}, expected ({w.shape[0]},)")
+            d = w.shape[0]
 
     @property
     def n_layers(self) -> int:
@@ -38,8 +52,6 @@ class MlpModel:
 
 def init_mlp(dims, rng, dtype=np.float32) -> MlpModel:
     """He-initialised MLP with layer sizes dims = [d_in, h1, ..., d_out]."""
-    if len(dims) < 2:
-        raise ValueError("need at least an input and an output dimension")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in))
@@ -48,27 +60,15 @@ def init_mlp(dims, rng, dtype=np.float32) -> MlpModel:
     return MlpModel(weights, biases)
 
 
-def _check_input(model: MlpModel, x: np.ndarray) -> None:
-    if x.ndim != 2:
-        raise ShapeError(f"input must be [batch, features], got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite values in input batch")
-    d = x.shape[1]
-    for i, w in enumerate(model.weights):
-        if w.ndim != 2 or w.shape[1] != d:
-            raise ShapeError(f"layer {i}: weight is {w.shape}, expected input dim {d}")
-        if model.biases[i].shape != (w.shape[0],):
-            raise ShapeError(f"layer {i}: bias is {model.biases[i].shape}, expected ({w.shape[0]},)")
-        d = w.shape[0]
-
-
 def _forward_trace(model: MlpModel, x: np.ndarray):
     """Logits plus the input seen by each layer (needed for backprop).
 
     The bias add and the ReLU write into the matmul's output, so the bias
-    is added in the activation dtype.
+    is added in the activation dtype. Only x's shape is checked: MlpModel
+    checked the layers, and Dataset the features every input is made of.
     """
-    _check_input(model, x)
+    if x.ndim != 2 or x.shape[1] != model.weights[0].shape[1]:
+        raise ShapeError(f"layer 0: input is {x.shape}, weight is {model.weights[0].shape}")
     acts = [x]
     h = x
     last = model.n_layers - 1
@@ -104,17 +104,11 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     """Mean cross-entropy of logits against probability-row targets.
 
     Returns (loss, dlogits) with dlogits = (softmax(logits) - targets) / batch,
-    cast back to the logits dtype. The loss reduces in float64.
+    cast back to the logits dtype. The loss reduces in float64. Targets are
+    trusted; non-finite logits raise NonFiniteError, which detects divergence.
     """
-    if logits.shape != targets.shape:
-        raise ShapeError(f"logits {logits.shape} vs targets {targets.shape}")
     if not np.isfinite(logits).all():
         raise NonFiniteError("non-finite logits")
-    row_sums = np.sum(targets, axis=1, dtype=np.float64)
-    if row_sums.size == 0:
-        raise ValueError("empty batch")
-    if not np.all(np.abs(row_sums - 1.0) <= 1e-6):  # NaN rows fail too
-        raise ValueError("target rows must sum to 1 within 1e-6")
 
     z = np.asarray(logits, dtype=np.float64)
     zmax = z.max(axis=1, keepdims=True)
@@ -173,16 +167,12 @@ def sgd_step(model: MlpModel, grads_w, grads_b, state: SgdState, lr: float) -> N
     Weights and velocity buffers are updated in place, in that operation
     order, so the float32 results equal the out-of-place expression's.
     """
-    for i, (w, g, v) in enumerate(zip(model.weights, grads_w, state.velocity_w)):
-        if g.shape != w.shape:
-            raise ShapeError(f"layer {i}: grad {g.shape} vs weight {w.shape}")
+    for w, g, v in zip(model.weights, grads_w, state.velocity_w):
         v *= state.momentum
         v += g
         v += state.weight_decay * w
         w -= lr * v
-    for i, (b, g, v) in enumerate(zip(model.biases, grads_b, state.velocity_b)):
-        if g.shape != b.shape:
-            raise ShapeError(f"layer {i}: grad {g.shape} vs bias {b.shape}")
+    for b, g, v in zip(model.biases, grads_b, state.velocity_b):
         v *= state.momentum
         v += g
         b -= lr * v

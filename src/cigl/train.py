@@ -41,14 +41,6 @@ from .tensor import (
 BLOCK_ROWS = 512  # rows per forward pass in prediction
 
 
-class NonFiniteLossError(FloatingPointError):
-    """Training diverged; carries a diagnostic snapshot."""
-
-    def __init__(self, message, diagnostics):
-        super().__init__(message)
-        self.diagnostics = diagnostics
-
-
 @dataclass(frozen=True)
 class EpochRecord:
     epoch: int
@@ -219,10 +211,7 @@ def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.nd
     try:
         loss, gw, gb = backward(seen, xb, targets)
     except NonFiniteError as exc:
-        raise NonFiniteLossError(
-            f"training diverged at epoch {epoch}, iteration {s.t}: {exc}",
-            {"epoch": epoch, "iteration": s.t, "lr": lr, "loss": float("nan")},
-        ) from None
+        raise NonFiniteError(f"training diverged at epoch {epoch}, iteration {s.t}: {exc}") from None
     for g, zz in zip(gw, s.z):
         g *= zz
     sgd_step(s.model, gw, gb, s.sgd, lr)

@@ -188,6 +188,8 @@ class TestRunCommand:
         "data.label_noise = 1.5",
         "data.split = 0.7, 0.7",
         "data.split = 1.0",
+        "train.seed = -1",
+        "train.seed = 18446744073709551616",
     ])
     def test_invalid_knob_exits_2_naming_its_key(self, tmp_path, capsys, line):
         key = line.partition(" = ")[0]
@@ -233,6 +235,14 @@ class TestRunCommand:
                                   "data.label_column = y"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: non-finite feature values\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_out_of_range_exits_2_before_training(self, tiny_config_file, tmp_path,
+                                                            capsys):
+        assert main(["run", "--config", str(tiny_config_file), "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "invalid configuration: train.seed: must be in [0, 2**64)\n")
         assert not (tmp_path / "o").exists()
 
     def test_failed_run_writes_no_directory(self, tmp_path, capsys):

@@ -67,12 +67,22 @@ class TestForward:
         ([(3, 5), (2, 4)], [3, 2], r"^layer 1: weight is \(2, 4\), expected input dim 3$"),
         ([(3, 5), (2, 3)], [3, 3], r"^layer 1: bias is \(3,\), expected \(2,\)$"),
         ([(3, 5)], [4], r"^layer 0: bias is \(4,\), expected \(3,\)$"),
-    ], ids=["unchained-weights", "wrong-bias", "wrong-first-bias"])
+        ([(3, 5), (2, 3)], [3], r"^layer 1: 2 weights vs 1 biases$"),
+        ([(3, 5)], [3, 2], r"^layer 1: 1 weights vs 2 biases$"),
+        ([(15,)], [3], r"^layer 0: weight is \(15,\), expected \[out, in\]$"),
+        ([], [], r"^layer 0: 0 weights vs 0 biases$"),
+    ], ids=["unchained-weights", "wrong-bias", "wrong-first-bias", "missing-bias",
+            "extra-bias", "rank-1-weight", "no-layers"])
     def test_malformed_layers_are_refused_naming_the_layer(self, weights, biases, message):
         with pytest.raises(ShapeError, match=message):
-            model = MlpModel([np.zeros(s, np.float32) for s in weights],
-                             [np.zeros(n, np.float32) for n in biases])
-            forward(model, np.ones((2, 5), dtype=np.float32))
+            MlpModel([np.zeros(s, np.float32) for s in weights],
+                     [np.zeros(n, np.float32) for n in biases])
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5, 1)])
+    def test_input_of_the_wrong_rank_names_layer_0(self, shape):
+        model = MlpModel([np.zeros((3, 5), np.float32)], [np.zeros(3, np.float32)])
+        with pytest.raises(ShapeError, match=r"^layer 0: input is .*, weight is \(3, 5\)$"):
+            forward(model, np.ones(shape, dtype=np.float32))
 
     def test_matches_out_of_place_reference_bit_for_bit(self):
         rng = substream(8, "t")
@@ -89,11 +99,6 @@ class TestForward:
         np.testing.assert_array_equal(forward(model, x), h)
         np.testing.assert_array_equal(x, x_before)
 
-    def test_nonfinite_input_rejected(self):
-        model = MlpModel([np.zeros((2, 2), np.float32)], [np.zeros(2, np.float32)])
-        with pytest.raises(ValueError, match="non-finite"):
-            forward(model, _f32([np.nan, 0.0]))
-
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_one_hot_gives_log_k(self):
@@ -106,15 +111,6 @@ class TestSoftmaxCrossEntropy:
         loss, _ = softmax_cross_entropy(_f32([1.0, 0.0]), _f32([1.0, 0.0]))
         assert loss == pytest.approx(math.log(1.0 + math.exp(-1.0)), rel=1e-9)
         assert loss == pytest.approx(0.313262, abs=1e-6)
-
-    def test_rejects_unnormalized_targets(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            softmax_cross_entropy(_f32([1.0, 0.0]), _f32([0.7, 0.6]))
-
-    def test_rejects_nan_target_rows(self):
-        targets = np.array([[np.nan, np.nan], [0.0, 1.0]], dtype=np.float32)
-        with pytest.raises(ValueError, match="sum to 1"):
-            softmax_cross_entropy(np.zeros((2, 2), dtype=np.float32), targets)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_logits_raise_a_typed_value_error(self, bad):
