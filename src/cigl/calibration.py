@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import row_argmax, row_max, row_sum
+
 log = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12  # clamp for log() in NLL
@@ -63,15 +65,27 @@ def _validate_probs(probs: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs)
     if probs.ndim != 2 or probs.shape[0] == 0 or probs.shape[1] == 0:
         raise ValueError("probs must be a nonempty [n, K] array")
-    sums = probs.sum(axis=1, dtype=np.float64)
+    sums = row_sum(probs, dtype=np.float64)
     if not np.all(np.abs(sums - 1.0) <= 1e-6):  # NaN rows fail too
         raise ValueError("probability rows must sum to 1 within 1e-6")
     return probs
 
 
+def _validate_labels(labels, n: int, k: int) -> np.ndarray:
+    """One integer class index in [0, k) for each of n rows."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be a 1-D integer array of length {n}, got "
+                         f"{labels.dtype} {labels.shape}")
+    if labels.min() < 0 or labels.max() >= k:
+        raise ValueError(f"labels must be class indices in [0, {k})")
+    return labels
+
+
 def correct_rows(probs, labels) -> np.ndarray:
     """Which validated rows' top class, ties to the lowest index, is the label."""
-    return _validate_probs(probs).argmax(axis=1) == np.asarray(labels)
+    probs = _validate_probs(probs)
+    return row_argmax(probs) == _validate_labels(labels, *probs.shape)
 
 
 def reliability_bins(probs, labels, n_bins: int = 15) -> ReliabilityBins:
@@ -85,7 +99,7 @@ def reliability_bins(probs, labels, n_bins: int = 15) -> ReliabilityBins:
     correct = correct_rows(probs, labels)
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    conf = np.asarray(probs).max(axis=1).astype(np.float64)
+    conf = row_max(np.asarray(probs)).astype(np.float64)
 
     uppers = np.array([(m + 1) / n_bins for m in range(n_bins)])
     idx = np.minimum(np.searchsorted(uppers, conf, side="left"), n_bins - 1)
@@ -116,15 +130,15 @@ def ece(probs, labels, n_bins: int = 15) -> float:
 def nll(probs, labels) -> float:
     """Mean negative log-likelihood; probabilities clamped below at 1e-12."""
     probs = _validate_probs(probs)
-    labels = np.asarray(labels)
+    labels = _validate_labels(labels, *probs.shape)
     picked = probs[np.arange(len(labels)), labels].astype(np.float64)
     return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
 
 
 def _nll_of_logits(logits: np.ndarray, labels: np.ndarray, temperature: float) -> float:
     z = logits / temperature
-    zmax = z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z - zmax).sum(axis=1)) + zmax[:, 0]
+    zmax = row_max(z)
+    lse = np.log(row_sum(np.exp(z - zmax[:, None]))) + zmax
     return float(np.mean(lse - z[np.arange(len(labels)), labels]))
 
 
@@ -137,9 +151,9 @@ def fit_temperature(logits, labels) -> float:
     return T=1 with a warning.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
     if logits.ndim != 2 or logits.shape[0] == 0:
         raise ValueError("validation logits must be a nonempty [n, K] array")
+    labels = _validate_labels(labels, *logits.shape)
     if np.all(logits == logits[:, :1]):
         log.warning("degenerate logits (all rows constant); temperature fixed at 1")
         return 1.0

@@ -87,6 +87,50 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return logits
 
 
+# numpy reduces a narrow last axis as a per-row loop, many times slower than
+# one ufunc over a whole column, so rows narrower than this fold over their
+# columns. It sums 8 or more elements pairwise, so a left-to-right fold keeps
+# its bits only below that width.
+FOLD_COLS = 8
+
+
+def row_max(a: np.ndarray) -> np.ndarray:
+    """a.max(axis=1), bit for bit."""
+    if a.shape[1] >= FOLD_COLS:
+        return a.max(axis=1)
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(out, a[:, j], out=out)
+    return out
+
+
+def row_sum(a: np.ndarray, dtype=None) -> np.ndarray:
+    """a.sum(axis=1, dtype=dtype), bit for bit.
+
+    The fold starts from +0.0 as numpy's sum does, so a row of -0. sums to +0.
+    """
+    if a.shape[1] >= FOLD_COLS:
+        return a.sum(axis=1, dtype=dtype)
+    out = np.add(a[:, 0], 0.0, dtype=dtype)
+    for j in range(1, a.shape[1]):
+        out += a[:, j]
+    return out
+
+
+def row_argmax(a: np.ndarray) -> np.ndarray:
+    """a.argmax(axis=1), bit for bit: ties and +-0 go to the lowest index,
+    and the first NaN wins."""
+    if a.shape[1] >= FOLD_COLS:
+        return a.argmax(axis=1)
+    idx = np.zeros(len(a), dtype=np.intp)
+    top = a[:, 0]
+    for j in range(1, a.shape[1]):
+        col = a[:, j]
+        idx[~(col <= top) & (top == top)] = j  # col > top, or col is the first NaN
+        top = np.maximum(top, col)
+    return idx
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax computed in float64."""
     return softmax_inplace(np.array(logits, dtype=np.float64))
@@ -94,9 +138,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def softmax_inplace(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax of the float64 array z, written over z and returned."""
-    z -= z.max(axis=1, keepdims=True)
+    z -= row_max(z)[:, None]
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= row_sum(z)[:, None]
     return z
 
 
@@ -111,14 +155,14 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
         raise NonFiniteError("non-finite logits")
 
     z = np.asarray(logits, dtype=np.float64)
-    zmax = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - zmax)
-    denom = ez.sum(axis=1, keepdims=True)
-    lse = np.log(denom[:, 0]) + zmax[:, 0]
+    zmax = row_max(z)
+    ez = np.exp(z - zmax[:, None])
+    denom = row_sum(ez)
+    lse = np.log(denom) + zmax
     t64 = np.asarray(targets, dtype=np.float64)
-    loss = float(np.mean(lse - np.sum(t64 * z, axis=1)))
+    loss = float(np.mean(lse - row_sum(t64 * z)))
     batch = z.shape[0]
-    dlogits = ((ez / denom - t64) / batch).astype(logits.dtype, copy=False)
+    dlogits = ((ez / denom[:, None] - t64) / batch).astype(logits.dtype, copy=False)
     return loss, dlogits
 
 

@@ -75,6 +75,30 @@ class TestEce:
         assert ece(probs, labels, 15) == ece_bruteforce(probs, labels, 15)
 
 
+BAD_LABELS = {
+    "one label for three rows": [0],
+    "a label of K": [0, 1, 2],
+    "a negative label": [0, 1, -1],
+    "a column of labels": [[0], [1], [0]],
+    "float labels": [0.0, 1.0, 0.0],
+}
+
+
+class TestLabelsAreOneClassIndexPerRow:
+    probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
+
+    @pytest.mark.parametrize("labels", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+    @pytest.mark.parametrize("metric", [nll, correct_rows, reliability_bins, ece])
+    def test_metrics_refuse(self, metric, labels):
+        with pytest.raises(ValueError, match="labels must be"):
+            metric(self.probs, np.array(labels))
+
+    @pytest.mark.parametrize("labels", BAD_LABELS.values(), ids=BAD_LABELS.keys())
+    def test_fit_temperature_refuses(self, labels):
+        with pytest.raises(ValueError, match="labels must be"):
+            fit_temperature(np.log(self.probs), np.array(labels))
+
+
 class TestReliabilityBins:
     def test_single_sample_bin_index(self):
         probs = np.array([[0.93, 0.07]])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cigl import calibration, tensor
 from cigl.rng import substream
 from cigl.tensor import (
     MlpModel,
@@ -14,6 +15,9 @@ from cigl.tensor import (
     backward,
     forward,
     init_mlp,
+    row_argmax,
+    row_max,
+    row_sum,
     sgd_step,
     softmax,
     softmax_cross_entropy,
@@ -264,6 +268,61 @@ class TestSoftmax:
         logits = _f32([1.0, 2.0, 3.0])
         probs = softmax(logits)
         assert probs.dtype == np.float64 and np.array_equal(logits, _f32([1.0, 2.0, 3.0]))
+
+
+def _awkward_rows(k, dtype):
+    """Rows whose reductions depend on order and on special values: magnitudes
+    from 1e-8 to 1e8, +-inf, NaN, ties, +-0 mixes and an all -0 row."""
+    rng = np.random.default_rng(k)
+    spread = rng.normal(0, 1, (2000, k)) * 10.0 ** rng.integers(-8, 9, (2000, k))
+    special = rng.choice([np.inf, -np.inf, np.nan, 0.0, -0.0, 1.5, -1.5], (500, k))
+    ties = np.round(rng.normal(0, 1, (300, k)))
+    zeros = rng.choice([0.0, -0.0], (100, k))
+    return np.concatenate([spread, special, ties, zeros, np.full((1, k), -0.0)]).astype(dtype)
+
+
+AXIS_REDUCTIONS = {
+    "row_max": lambda a: a.max(axis=1),
+    "row_sum": lambda a, dtype=None: a.sum(axis=1, dtype=dtype),
+    "row_argmax": lambda a: a.argmax(axis=1),
+}
+
+
+class TestRowReductions:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_folds_match_the_axis_reductions_bit_for_bit(self, k, dtype):
+        a = _awkward_rows(k, dtype)
+        with np.errstate(invalid="ignore", over="ignore"):
+            pairs = [
+                (row_max(a), a.max(axis=1)),
+                (row_sum(a), a.sum(axis=1)),
+                (row_sum(a, dtype=np.float64), a.sum(axis=1, dtype=np.float64)),
+                (row_argmax(a), a.argmax(axis=1)),
+            ]
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 10])
+    def test_callers_equal_an_axis_reduction_reference_bit_for_bit(self, k, monkeypatch):
+        rng = np.random.default_rng(k)
+        logits = rng.normal(0, 3, (500, k)).astype(np.float32)
+        labels = rng.integers(0, k, 500)
+        targets = label_rows(rng, 500, k)
+
+        def outputs():
+            probs = softmax_inplace(logits.astype(np.float64))
+            loss, dlogits = softmax_cross_entropy(logits, targets)
+            return [probs.tobytes(), loss.hex(), dlogits.tobytes(),
+                    repr(calibration.reliability_bins(probs, labels, 15)),
+                    calibration.fit_temperature(logits, labels).hex()]
+
+        folded = outputs()
+        for module in (tensor, calibration):
+            for name, reduce in AXIS_REDUCTIONS.items():
+                monkeypatch.setattr(module, name, reduce)
+        assert outputs() == folded
 
 
 class TestLrSchedule:
