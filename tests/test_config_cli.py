@@ -28,6 +28,46 @@ data.noise_sd = 0.25
 data.label_noise = 0.1
 """
 
+# every key of a default config, as config.resolved writes it
+DEFAULT_RESOLVED = "".join(line + "\n" for line in (
+    "run.id = run",
+    "run.out = runs",
+    "train.method = cigl",
+    "train.epochs = 100",
+    "train.batch_size = 128",
+    "train.seed = 0",
+    "train.hidden = 64, 64",
+    "train.sparsity = 0.9",
+    "train.sparsity_mode = uniform",
+    "train.mask_exclude = ",
+    "train.update_interval = 50",
+    "train.update_fraction = 0.3",
+    "train.update_end_fraction = 0.75",
+    "train.keep_prob = 0.9",
+    "train.wma_start_epoch = 80",
+    "train.wma_every = 1",
+    "train.base_lr = 0.1",
+    "train.lr_milestones = 50, 75",
+    "train.lr_decay = 0.1",
+    "train.momentum = 0.9",
+    "train.weight_decay = 0.0005",
+    "train.mc_samples = 30",
+    "data.source = two_moons",
+    "data.n = 2000",
+    "data.noise_sd = 0.25",
+    "data.label_noise = 0.15",
+    "data.split = 0.5, 0.5",
+    "data.csv_path = ",
+    "data.label_column = ",
+    "data.idx_images = ",
+    "data.idx_labels = ",
+    "data.standardize = false",
+    "calib.n_bins = 15",
+    "calib.temperature = false",
+    "calib.mixup_alpha = 0.0",
+    "calib.label_smoothing = 0.0",
+))
+
 TWO_MOONS_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "two_moons_cigl.cfg"
 
 
@@ -91,6 +131,22 @@ class TestConfigParsing:
         assert (cfg.train.label_smoothing, cfg.train.mixup_alpha) == (0.1, 0.2)
         lines = format_config(cfg).splitlines()
         assert lines[-2:] == ["calib.mixup_alpha = 0.2", "calib.label_smoothing = 0.1"]
+
+    def test_default_resolved_text_is_pinned(self):
+        assert format_config(resolve_config(ExperimentConfig())) == DEFAULT_RESOLVED
+
+    @pytest.mark.parametrize("line, message", [
+        ("data.standardize = yes", "data.standardize: expected true/false, got 'yes'"),
+        ("train.hidden = 64, x", "train.hidden: invalid literal for int() with base 10: ' x'"),
+        ("data.split = 0.5, a", "data.split: could not convert string to float: ' a'"),
+        ("train.wma_start_epoch = x",
+         "train.wma_start_epoch: invalid literal for int() with base 10: 'x'"),
+        ("train.base_lr = fast", "train.base_lr: could not convert string to float: 'fast'"),
+    ], ids=["bool", "int-tuple", "float-tuple", "optional-int", "float"])
+    def test_parse_error_message_is_pinned(self, line, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"\n{line}\n", origin="exp.cfg")
+        assert str(exc.value) == f"exp.cfg:2: {message}"
 
 
 @pytest.fixture()
