@@ -3,16 +3,23 @@ their flat key-value file form.
 
 Files hold one `section.key = value` pair per line; blank lines and lines
 starting with '#' are ignored. Unknown keys are a hard error so typos
-surface immediately. The resolved form (every key explicit) reloads to an
-identical configuration, which is what makes reruns bit-reproducible.
-Every invalid value raises ConfigError naming its file key, whether it
-reaches `train()` directly or through a file.
+surface immediately. The keys derive from the dataclasses: `train.<field>`
+for each TrainConfig field, `data.<field>` for each DataConfig field, plus
+the six keys of _ALIASES (run.id, run.out and calib.*). A field's type hint
+gives its parser and formatter, so a new knob is one typed field.
+resolve_config writes each value as its declared type and parses it back, so
+its result (every key explicit) reloads to an identical configuration, which
+is what makes reruns bit-reproducible. Every invalid value raises ConfigError
+naming its file key, whether it reaches `train()` directly or through a file.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+import operator
+import os
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .masks import SPARSITY_MODES
 
@@ -178,80 +185,64 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
-def _parse_int_list(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    return tuple(int(x) for x in raw.split(",")) if raw else ()
+def _format_bool(value) -> str:
+    if value not in (True, False):
+        raise TypeError(f"expected true/false, got {value!r}")
+    return "true" if value else "false"
 
 
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    return tuple(float(x) for x in raw.split(",")) if raw else ()
-
-
-def _parse_opt_str(raw: str):
-    return raw if raw else None
-
-
-def _parse_opt_int(raw: str):
-    return int(raw) if raw else None
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ", ".join(_fmt(v) for v in value)
-    return str(value)
-
-
-# key -> (section attribute, field name, parser)
-_KEYS = {
-    "run.id": ("", "run_id", str),
-    "run.out": ("", "out_dir", str),
-    "train.method": ("train", "method", str),
-    "train.epochs": ("train", "epochs", int),
-    "train.batch_size": ("train", "batch_size", int),
-    "train.seed": ("train", "seed", int),
-    "train.hidden": ("train", "hidden", _parse_int_list),
-    "train.sparsity": ("train", "sparsity", float),
-    "train.sparsity_mode": ("train", "sparsity_mode", str),
-    "train.mask_exclude": ("train", "mask_exclude", _parse_int_list),
-    "train.update_interval": ("train", "update_interval", int),
-    "train.update_fraction": ("train", "update_fraction", float),
-    "train.update_end_fraction": ("train", "update_end_fraction", float),
-    "train.keep_prob": ("train", "keep_prob", float),
-    "train.wma_start_epoch": ("train", "wma_start_epoch", _parse_opt_int),
-    "train.wma_every": ("train", "wma_every", int),
-    "train.base_lr": ("train", "base_lr", float),
-    "train.lr_milestones": ("train", "lr_milestones", _parse_int_list),
-    "train.lr_decay": ("train", "lr_decay", float),
-    "train.momentum": ("train", "momentum", float),
-    "train.weight_decay": ("train", "weight_decay", float),
-    "train.mc_samples": ("train", "mc_samples", int),
-    "data.source": ("data", "source", str),
-    "data.n": ("data", "n", int),
-    "data.noise_sd": ("data", "noise_sd", float),
-    "data.label_noise": ("data", "label_noise", float),
-    "data.split": ("data", "split", _parse_float_list),
-    "data.csv_path": ("data", "csv_path", _parse_opt_str),
-    "data.label_column": ("data", "label_column", _parse_opt_str),
-    "data.idx_images": ("data", "idx_images", _parse_opt_str),
-    "data.idx_labels": ("data", "idx_labels", _parse_opt_str),
-    "data.standardize": ("data", "standardize", _parse_bool),
-    # calib.* keys other than calib.temperature set TrainConfig fields
-    "calib.n_bins": ("train", "n_bins", int),
-    "calib.temperature": ("", "temperature", _parse_bool),
-    "calib.mixup_alpha": ("train", "mixup_alpha", float),
-    "calib.label_smoothing": ("train", "label_smoothing", float),
+# scalar type -> (parse, format); format writes a value as that type
+_SCALARS = {
+    str: (str, os.fspath),  # a path stands for its text; None or a number is refused
+    int: (int, lambda v: str(operator.index(v))),
+    float: (float, lambda v: repr(float(v))),
+    bool: (_parse_bool, _format_bool),
 }
 
 
+def _codec(hint):
+    """(parse, format) of a field whose type hint is a scalar of _SCALARS, a
+    tuple[scalar, ...] written comma-separated, or X | None written empty for None."""
+    args = get_args(hint)
+    if type(None) in args:
+        parse, fmt = _codec(args[0])
+        return (lambda raw: parse(raw) if raw else None), (lambda v: "" if v is None else fmt(v))
+    if get_origin(hint) is tuple:
+        parse, fmt = _SCALARS[args[0]]
+        return ((lambda raw: tuple(parse(x) for x in raw.split(",")) if raw else ()),
+                (lambda v: ", ".join(fmt(x) for x in v)))
+    return _SCALARS[hint]
+
+
+# the keys that are not <section>.<field>: key -> (section attribute, field name)
+_ALIASES = {
+    "run.id": ("", "run_id"),
+    "run.out": ("", "out_dir"),
+    "calib.n_bins": ("train", "n_bins"),
+    "calib.temperature": ("", "temperature"),
+    "calib.mixup_alpha": ("train", "mixup_alpha"),
+    "calib.label_smoothing": ("train", "label_smoothing"),
+}
+
+
+def _schema() -> dict:
+    """key -> (section attribute, field name, parse, format), in file order: the run.*
+    aliases, train.<field> and data.<field> for each field without an alias, then the
+    calib.* aliases."""
+    sections = {"": ExperimentConfig, "train": TrainConfig, "data": DataConfig}
+    hints = {section: get_type_hints(cls) for section, cls in sections.items()}
+    aliased = set(_ALIASES.values())
+    derived = {f"{section}.{f.name}": (section, f.name) for section in ("train", "data")
+               for f in fields(sections[section]) if (section, f.name) not in aliased}
+    run = {key: target for key, target in _ALIASES.items() if key.startswith("run.")}
+    order = {**run, **derived, **_ALIASES}  # a key keeps its first place: calib.* lands last
+    return {key: (section, attr, *_codec(hints[section][attr]))
+            for key, (section, attr) in order.items()}
+
+
+_KEYS = _schema()
 # (section attribute, field name) -> the file key that sets it
-_KEY_OF = {(section, attr): key for key, (section, attr, _) in _KEYS.items()}
+_KEY_OF = {(section, attr): key for key, (section, attr, *_) in _KEYS.items()}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
@@ -271,9 +262,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"{origin}:{line_no}: duplicate key {key!r}")
         seen.add(key)
-        section, attr, parser = _KEYS[key]
+        section, attr, parse, _ = _KEYS[key]
         try:
-            value = parser(raw)
+            value = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{origin}:{line_no}: {key}: {exc}") from None
         target = cfg if not section else getattr(cfg, section)
@@ -287,10 +278,12 @@ def load_config(path) -> ExperimentConfig:
 
 
 def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Materialize all defaults and validate. The result round-trips through
-    format_config/parse_config_text unchanged."""
-    out = replace(cfg, train=replace(cfg.train, wma_start_epoch=cfg.train.resolved_wma_start()),
-                  data=replace(cfg.data))
+    """The config a rerun from its file form would train: every value written as
+    its declared type and parsed back, wma_start_epoch materialized, and validated.
+    So format_config/parse_config_text round-trips the result unchanged. A value
+    its type cannot hold is a ConfigError naming its key."""
+    out = parse_config_text(format_config(cfg))
+    out.train.wma_start_epoch = out.train.resolved_wma_start()
     out.train.validate()
     if out.temperature and METHODS[out.train.method].mc_predict:
         raise ConfigError(f"calib.temperature: {out.train.method} predicts by MC dropout, "
@@ -304,7 +297,10 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
 def format_config(cfg: ExperimentConfig) -> str:
     """Canonical text form with every key explicit, in schema order."""
     lines = []
-    for key, (section, attr, _parser) in _KEYS.items():
+    for key, (section, attr, _, fmt) in _KEYS.items():
         target = cfg if not section else getattr(cfg, section)
-        lines.append(f"{key} = {_fmt(getattr(target, attr))}")
+        try:
+            lines.append(f"{key} = {fmt(getattr(target, attr))}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from None
     return "\n".join(lines) + "\n"

@@ -1,12 +1,14 @@
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cigl.cli import main
-from cigl.config import ConfigError, ExperimentConfig, format_config, parse_config_text, resolve_config
+from cigl.config import (_ALIASES, _KEYS, ConfigError, DataConfig, ExperimentConfig,
+                         format_config, parse_config_text, resolve_config)
 from cigl.checkpoint import load_checkpoint, save_checkpoint
 from cigl.runner import run_experiment, run_export_reliability, run_sweep
 from cigl.train import TrainConfig
@@ -67,6 +69,27 @@ DEFAULT_RESOLVED = "".join(line + "\n" for line in (
     "calib.mixup_alpha = 0.0",
     "calib.label_smoothing = 0.0",
 ))
+
+# every leaf field away from its default, and still a valid config
+OFF_DEFAULT = ExperimentConfig(
+    run_id="other", out_dir="elsewhere", temperature=True,
+    train=TrainConfig(
+        method="rigl", epochs=7, batch_size=9, seed=3, hidden=(5, 6, 7), sparsity=0.5,
+        sparsity_mode="erk", mask_exclude=(0, 3), update_interval=4, update_fraction=0.2,
+        update_end_fraction=0.5, keep_prob=0.8, wma_start_epoch=2, wma_every=2, base_lr=0.05,
+        lr_milestones=(3, 5), lr_decay=0.5, momentum=0.8, weight_decay=1e-3, mc_samples=3,
+        label_smoothing=0.1, mixup_alpha=0.2, n_bins=10),
+    data=DataConfig(
+        source="csv", n=100, noise_sd=0.1, label_noise=0.0, split=(0.6, 0.4), csv_path="a.csv",
+        label_column="y", idx_images="i.idx", idx_labels="l.idx", standardize=True))
+
+
+def leaf_fields():
+    """(section, field name) of every config field other than the train and data sections."""
+    return [("", f.name) for f in fields(ExperimentConfig) if f.name not in ("train", "data")] + \
+        [(section, f.name) for section, cls in (("train", TrainConfig), ("data", DataConfig))
+         for f in fields(cls)]
+
 
 TWO_MOONS_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "two_moons_cigl.cfg"
 
@@ -148,6 +171,48 @@ class TestConfigParsing:
             parse_config_text(f"\n{line}\n", origin="exp.cfg")
         assert str(exc.value) == f"exp.cfg:2: {message}"
 
+    @pytest.mark.parametrize("knobs, line", [
+        (dict(hidden=[8, 8]), "train.hidden = 8, 8"),
+        (dict(sparsity=np.float64(0.5)), "train.sparsity = 0.5"),
+        (dict(base_lr=1), "train.base_lr = 1.0"),
+    ], ids=["list-for-tuple", "numpy-float", "int-for-float"])
+    def test_api_values_resolve_to_their_file_form(self, knobs, line):
+        resolved = resolve_config(ExperimentConfig(train=TrainConfig(**knobs)))
+        text = format_config(resolved)
+        assert line in text.splitlines()
+        again = resolve_config(parse_config_text(text))
+        assert again == resolved
+        assert format_config(again) == text
+
+    @pytest.mark.parametrize("cfg, key", [
+        (ExperimentConfig(train=TrainConfig(epochs=2.5)), "train.epochs"),
+        (ExperimentConfig(train=TrainConfig(hidden=64)), "train.hidden"),
+        (ExperimentConfig(run_id=None), "run.id"),
+        (ExperimentConfig(temperature="no"), "calib.temperature"),
+    ], ids=["float-for-int", "int-for-tuple", "none-for-str", "str-for-bool"])
+    def test_value_its_type_cannot_hold_names_its_key(self, tmp_path, cfg, key):
+        with pytest.raises(ConfigError, match=rf"^{key}: "):
+            run_experiment(cfg, out_root=tmp_path)
+        assert not any(tmp_path.iterdir())
+
+    def test_every_leaf_field_has_exactly_one_key(self):
+        assert sorted((section, attr) for section, attr, *_ in _KEYS.values()) == \
+            sorted(leaf_fields())
+
+    def test_every_alias_names_a_field(self):
+        assert set(_ALIASES.values()) <= set(leaf_fields())
+
+    def test_off_default_config_survives_the_file_form(self):
+        defaults = ExperimentConfig()
+        for section, attr in leaf_fields():
+            pick = (lambda c: getattr(c, section)) if section else (lambda c: c)
+            assert getattr(pick(OFF_DEFAULT), attr) != getattr(pick(defaults), attr), attr
+        text = format_config(OFF_DEFAULT)
+        again = parse_config_text(text)
+        assert again == OFF_DEFAULT
+        assert format_config(again) == text
+        assert resolve_config(OFF_DEFAULT) == OFF_DEFAULT
+
 
 @pytest.fixture()
 def tiny_config_file(tmp_path):
@@ -205,6 +270,13 @@ class TestRunCommand:
         bad.write_text("data.source = csv\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "data.csv_path" in capsys.readouterr().err
+
+    def test_value_its_type_cannot_hold_exits_2(self, tmp_path, capsys, monkeypatch):
+        cfg = ExperimentConfig(train=TrainConfig(epochs=2.5))
+        monkeypatch.setattr("cigl.cli.load_config", lambda path: cfg)
+        assert main(["run", "--config", "unused.cfg", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("invalid configuration: train.epochs: ")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
@@ -409,6 +481,14 @@ class TestSweepCommand:
                      "--sparsities", "0.5,1.5", "--seeds", "1"]) == 2
         assert capsys.readouterr().err == "invalid configuration: train.sparsity: must be in [0, 1)\n"
         assert not out.exists()
+
+    def test_numpy_sparsities_write_reloadable_configs(self, tmp_path):
+        out = tmp_path / "out"
+        run_sweep(parse_config_text(TINY_CONFIG), np.linspace(0.5, 0.8, 2), [1], out_root=out)
+        for s in ("0.5", "0.8"):
+            text = (out / "sweep_runs" / f"demo_s{s}_seed1" / "config.resolved").read_text()
+            assert f"train.sparsity = {s}" in text.splitlines()
+            assert format_config(resolve_config(parse_config_text(text))) == text
 
     def test_grid_rows_sorted_and_complete(self, tiny_config_file, tmp_path):
         out = tmp_path / "out"
