@@ -151,6 +151,26 @@ class TestReliabilityBins:
         assert rb.n_correct == 2
         assert rb.accuracy == 2 / 3
 
+    @pytest.mark.parametrize("n_bins", range(1, 41))
+    def test_bin_index_equals_searchsorted_at_every_boundary(self, n_bins):
+        # A valid row's top probability is at least 1/K: the uniform row is the
+        # lowest confidence, and one-hot rows give exactly 1.
+        k = 64
+        edges = [j / n_bins for j in range(1, n_bins + 1)]
+        conf = np.array(sorted({c for e in edges for c in (np.nextafter(e, 0.0), e,
+                                                            np.nextafter(e, 2.0))
+                                if 1.0 / k <= c <= 1.0} | {1.0 / k, 1.0}))
+        probs = np.empty((len(conf), k))
+        probs[:, 0] = conf
+        probs[:, 1:] = ((1.0 - conf) / (k - 1))[:, None]
+        rb = reliability_bins(probs, np.zeros(len(conf), dtype=int), n_bins)
+        uppers = np.array([(m + 1) / n_bins for m in range(n_bins)])
+        want = np.minimum(np.searchsorted(uppers, conf, side="left"), n_bins - 1)
+        assert [b.count for b in rb.bins] == np.bincount(want, minlength=n_bins).tolist()
+        for m, b in enumerate(rb.bins):
+            in_bin = conf[want == m]
+            assert b.mean_confidence == (float(in_bin.sum() / in_bin.size) if in_bin.size else None)
+
     def test_csv_roundtrip_preserves_ece(self, tmp_path):
         probs, labels = random_prob_instance(17, n_max=500)
         rb = reliability_bins(probs, labels)

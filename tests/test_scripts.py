@@ -57,6 +57,22 @@ SEED0_DIGESTS = {
 }
 
 
+# `ckpt_digests.py --seed 1` output, recorded with numpy 2.4.6: a second seed, so a
+# change that keeps the bits of one seed by accident still shows.
+SEED1_DIGESTS = {
+    "cigl": "e74f0e063168c60606ab247b3286c54c46c97bb9b80eac60aaf52a05300fb89b",
+    "rigl": "d36755180cdc1dc065e3176306ba09d4826811bdf6f1f8a0f81691ac99433ed1",
+    "rigl_wdp": "781baa95a67545154aaf7728b3d924fe182ab600dbef15c17c1453a31eb432f0",
+    "rigl_mcdp": "b1ecf657cd4b529725db754dfbd33e57be513e8fa2e6b4fcea92e2720c068433",
+    "dense": "caef43bc955f3754e5551dcd5b4eb22881b067a375b6a9a954b414d99541abdf",
+    "cigl_no_rm": "4df1f47c895d10e49a8e849d0c7f5ab8f47df551b1d9377e8643bbe178d6470e",
+    "cigl_no_wma": "781baa95a67545154aaf7728b3d924fe182ab600dbef15c17c1453a31eb432f0",
+    "cigl_run": "f7caf281146184b0d06f0624f44ce7c381b6d15404ec81755f3ba51f34572af4",
+    "rigl_mcdp_eval": "d9816b9491e26ac67338692aa4b47a0840a3631bbd8a0fb3aed7307fb88b8027",
+    "cigl_eval": "1c71b8c8620fa794a1f14f263cffc381766cdfb2d48defead493044a238c2afc",
+}
+
+
 def test_ckpt_digests_run_twice_print_the_same_lines():
     runs = [run_script("ckpt_digests.py", "--seed", "0") for _ in range(2)]
     for proc in runs:
@@ -66,6 +82,12 @@ def test_ckpt_digests_run_twice_print_the_same_lines():
     assert all(len(row) == 2 and re.fullmatch(r"[0-9a-f]{64}", row[1]) for row in rows)
     assert runs[1].stdout == runs[0].stdout
     assert dict(rows) == SEED0_DIGESTS
+
+
+def test_ckpt_digests_at_seed_1_print_the_pinned_lines():
+    proc = run_script("ckpt_digests.py", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert dict(line.split() for line in proc.stdout.splitlines()) == SEED1_DIGESTS
 
 
 def load_script(name):
