@@ -102,24 +102,17 @@ def reliability_bins(probs, labels, n_bins: int = 15) -> ReliabilityBins:
     conf = row_max(np.asarray(probs)).astype(np.float64)
 
     uppers = np.array([(m + 1) / n_bins for m in range(n_bins)])
-    idx = np.minimum(np.searchsorted(uppers, conf, side="left"), n_bins - 1)
-    count = np.bincount(idx, minlength=n_bins)
+    # The bin is searchsorted(uppers, conf, "left") capped at the last, the m with
+    # uppers[m - 1] < conf <= uppers[m]: ceil(conf * n_bins) - 1, stepped at most once.
+    idx = np.clip(np.ceil(conf * n_bins).astype(np.intp) - 1, 0, n_bins - 1)
+    idx -= conf <= np.append(-np.inf, uppers[:-1])[idx]
+    idx += conf > np.append(uppers[:-1], np.inf)[idx]
+    count = np.bincount(idx, minlength=n_bins).tolist()
     conf_sum = np.bincount(idx, weights=conf, minlength=n_bins)
     acc_sum = np.bincount(idx, weights=correct, minlength=n_bins)
-
-    bins = []
-    for m in range(n_bins):
-        c = int(count[m])
-        bins.append(
-            BinStats(
-                lower=m / n_bins,
-                upper=(m + 1) / n_bins,
-                count=c,
-                mean_confidence=float(conf_sum[m] / c) if c else None,
-                mean_accuracy=float(acc_sum[m] / c) if c else None,
-            )
-        )
-    return ReliabilityBins(n_bins=n_bins, total=len(conf), bins=tuple(bins),
+    bins = tuple(BinStats(m / n_bins, (m + 1) / n_bins, c, float(conf_sum[m] / c) if c else None,
+                          float(acc_sum[m] / c) if c else None) for m, c in enumerate(count))
+    return ReliabilityBins(n_bins=n_bins, total=len(conf), bins=bins,
                            n_correct=int(np.count_nonzero(correct)))
 
 
@@ -217,20 +210,9 @@ def write_reliability_csv(rb: ReliabilityBins, path) -> None:
 
 
 def read_reliability_csv(path) -> list[BinStats]:
-    import csv as _csv
+    import csv
 
-    out = []
     with open(path, newline="", encoding="utf-8") as f:
-        reader = _csv.reader(f)
-        next(reader)
-        for row in reader:
-            out.append(
-                BinStats(
-                    lower=float(row[0]),
-                    upper=float(row[1]),
-                    count=int(row[2]),
-                    mean_confidence=float(row[3]) if row[3] else None,
-                    mean_accuracy=float(row[4]) if row[4] else None,
-                )
-            )
-    return out
+        rows = list(csv.reader(f))[1:]
+    return [BinStats(float(lower), float(upper), int(count), float(conf) if conf else None,
+                     float(acc) if acc else None) for lower, upper, count, conf, acc in rows]

@@ -178,11 +178,9 @@ class ExperimentConfig:
 
 
 def _parse_bool(raw: str) -> bool:
-    if raw in ("true", "True"):
-        return True
-    if raw in ("false", "False"):
-        return False
-    raise ValueError(f"expected true/false, got {raw!r}")
+    if raw not in ("true", "True", "false", "False"):
+        raise ValueError(f"expected true/false, got {raw!r}")
+    return raw in ("true", "True")
 
 
 def _format_bool(value) -> str:
@@ -191,9 +189,17 @@ def _format_bool(value) -> str:
     return "true" if value else "false"
 
 
+def _format_str(value) -> str:
+    """A path's text; None, a number, or what a line cannot hold is refused."""
+    text = os.fspath(value)
+    if text != text.strip() or len(text.splitlines()) > 1:
+        raise ValueError(f"expected one line without surrounding whitespace, got {text!r}")
+    return text
+
+
 # scalar type -> (parse, format); format writes a value as that type
 _SCALARS = {
-    str: (str, os.fspath),  # a path stands for its text; None or a number is refused
+    str: (str, _format_str),
     int: (int, lambda v: str(operator.index(v))),
     float: (float, lambda v: repr(float(v))),
     bool: (_parse_bool, _format_bool),

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .tensor import split_flat
 
 log = logging.getLogger(__name__)
 
@@ -78,19 +81,22 @@ class DeterministicMask:
     """Per-layer boolean topology masks plus their fixed nonzero targets.
 
     `layers` is never mutated in place: a topology update builds a new
-    mask. That keeps the cached flat indices of the active positions valid
-    for the life of the object.
+    mask. That keeps the cached flat form and its indices valid for the
+    life of the object.
     """
 
     layers: list[np.ndarray]
     target_nnz: tuple[int, ...]
-    _active: list[np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def active_indices(self) -> list[np.ndarray]:
-        """Per layer, the flat row-major indices of the active positions."""
-        if self._active is None:
-            self._active = [np.flatnonzero(m) for m in self.layers]
-        return self._active
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """A packed model's mask: each layer's topology raveled, then true over every bias."""
+        return np.concatenate([m.ravel() for m in self.layers]
+                              + [np.ones(m.shape[0], dtype=bool) for m in self.layers])
+
+    @cached_property
+    def flat_active(self) -> np.ndarray:  # the indices of the active weights in flat
+        return np.flatnonzero(self.flat)[: sum(self.nnz())]
 
     def nnz(self) -> tuple[int, ...]:
         return tuple(int(np.count_nonzero(m)) for m in self.layers)
@@ -115,20 +121,20 @@ def init_mask(shapes, layer_sparsities, rng: np.random.Generator) -> Determinist
     return DeterministicMask(layers, tuple(targets))
 
 
-def sample_random_mask(mask: DeterministicMask, keep_prob: float, rng: np.random.Generator):
+def sample_random_mask(mask: DeterministicMask, keep_prob: float, rng: np.random.Generator,
+                       out: np.ndarray | None = None):
     """Bernoulli(keep_prob) over the active positions of the topology mask.
 
-    Positions inactive in the topology are 0 by convention. Returns one
-    boolean array per layer.
+    Positions inactive in the topology are 0 by convention. One rng.random
+    over all active weights draws what one per layer would. The draw fills
+    out, or a fresh flat mask, laid out as mask.flat; returns its layer views.
     """
     if not 0.0 <= keep_prob <= 1.0:
         raise ValueError("keep probability must be in [0, 1]")
-    out = []
-    for m, active in zip(mask.layers, mask.active_indices()):
-        z = np.zeros(m.size, dtype=bool)
-        z[active] = rng.random(active.size) < keep_prob
-        out.append(z.reshape(m.shape))
-    return out
+    out = np.empty_like(mask.flat) if out is None else out
+    np.copyto(out, mask.flat)
+    out[mask.flat_active] = rng.random(mask.flat_active.size) < keep_prob
+    return split_flat(out, [m.shape for m in mask.layers])
 
 
 def mask_update_fraction(step: int, alpha: float, t_end: int) -> float:
@@ -171,10 +177,9 @@ def update_deterministic_mask(weights, dense_grads, mask: DeterministicMask,
     linear in the layer size.
     """
     new_layers = []
-    for li, (w, g, m, active) in enumerate(zip(weights, dense_grads, mask.layers,
-                                               mask.active_indices())):
+    for li, (w, g, m) in enumerate(zip(weights, dense_grads, mask.layers)):
         flat_m = m.ravel()
-        inactive = np.flatnonzero(~flat_m)
+        active, inactive = np.flatnonzero(flat_m), np.flatnonzero(~flat_m)
         k = int(fraction * active.size)
         if k > inactive.size:
             if inactive.size:  # a dense layer has nothing to regrow into: no warning

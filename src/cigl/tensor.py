@@ -1,14 +1,18 @@
 """Dense MLP with manual reverse-mode gradients, softmax cross-entropy,
 and SGD with momentum.
 
-Parameters are stored as float32 during training; loss and metric
-reductions accumulate in float64. forward/backward are dtype-generic so
-gradient checks can run entirely in float64.
+Parameters are float32 in training, packed in one flat buffer (every weight,
+then every bias) that the layer arrays view: backward writes into such views,
+and sgd_step runs one ufunc per operation over it. Loss and metric reductions
+accumulate in float64; forward/backward are dtype-generic so gradient checks
+can run entirely in float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +35,7 @@ class MlpModel:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray | None = field(default=None, repr=False, compare=False)  # see over()
 
     def __post_init__(self):
         n_w, n_b = len(self.weights), len(self.biases)
@@ -49,6 +54,22 @@ class MlpModel:
     def n_layers(self) -> int:
         return len(self.weights)
 
+    def over(self, flat: np.ndarray) -> "MlpModel":
+        """These layer sizes over flat, kept as .flat: the weights, then the
+        biases, view its consecutive segments."""
+        views = split_flat(flat, [a.shape for a in self.weights + self.biases])
+        return MlpModel(views[: self.n_layers], views[self.n_layers :], flat)
+
+    def packed(self) -> "MlpModel":
+        """A copy of this model over one fresh flat buffer."""
+        return self.over(np.concatenate([a.ravel() for a in self.weights + self.biases]))
+
+
+def split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive segments of flat, one of each shape, in order."""
+    ends = itertools.accumulate(math.prod(s) for s in shapes)
+    return [flat[end - math.prod(s) : end].reshape(s) for s, end in zip(shapes, ends)]
+
 
 def init_mlp(dims, rng, dtype=np.float32) -> MlpModel:
     """He-initialised MLP with layer sizes dims = [d_in, h1, ..., d_out]."""
@@ -60,31 +81,28 @@ def init_mlp(dims, rng, dtype=np.float32) -> MlpModel:
     return MlpModel(weights, biases)
 
 
-def _forward_trace(model: MlpModel, x: np.ndarray):
-    """Logits plus the input seen by each layer (needed for backprop).
-
-    The bias add and the ReLU write into the matmul's output, so the bias
-    is added in the activation dtype. Only x's shape is checked: MlpModel
-    checked the layers, and Dataset the features every input is made of.
-    """
+def _forward_trace(model: MlpModel, x: np.ndarray, bias_rows=None):
+    """Logits plus the input seen by each layer (needed for backprop). The
+    bias add and the ReLU write into the matmul's output, so the bias is added
+    in the activation dtype, from bias_rows[layer][:len(x)] if given: the same
+    sums as a broadcast, in one contiguous add. Only x's shape is checked:
+    MlpModel checked the layers, and Dataset every input's features."""
     if x.ndim != 2 or x.shape[1] != model.weights[0].shape[1]:
         raise ShapeError(f"layer 0: input is {x.shape}, weight is {model.weights[0].shape}")
-    acts = [x]
-    h = x
+    h, acts = x, [x]
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         h = h @ w.T
-        h += b
+        h += b if bias_rows is None else bias_rows[i][: len(h)]
         if i != last:
             np.maximum(h, 0, out=h)
             acts.append(h)
     return h, acts
 
 
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+def forward(model: MlpModel, x: np.ndarray, bias_rows=None) -> np.ndarray:
     """Logits for a batch of inputs."""
-    logits, _ = _forward_trace(model, x)
-    return logits
+    return _forward_trace(model, x, bias_rows)[0]
 
 
 # numpy reduces a narrow last axis as a per-row loop, many times slower than
@@ -153,71 +171,64 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     """
     if not np.isfinite(logits).all():
         raise NonFiniteError("non-finite logits")
-
     z = np.asarray(logits, dtype=np.float64)
     zmax = row_max(z)
-    ez = np.exp(z - zmax[:, None])
+    ez = z - zmax[:, None]
+    np.exp(ez, out=ez)
     denom = row_sum(ez)
     lse = np.log(denom) + zmax
     t64 = np.asarray(targets, dtype=np.float64)
-    loss = float(np.mean(lse - row_sum(t64 * z)))
     batch = z.shape[0]
-    dlogits = ((ez / denom[:, None] - t64) / batch).astype(logits.dtype, copy=False)
-    return loss, dlogits
+    loss = float(np.add.reduce(lse - row_sum(t64 * z)) / batch)  # np.mean's sum and division
+    ez /= denom[:, None]
+    ez -= t64
+    ez /= batch
+    return loss, ez.astype(logits.dtype, copy=False)
 
 
-def backward(model: MlpModel, x: np.ndarray, targets: np.ndarray):
+def backward(model: MlpModel, x: np.ndarray, targets: np.ndarray, out: MlpModel | None = None):
     """Gradients of the mean cross-entropy for every weight and bias.
 
-    Returns (loss, weight_grads, bias_grads). The L2 term is not part of
+    Returns (loss, weight_grads, bias_grads), written into the arrays of out
+    (a model of the same layer sizes) if given. The L2 term is not part of
     the loss here; the optimizer applies weight decay itself.
     """
     logits, acts = _forward_trace(model, x)
     loss, delta = softmax_cross_entropy(logits, targets)
-    n = model.n_layers
-    gw: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    gb: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for i in reversed(range(n)):
-        gw[i] = delta.T @ acts[i]
-        gb[i] = delta.sum(axis=0)
+    if out is None:
+        out = model.over(np.empty(sum(a.size for a in model.weights + model.biases), delta.dtype))
+    for i in reversed(range(model.n_layers)):
+        np.matmul(delta.T, acts[i], out=out.weights[i])
+        np.add.reduce(delta, axis=0, out=out.biases[i])
         if i > 0:
-            # acts[i] > 0 is the ReLU derivative (zero at exactly 0)
-            delta = (delta @ model.weights[i]) * (acts[i] > 0)
-    return loss, gw, gb
+            delta = delta @ model.weights[i]
+            delta *= acts[i] > 0  # the ReLU derivative (zero at exactly 0)
+    return loss, out.weights, out.biases
 
 
 @dataclass
 class SgdState:
-    """Momentum buffers; decay applies to weights only, never biases."""
+    """The flat momentum buffer of a packed model: every weight's velocity,
+    then every bias's. Decay applies to the first n_weights, never biases."""
 
-    velocity_w: list[np.ndarray]
-    velocity_b: list[np.ndarray]
+    velocity: np.ndarray
+    n_weights: int
     momentum: float
     weight_decay: float
 
     @classmethod
     def for_model(cls, model: MlpModel, momentum: float, weight_decay: float) -> "SgdState":
-        return cls(
-            [np.zeros_like(w) for w in model.weights],
-            [np.zeros_like(b) for b in model.biases],
-            momentum,
-            weight_decay,
-        )
+        return cls(np.zeros_like(model.flat), sum(w.size for w in model.weights), momentum,
+                   weight_decay)
 
 
-def sgd_step(model: MlpModel, grads_w, grads_b, state: SgdState, lr: float) -> None:
-    """v <- momentum*v + g + weight_decay*w ; w <- w - lr*v.
-
-    Weights and velocity buffers are updated in place, in that operation
-    order, so the float32 results equal the out-of-place expression's.
-    """
-    for w, g, v in zip(model.weights, grads_w, state.velocity_w):
-        v *= state.momentum
-        v += g
-        v += state.weight_decay * w
-        w -= lr * v
-    for b, g, v in zip(model.biases, grads_b, state.velocity_b):
-        v *= state.momentum
-        v += g
-        b -= lr * v
+def sgd_step(w: np.ndarray, g: np.ndarray, state: SgdState, lr: float) -> None:
+    """v <- momentum*v + g + weight_decay*w ; w <- w - lr*v over the flat
+    buffers of a packed model, biases undecayed. Updated in place, in that
+    operation order, so the float32 results equal the out-of-place expression's."""
+    v, nw = state.velocity, state.n_weights
+    v *= state.momentum
+    v += g
+    v[:nw] += state.weight_decay * w[:nw]
+    w -= lr * v
 

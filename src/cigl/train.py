@@ -63,9 +63,12 @@ class TrainResult:
 
 
 def predict_logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
+    """Float64 logits, a forward pass per BLOCK_ROWS rows (other block sizes
+    change their bits), adding bias rows built once per call."""
     out = np.empty((len(features), model.weights[-1].shape[0]), dtype=np.float64)
+    rows = [np.broadcast_to(b, (min(BLOCK_ROWS, len(out)), b.size)).copy() for b in model.biases]
     for start in range(0, len(features), BLOCK_ROWS):
-        out[start : start + BLOCK_ROWS] = forward(model, features[start : start + BLOCK_ROWS])
+        out[start : start + BLOCK_ROWS] = forward(model, features[start : start + BLOCK_ROWS], rows)
     return out
 
 
@@ -111,25 +114,23 @@ def masked_model(model: MlpModel, z) -> MlpModel:
     return MlpModel([w * zz for w, zz in zip(model.weights, z)], model.biases)
 
 
-def _apply_topology(model: MlpModel, mask: DeterministicMask) -> None:
-    """w *= m: off the topology the weights become zeros of their own sign,
-    so afterwards w equals w * m bit for bit."""
-    for w, m in zip(model.weights, mask.layers):
-        w *= m
-
-
 @dataclass
 class TrainState:
-    """Everything the loop carries between steps. The model holds w * m
-    between steps, and z is the last iteration's effective mask."""
+    """Everything the loop carries between steps. The packed model holds
+    w * m between steps: w *= m leaves zeros of w's own sign off the topology,
+    so w equals w * m bit for bit. grads, seen (w * z), the SGD velocity, the
+    random mask z, mask.flat and the WMA mean are flat buffers of its layout."""
 
     model: MlpModel
+    grads: MlpModel
+    seen: MlpModel | None  # for random-mask methods, as are z_rng and z
     mask: DeterministicMask
     sgd: SgdState
     wma: WmaAccumulator
-    z_rng: np.random.Generator | None  # random-mask draws, for random-mask methods
+    targets: np.ndarray  # the smoothed target row of each class
+    z_rng: np.random.Generator | None
+    z: np.ndarray | None  # the last iteration's draw; without one, m is the effective mask
     mix_rng: np.random.Generator | None  # mixup draws, when mixup is on
-    z: list[np.ndarray] | None = None
     t: int = 0  # iterations run
     history: list[EpochRecord] = field(default_factory=list)
     update_log: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
@@ -137,17 +138,21 @@ class TrainState:
     @classmethod
     def start(cls, config: TrainConfig, data: Dataset) -> "TrainState":
         """He-initialised weights under a random topology of the method's sparsity."""
-        method, seed = METHODS[config.method], config.seed
-        model = init_mlp([data.n_features, *config.hidden, data.n_classes],
-                         substream(seed, "init.weights"))
+        method, seed, k = METHODS[config.method], config.seed, data.n_classes
+        model = init_mlp([data.n_features, *config.hidden, k],
+                         substream(seed, "init.weights")).packed()
         shapes = [w.shape for w in model.weights]
         plan = build_sparsity_plan(shapes, config.sparsity if method.sparse else 0.0,
                                    config.sparsity_mode, config.mask_exclude)
         mask = init_mask(shapes, plan, substream(seed, "mask.init"))
-        _apply_topology(model, mask)
-        return cls(model, mask, SgdState.for_model(model, config.momentum, config.weight_decay),
-                   WmaAccumulator(),
-                   substream(seed, "mask.random") if method.random_mask else None,
+        model.flat *= mask.flat  # w * m, and the biases times true
+        random = method.random_mask
+        return cls(model, model.over(np.empty_like(model.flat)),
+                   model.over(np.empty_like(model.flat)) if random else None, mask,
+                   SgdState.for_model(model, config.momentum, config.weight_decay),
+                   WmaAccumulator(), label_smoothing_targets(np.arange(k), config.label_smoothing, k),
+                   substream(seed, "mask.random") if random else None,
+                   np.empty_like(mask.flat) if random else None,
                    substream(seed, "train.mixup") if config.mixup_alpha > 0 else None)
 
 
@@ -179,13 +184,12 @@ def _topology_update(s: TrainState, config: TrainConfig, xb: np.ndarray, targets
                      update_end: int) -> None:
     """Prune/regrow by the dense gradients at the bare masked weights, which
     the model holds already; regrown weights start with zero velocity."""
-    _, dense_gw, _ = backward(s.model, xb, targets)
+    _, dense_gw, _ = backward(s.model, xb, targets, out=s.grads)
     fraction = mask_update_fraction(s.t, config.update_fraction, update_end)
     new_mask = update_deterministic_mask(s.model.weights, dense_gw, s.mask, fraction)
-    for v, new_m, old_m in zip(s.sgd.velocity_w, new_mask.layers, s.mask.layers):
-        v[new_m & ~old_m] = 0.0
+    s.sgd.velocity[new_mask.flat & ~s.mask.flat] = 0.0
     s.mask = new_mask
-    _apply_topology(s.model, s.mask)
+    s.model.flat *= s.mask.flat
     s.update_log.append((s.t, s.mask.nnz()))
 
 
@@ -196,26 +200,23 @@ def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.nd
     step on the weights seen under the effective mask z: the random mask
     (zero off m), or m itself, under which the weights are already w * m."""
     s.t += 1
-    targets = label_smoothing_targets(yb, config.label_smoothing, s.model.weights[-1].shape[0])
+    targets = s.targets[yb]
     if s.mix_rng is not None:
         perm = s.mix_rng.permutation(len(xb))
         xb, targets, _ = mixup_batch(xb, targets, xb[perm], targets[perm], config.mixup_alpha,
                                      s.mix_rng)
     if METHODS[config.method].sparse and s.t % config.update_interval == 0 and s.t < update_end:
         _topology_update(s, config, xb, targets, update_end)
-    if s.z_rng is not None:
-        s.z = sample_random_mask(s.mask, config.keep_prob, s.z_rng)
-        seen = masked_model(s.model, s.z)
-    else:
-        s.z, seen = s.mask.layers, s.model
+    if s.seen is not None:
+        sample_random_mask(s.mask, config.keep_prob, s.z_rng, out=s.z)
+        np.multiply(s.model.flat, s.z, out=s.seen.flat)
     try:
-        loss, gw, gb = backward(seen, xb, targets)
+        loss, _, _ = backward(s.model if s.seen is None else s.seen, xb, targets, out=s.grads)
     except NonFiniteError as exc:
         raise NonFiniteError(f"training diverged at epoch {epoch}, iteration {s.t}: {exc}") from None
-    for g, zz in zip(gw, s.z):
-        g *= zz
-    sgd_step(s.model, gw, gb, s.sgd, lr)
-    _apply_topology(s.model, s.mask)
+    s.grads.flat *= s.mask.flat if s.z is None else s.z
+    sgd_step(s.model.flat, s.grads.flat, s.sgd, lr)
+    s.model.flat *= s.mask.flat
     return loss
 
 
@@ -227,15 +228,10 @@ def _end_epoch(s: TrainState, config: TrainConfig, test_data: Dataset, epoch: in
     wma_start = config.resolved_wma_start()
     if (METHODS[config.method].wma and epoch > wma_start
             and (epoch - wma_start) % config.wma_every == 0):
-        # wma_update copies every array it folds, so the live biases can go in
-        wma_update(s.wma, masked_model(s.model, s.z).weights + s.model.biases)
-    if s.wma.n_models > 0:
-        n = len(s.model.weights)
-        model = MlpModel([a.astype(np.float32) * m for a, m in zip(s.wma.means[:n], s.mask.layers)],
-                         [a.astype(np.float32) for a in s.wma.means[n:]])
-    else:
-        model = MlpModel([w * m for w, m in zip(s.model.weights, s.mask.layers)],
-                         [b.copy() for b in s.model.biases])
+        wma_update(s.wma, [s.model.flat * (s.mask.flat if s.z is None else s.z)])
+    out = (s.wma.means[0] if s.wma.n_models else s.model.flat).astype(np.float32)
+    out *= s.mask.flat
+    model = s.model.over(out)
     probs, bins = evaluate(model, s.mask, config, test_data, epoch)
     s.history.append(EpochRecord(epoch, train_loss, bins.accuracy, bins.ece, lr,
                                  s.mask.sparsity(), s.wma.n_models))

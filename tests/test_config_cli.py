@@ -155,6 +155,22 @@ class TestConfigParsing:
         lines = format_config(cfg).splitlines()
         assert lines[-2:] == ["calib.mixup_alpha = 0.2", "calib.label_smoothing = 0.1"]
 
+    # A str value that a config line cannot hold is refused naming its key: the
+    # file form would split it (a second line is an error or a comment) or strip it.
+    def test_text_with_a_line_break_is_refused_naming_its_key(self):
+        with pytest.raises(ConfigError, match=r"^run\.id: .*got 'a\\nb'$"):
+            resolve_config(ExperimentConfig(run_id="a\nb"))
+
+    def test_text_whose_second_line_reads_as_a_comment_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^run\.id: .*got 'a\\n# c'$"):
+            resolve_config(ExperimentConfig(run_id="a\n# c"))
+
+    def test_text_with_surrounding_whitespace_is_refused(self):
+        with pytest.raises(ConfigError, match=r"^run\.id: .*got ' a '$"):
+            resolve_config(ExperimentConfig(run_id=" a "))
+        with pytest.raises(ConfigError, match=r"^data\.csv_path: "):
+            format_config(ExperimentConfig(data=DataConfig(csv_path="x.csv\t")))
+
     def test_default_resolved_text_is_pinned(self):
         assert format_config(resolve_config(ExperimentConfig())) == DEFAULT_RESOLVED
 

@@ -144,6 +144,31 @@ class TestRandomMaskStream:
         sample_random_mask(mask, keep_prob, substream(1, "warm"))  # fill the old mask's cache
         self._assert_stream_matches(new, keep_prob)
 
+    def test_flat_layout_is_every_layer_then_true_over_the_biases(self, mask):
+        n_weights = sum(m.size for m in mask.layers)
+        assert mask.flat.tolist() == (np.concatenate([m.ravel() for m in mask.layers]).tolist()
+                                      + [True] * sum(m.shape[0] for m in mask.layers))
+        offsets = np.cumsum([0] + [m.size for m in mask.layers])
+        want = np.concatenate([np.flatnonzero(m) + off for m, off in zip(mask.layers, offsets)])
+        assert np.array_equal(mask.flat_active, want) and want.max() < n_weights
+
+    @pytest.mark.parametrize("keep_prob", [0.0, 0.9, 1.0])
+    def test_reused_buffer_draws_what_a_fresh_one_does(self, mask, keep_prob):
+        # a buffer last filled under an old topology, or left all true, holds
+        # no stale true at the new topology's inactive positions
+        rng = np.random.default_rng(0)
+        w = [rng.normal(0, 1, m.shape).astype(np.float32) * m for m in mask.layers]
+        g = [rng.normal(0, 1, m.shape).astype(np.float32) for m in mask.layers]
+        new = update_deterministic_mask(w, g, mask, 0.3)
+        out = np.ones_like(mask.flat)
+        got_rng, want_rng = substream(9, "mask.random"), substream(9, "mask.random")
+        for m in (mask, mask, new, new):
+            got = sample_random_mask(m, keep_prob, got_rng, out=out)
+            want = sample_random_mask(m, keep_prob, want_rng)
+            assert all(np.array_equal(a, b) and np.shares_memory(a, out) for a, b in zip(got, want))
+            assert not out[~m.flat].any() and out[-sum(layer.shape[0] for layer in m.layers):].all()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     @pytest.mark.parametrize("keep_prob", [0.0, 0.9, 1.0])
     def test_mask_rebuilt_from_checkpoint(self, mask, keep_prob, tmp_path):
         tensors, masks = [], []

@@ -102,6 +102,18 @@ class TestForward:
                 h = np.maximum(h, 0)
         np.testing.assert_array_equal(forward(model, x), h)
         np.testing.assert_array_equal(x, x_before)
+        rows = [np.broadcast_to(b, (40, b.size)).copy() for b in model.biases]
+        assert forward(model, x, rows).tobytes() == h.tobytes()
+
+    def test_packed_model_views_one_buffer_in_layer_order(self):
+        model = init_mlp([3, 4, 2], substream(8, "t"))
+        packed = model.packed()
+        assert packed.flat.size == 12 + 8 + 4 + 2
+        for a, b in zip(model.weights + model.biases, packed.weights + packed.biases):
+            assert a.tobytes() == b.tobytes() and np.shares_memory(b, packed.flat)
+        assert not np.shares_memory(packed.flat, model.weights[0])
+        packed.flat[:12] = 7.0
+        assert np.all(packed.weights[0] == 7.0) and not np.any(packed.weights[1] == 7.0)
 
 
 class TestSoftmaxCrossEntropy:
@@ -192,66 +204,114 @@ class TestBackward:
         for a, b in zip(gw1 + gb1, gw2 + gb2):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("dims", [[2, 64, 64, 2], [20, 48, 10], [784, 300, 100, 10]])
+    def test_writing_into_packed_views_gives_the_allocating_bytes(self, dims):
+        rng = substream(13, "t")
+        model = init_mlp(dims, rng).packed()
+        x = rng.standard_normal((37, dims[0])).astype(np.float32)
+        targets = label_rows(rng, 37, dims[-1])
+        loss, gw, gb = backward(model, x, targets)
+        grads = model.over(np.full_like(model.flat, np.nan))
+        got_loss, got_w, got_b = backward(model, x, targets, out=grads)
+        assert got_loss == loss
+        assert got_w is grads.weights and got_b is grads.biases
+        for want, got in zip(gw + gb, got_w + got_b):
+            assert want.dtype == got.dtype and want.tobytes() == got.tobytes()
+        assert grads.flat.tobytes() == _flat(gw + gb).tobytes()
+
+
+def _flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
 
 class TestSgd:
+    """sgd_step works on the flat buffers of a packed model: here one weight,
+    then one bias."""
+
     def _model(self, w0):
-        return MlpModel([np.array([[w0]], dtype=np.float32)], [np.zeros(1, np.float32)])
+        return MlpModel([np.array([[w0]], dtype=np.float32)], [np.zeros(1, np.float32)]).packed()
 
     def test_vanilla_sgd_without_momentum(self):
         model = self._model(1.0)
         state = SgdState.for_model(model, momentum=0.0, weight_decay=0.0)
-        sgd_step(model, [np.array([[0.5]], np.float32)], [np.zeros(1, np.float32)], state, lr=0.1)
+        sgd_step(model.flat, _f32(0.5, 0.0), state, lr=0.1)
         assert model.weights[0][0, 0] == pytest.approx(0.95, abs=1e-7)
 
     def test_zero_gradient_is_fixed_point(self):
         model = self._model(2.0)
         state = SgdState.for_model(model, momentum=0.0, weight_decay=0.0)
-        sgd_step(model, [np.zeros((1, 1), np.float32)], [np.zeros(1, np.float32)], state, lr=0.1)
+        sgd_step(model.flat, _f32(0.0, 0.0), state, lr=0.1)
         assert model.weights[0][0, 0] == 2.0
 
     def test_two_momentum_steps_hand_iteration(self):
         model = self._model(0.0)
         state = SgdState.for_model(model, momentum=0.9, weight_decay=0.0)
-        g = [np.ones((1, 1), np.float32)]
-        zb = [np.zeros(1, np.float32)]
-        sgd_step(model, g, zb, state, lr=1.0)
+        g = _f32(1.0, 0.0)
+        sgd_step(model.flat, g, state, lr=1.0)
         assert model.weights[0][0, 0] == pytest.approx(-1.0)
-        sgd_step(model, g, zb, state, lr=1.0)
+        sgd_step(model.flat, g, state, lr=1.0)
         assert model.weights[0][0, 0] == pytest.approx(-2.9)
 
     def test_decay_applies_to_weights_not_biases(self):
-        model = MlpModel([np.ones((1, 1), np.float32)], [np.ones(1, np.float32)])
+        model = MlpModel([np.ones((1, 1), np.float32)], [np.ones(1, np.float32)]).packed()
         state = SgdState.for_model(model, momentum=0.0, weight_decay=0.5)
-        sgd_step(model, [np.zeros((1, 1), np.float32)], [np.zeros(1, np.float32)], state, lr=1.0)
+        sgd_step(model.flat, _f32(0.0, 0.0), state, lr=1.0)
         assert model.weights[0][0, 0] == pytest.approx(0.5)
         assert model.biases[0][0] == 1.0
 
-
-    def test_in_place_update_matches_out_of_place_formula(self):
-        rng = np.random.default_rng(3)
-        model = init_mlp([6, 5, 3], rng)
+    def _assert_matches_per_layer_formula(self, model, grad_steps, regrow_at=None):
+        """Run flat sgd_step on the packed model and the out-of-place per-layer
+        expression on copies; weights, biases and velocities must match in bytes."""
         state = SgdState.for_model(model, momentum=0.9, weight_decay=5e-4)
+        velocity = model.over(state.velocity)
         ref_w, ref_b = [w.copy() for w in model.weights], [b.copy() for b in model.biases]
         ref_vw = [np.zeros_like(w) for w in ref_w]
         ref_vb = [np.zeros_like(b) for b in ref_b]
-        ids = [id(v) for v in state.velocity_w + state.velocity_b]
-        for step in range(6):
-            gw = [rng.normal(0, 1, w.shape).astype(np.float32) for w in ref_w]
-            gb = [rng.normal(0, 1, b.shape).astype(np.float32) for b in ref_b]
-            if step == 3:  # regrowth zeroes the velocity of newly active positions
-                for v in state.velocity_w + ref_vw:
+        buffer = state.velocity
+        for step, (gw, gb) in enumerate(grad_steps):
+            if step == regrow_at:  # regrowth zeroes the velocity of newly active positions
+                for v in velocity.weights + ref_vw:
                     v[0, :2] = 0.0
-            sgd_step(model, gw, gb, state, lr=0.05)
+            sgd_step(model.flat, _flat(gw + gb), state, lr=0.05)
             for i, (w, g) in enumerate(zip(ref_w, gw)):
                 ref_vw[i] = 0.9 * ref_vw[i] + g + 5e-4 * w
                 w -= 0.05 * ref_vw[i]
             for i, (b, g) in enumerate(zip(ref_b, gb)):
                 ref_vb[i] = 0.9 * ref_vb[i] + g
                 b -= 0.05 * ref_vb[i]
-            for got, want in zip(model.weights + model.biases + state.velocity_w + state.velocity_b,
+            for got, want in zip(model.weights + model.biases + velocity.weights + velocity.biases,
                                  ref_w + ref_b + ref_vw + ref_vb):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert [id(v) for v in state.velocity_w + state.velocity_b] == ids
+        assert state.velocity is buffer and velocity.flat is buffer
+
+    def test_in_place_update_matches_out_of_place_formula(self):
+        rng = np.random.default_rng(3)
+        model = init_mlp([6, 5, 3], rng).packed()
+        shapes = [a.shape for a in model.weights + model.biases]
+        steps = []
+        for _ in range(6):
+            g = [rng.normal(0, 1, shape).astype(np.float32) for shape in shapes]
+            steps.append((g[:2], g[2:]))
+        self._assert_matches_per_layer_formula(model, steps, regrow_at=3)
+
+    def test_flat_step_keeps_signed_zeros_and_leaves_biases_undecayed(self):
+        # Masked weights and gradients are zeros of either sign; a step with a
+        # zero gradient and no velocity leaves the sign of a zero weight as it is.
+        rng = np.random.default_rng(4)
+        model = init_mlp([6, 5, 3], rng).packed()
+        model.weights[0][:, :2] = -0.0
+        model.weights[1][1] = 0.0
+        model.biases[0][:] = [-0.0, 0.0, 1.0, -1.0, -0.0]
+        steps = []
+        for _ in range(3):
+            g = [rng.normal(0, 1, a.shape).astype(np.float32) for a in model.weights + model.biases]
+            g[0][:, :2] = -0.0
+            g[1][1] = 0.0
+            g[2][:2] = [-0.0, 0.0]
+            steps.append((g[:2], g[2:]))
+        self._assert_matches_per_layer_formula(model, steps)
+        assert np.signbit(model.weights[0][:, :2]).all() and not np.signbit(model.weights[1][1]).any()
+        assert np.signbit(model.biases[0][:2]).tolist() == [True, False]
 
 
 class TestSoftmax:
@@ -364,14 +424,15 @@ class TestLrSchedule:
 def test_deterministic_init_and_steps():
     def run():
         rng = substream(11, "init.weights")
-        model = init_mlp([4, 8, 2], rng)
+        model = init_mlp([4, 8, 2], rng).packed()
         state = SgdState.for_model(model, 0.9, 1e-4)
+        grads = model.over(np.empty_like(model.flat))
         data_rng = substream(11, "data")
         x = data_rng.normal(0, 1, (16, 4)).astype(np.float32)
         targets = _one_hot(data_rng.integers(0, 2, 16), 2)
         for _ in range(30):
-            _, gw, gb = backward(model, x, targets)
-            sgd_step(model, gw, gb, state, lr=0.05)
+            backward(model, x, targets, out=grads)
+            sgd_step(model.flat, grads.flat, state, lr=0.05)
         return model
 
     a, b = run(), run()
@@ -386,11 +447,11 @@ def test_loss_halves_on_separable_data():
         rng.normal(2.0, 0.3, (40, 2)),
     ]).astype(np.float32)
     targets = _one_hot(np.repeat([0, 1], 40), 2)
-    model = init_mlp([2, 8, 2], substream(5, "init.weights"))
+    model = init_mlp([2, 8, 2], substream(5, "init.weights")).packed()
     state = SgdState.for_model(model, 0.9, 0.0)
     first, _, _ = backward(model, x, targets)
     for _ in range(200):
         _, gw, gb = backward(model, x, targets)
-        sgd_step(model, gw, gb, state, lr=0.05)
+        sgd_step(model.flat, _flat(gw + gb), state, lr=0.05)
     last, _, _ = backward(model, x, targets)
     assert last <= 0.5 * first

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cigl.calibration import nll, reliability_bins
 from cigl.config import ConfigError
-from cigl.data import Dataset, inject_label_noise, split_dataset, synth_two_moons
+from cigl.data import BatchIterator, Dataset, inject_label_noise, split_dataset, synth_two_moons
 from cigl.masks import (
     DeterministicMask,
     build_sparsity_plan,
@@ -17,8 +17,10 @@ from cigl.rng import substream
 from cigl.tensor import MlpModel, NonFiniteError, init_mlp
 from cigl.train import (
     METHODS,
-    _apply_topology,
+    _end_epoch,
+    _sgd_iteration,
     TrainConfig,
+    TrainState,
     evaluate,
     masked_model,
     predict_mc_dropout,
@@ -89,6 +91,21 @@ class TestTrainLoop:
         assert weights_bytes(a.model) == weights_bytes(b.model)
         assert a.history == b.history
 
+    @pytest.mark.parametrize("method", ["cigl", "rigl"])  # a WMA mean, the bare masked weights
+    def test_output_model_shares_no_memory_with_the_live_buffers(self, method):
+        tr, te = small_data()
+        cfg = small_config(method, epochs=2, wma_start_epoch=0)
+        s = TrainState.start(cfg, tr)
+        for xb, yb in BatchIterator(tr, cfg.batch_size, cfg.seed).epoch_batches(0):
+            _sgd_iteration(s, cfg, xb, yb, 0.1, 1, 100)
+        res = _end_epoch(s, cfg, te, 1, 0.1, 0.0)
+        assert res.history[-1].n_models_in_wma == (method == "cigl")
+        live = [s.model.flat, s.grads.flat, s.sgd.velocity, *(s.wma.means or [])]
+        live += [s.seen.flat, s.z] if method == "cigl" else []
+        out = res.model.weights + res.model.biases
+        assert all(np.shares_memory(a, res.model.flat) for a in out)
+        assert not any(np.shares_memory(a, b) for a in out + [res.model.flat] for b in live)
+
     def test_wma_snapshot_count(self):
         tr, te = small_data()
         res = train(small_config("cigl", epochs=10, wma_start_epoch=5), tr, te)
@@ -126,9 +143,9 @@ class TestTrainLoop:
         mask = init_mask([w.shape], build_sparsity_plan([w.shape], 0.7), substream(2, "mask.init"))
         m = mask.layers[0]
         z = sample_random_mask(mask, 0.6, substream(2, "mask.random"))[0]
-        raw = MlpModel([w.copy()], [np.zeros(40, np.float32)])
+        raw = MlpModel([w.copy()], [np.zeros(40, np.float32)]).packed()
         assert masked_model(raw, [z]).weights[0].tobytes() == (w * m * z).tobytes()
-        _apply_topology(raw, mask)
+        raw.flat *= mask.flat  # the loop's topology multiply
         assert raw.weights[0].tobytes() == (w * m).tobytes()
         assert raw.weights[0].tobytes() == (raw.weights[0] * m).tobytes()
         g = rng.normal(0, 1, w.shape).astype(np.float32)
@@ -263,10 +280,10 @@ class TestEvaluate:
     @pytest.mark.parametrize("method", list(METHODS))
     def test_method_chooses_mc_dropout_or_one_softmax(self, method):
         tr, _ = small_data()
-        model = init_mlp([2, 16, 2], substream(1, "eval.init"))
+        model = init_mlp([2, 16, 2], substream(1, "eval.init")).packed()
         shapes = [w.shape for w in model.weights]
         mask = init_mask(shapes, build_sparsity_plan(shapes, 0.5), substream(1, "eval.mask"))
-        _apply_topology(model, mask)
+        model.flat *= mask.flat
         cfg = TrainConfig(method=method, seed=5, keep_prob=0.7, mc_samples=3, n_bins=7)
         probs, bins = evaluate(model, mask, cfg, tr, 4)
         if METHODS[method].mc_predict:
