@@ -177,9 +177,12 @@ def update_deterministic_mask(weights, dense_grads, mask: DeterministicMask,
     linear in the layer size.
     """
     new_layers = []
-    for li, (w, g, m) in enumerate(zip(weights, dense_grads, mask.layers)):
+    segments = np.split(mask.flat_active, np.cumsum(mask.nnz())[:-1])  # one per layer
+    offsets = np.cumsum([0, *(m.size for m in mask.layers)])
+    for li, (w, g, m, segment, offset) in enumerate(zip(weights, dense_grads, mask.layers,
+                                                         segments, offsets)):
         flat_m = m.ravel()
-        active, inactive = np.flatnonzero(flat_m), np.flatnonzero(~flat_m)
+        active, inactive = segment - offset, np.flatnonzero(~flat_m)
         k = int(fraction * active.size)
         if k > inactive.size:
             if inactive.size:  # a dense layer has nothing to regrow into: no warning

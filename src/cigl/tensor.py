@@ -81,28 +81,27 @@ def init_mlp(dims, rng, dtype=np.float32) -> MlpModel:
     return MlpModel(weights, biases)
 
 
-def _forward_trace(model: MlpModel, x: np.ndarray, bias_rows=None):
-    """Logits plus the input seen by each layer (needed for backprop). The
-    bias add and the ReLU write into the matmul's output, so the bias is added
-    in the activation dtype, from bias_rows[layer][:len(x)] if given: the same
-    sums as a broadcast, in one contiguous add. Only x's shape is checked:
-    MlpModel checked the layers, and Dataset every input's features."""
+def _forward_trace(model: MlpModel, x: np.ndarray, plan=None):
+    """Logits plus the input seen by each layer (needed for backprop). The bias
+    add and the ReLU write into the matmul's output. The operands are w.T, b
+    and 0, or plan[layer]: w.T or its contiguous copy, and b and 0 as blocks
+    of x's shape, the same bits in cheaper calls. Only x's shape is checked."""
     if x.ndim != 2 or x.shape[1] != model.weights[0].shape[1]:
         raise ShapeError(f"layer 0: input is {x.shape}, weight is {model.weights[0].shape}")
-    h, acts = x, [x]
-    last = model.n_layers - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w.T
-        h += b if bias_rows is None else bias_rows[i][: len(h)]
+    h, acts, last = x, [x], model.n_layers - 1
+    layers = plan or [(w.T, b, 0) for w, b in zip(model.weights, model.biases)]
+    for i, (w_t, bias, floor) in enumerate(layers):
+        h = h @ w_t
+        h += bias
         if i != last:
-            np.maximum(h, 0, out=h)
+            np.maximum(h, floor, out=h)
             acts.append(h)
     return h, acts
 
 
-def forward(model: MlpModel, x: np.ndarray, bias_rows=None) -> np.ndarray:
+def forward(model: MlpModel, x: np.ndarray, plan=None) -> np.ndarray:
     """Logits for a batch of inputs."""
-    return _forward_trace(model, x, bias_rows)[0]
+    return _forward_trace(model, x, plan)[0]
 
 
 # numpy reduces a narrow last axis as a per-row loop, many times slower than
@@ -154,12 +153,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return softmax_inplace(np.array(logits, dtype=np.float64))
 
 
+def by_rows(op, a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """op(a, v[:, None], out=out) by one ufunc call per column below FOLD_COLS:
+    the broadcast's bits, faster on thousands of rows, slower on a few dozen."""
+    if a.shape[1] >= FOLD_COLS:
+        return op(a, v[:, None], out=out)
+    for j in range(a.shape[1]):
+        op(a[:, j], v, out=out[:, j])
+    return out
+
+
 def softmax_inplace(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax of the float64 array z, written over z and returned."""
-    z -= row_max(z)[:, None]
+    by_rows(np.subtract, z, row_max(z), z)
     np.exp(z, out=z)
-    z /= row_sum(z)[:, None]
-    return z
+    return by_rows(np.divide, z, row_sum(z), z)
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):

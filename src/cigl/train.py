@@ -62,14 +62,27 @@ class TrainResult:
     final_bins: ReliabilityBins  # their reliability bins, which history[-1] reads
 
 
-def predict_logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Float64 logits, a forward pass per BLOCK_ROWS rows (other block sizes
-    change their bits), adding bias rows built once per call."""
+def predict_logits(model: MlpModel, features: np.ndarray, blocks=None) -> np.ndarray:
+    """Float64 logits, a forward pass per BLOCK_ROWS rows (other sizes change the
+    bits). A full block reads each weight transposed into a contiguous copy made
+    once per call; a short one reads w.T, since small-matrix BLAS kernels give
+    the two layouts different bits. blocks defaults to block_addends(...)."""
     out = np.empty((len(features), model.weights[-1].shape[0]), dtype=np.float64)
-    rows = [np.broadcast_to(b, (min(BLOCK_ROWS, len(out)), b.size)).copy() for b in model.biases]
+    rows, zeros = blocks or block_addends(model, len(features))
     for start in range(0, len(features), BLOCK_ROWS):
-        out[start : start + BLOCK_ROWS] = forward(model, features[start : start + BLOCK_ROWS], rows)
+        x = features[start : start + BLOCK_ROWS]
+        if start == 0 or len(x) < BLOCK_ROWS:  # the first block, and a shorter last one
+            plan = [(np.ascontiguousarray(w.T) if len(x) == BLOCK_ROWS else w.T, r[: len(x)],
+                     z[: len(x)]) for w, r, z in zip(model.weights, rows, zeros)]
+        out[start : start + BLOCK_ROWS] = forward(model, x, plan)
     return out
+
+
+def block_addends(model: MlpModel, n_rows: int) -> tuple[list, list]:
+    """Per layer, the bias broadcast to the rows of a block of n_rows features
+    and a zero block for the ReLU: built once, shared by MC dropout's draws."""
+    rows = [np.broadcast_to(b, (min(BLOCK_ROWS, n_rows), b.size)).copy() for b in model.biases]
+    return rows, [np.zeros_like(r) for r in rows]
 
 
 def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data: Dataset,
@@ -98,8 +111,9 @@ def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: floa
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    blocks = block_addends(model, len(x))
     zs = (sample_random_mask(mask, keep_prob, rng) for _ in range(n_samples))
-    draws = (softmax_inplace(predict_logits(masked_model(model, z), x)) for z in zs)
+    draws = (softmax_inplace(predict_logits(masked_model(model, z), x, blocks)) for z in zs)
     total = next(draws)
     for probs in draws:
         total += probs

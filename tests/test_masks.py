@@ -331,6 +331,26 @@ class TestMaskUpdateAtScale:
         assert np.array_equal(new.layers[0], _stable_topk_update(w, g, m, 0.75))
 
 
+class TestMaskUpdateAcrossLayers:
+    def test_each_layer_matches_its_own_stable_sort(self, caplog):
+        """The per-layer active positions come from the segments of
+        mask.flat_active: a sparse layer, a dense (excluded) one and a
+        clamped one each update as on their own, by np.flatnonzero."""
+        rng = np.random.default_rng(5)
+        shapes, densities = [(30, 20), (8, 30), (12, 8)], [0.2, 1.0, 0.9]
+        ws = [rng.choice([0.0, 0.5, 1.0], s).astype(np.float32) for s in shapes]
+        gs = [rng.choice([0.0, 0.5, 1.0], s).astype(np.float32) for s in shapes]
+        ms = [rng.random(s) < d for s, d in zip(shapes, densities)]
+        mask = DeterministicMask([m.copy() for m in ms], tuple(int(m.sum()) for m in ms))
+        with caplog.at_level("WARNING"):
+            new = update_deterministic_mask(ws, gs, mask, 0.5)
+        for got, w, g, m in zip(new.layers, ws, gs, ms):
+            assert np.array_equal(got, _stable_topk_update(w, g, m, 0.5))
+        assert ms[1].all() and not np.array_equal(new.layers[0], ms[0])
+        assert [r.message for r in caplog.records] == [
+            "layer 2: prune/regrow count 43 clamped to 9 inactive positions"]
+
+
 class TestUpdateFraction:
     def test_start_is_alpha(self):
         assert mask_update_fraction(0, 0.3, 1000) == pytest.approx(0.3, abs=1e-15)

@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts with tiny arguments."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -117,3 +118,24 @@ def test_compare_methods_draws_the_acceptance_experiment_data():
             assert ours.features.tobytes() == theirs.features.tobytes()
             assert ours.labels.tobytes() == theirs.labels.tobytes()
             assert ours.n_classes == theirs.n_classes
+
+
+def test_bench_pairs_summarises_one_tiny_pair_of_this_checkout():
+    proc = run_script("bench_pairs.py", str(ROOT), str(ROOT), "--workload", "moons_seeds",
+                      "--pairs", "1", "--seconds", "0.01", "--seed", "7", "--size", "tiny")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert lines[0].startswith("pair 1 (parent first) parent/change: ")
+    assert [field.split("=")[0] for field in lines[0].split(": ", 1)[1].split()] == names
+    assert lines[1] == "workload moons_seeds, seed 7, 1 pairs of 0.01 s runs"
+    assert lines[2].split() == ["metric", "better", "parent", "change", "delta", "wins",
+                                "parent_iqr"]
+    rows = [line.split() for line in lines[3:-1]]
+    assert [row[0] for row in rows] == names
+    for name, better, parent, change, _, wins, spread in rows:
+        assert better in ("lower", "higher") and wins in ("0/1", "1/1") and float(spread) == 0
+        assert float(parent) > 0 and float(change) > 0
+    quality = {row[0]: row for row in rows if row[0] in ("ok_frac", "test_accuracy", "test_ece")}
+    assert all(row[2] == row[3] and row[5] == "0/1" for row in quality.values())
+    assert lines[-1] == "same outputs in every pair: yes"

@@ -102,8 +102,10 @@ class TestForward:
                 h = np.maximum(h, 0)
         np.testing.assert_array_equal(forward(model, x), h)
         np.testing.assert_array_equal(x, x_before)
-        rows = [np.broadcast_to(b, (40, b.size)).copy() for b in model.biases]
-        assert forward(model, x, rows).tobytes() == h.tobytes()
+        rows = [np.broadcast_to(b, (37, b.size)).copy() for b in model.biases]
+        plan = [(np.ascontiguousarray(w.T), r, np.zeros_like(r))
+                for w, r in zip(model.weights, rows)]
+        assert forward(model, x, plan).tobytes() == h.tobytes()
 
     def test_packed_model_views_one_buffer_in_layer_order(self):
         model = init_mlp([3, 4, 2], substream(8, "t"))
@@ -328,6 +330,54 @@ class TestSoftmax:
         logits = _f32([1.0, 2.0, 3.0])
         probs = softmax(logits)
         assert probs.dtype == np.float64 and np.array_equal(logits, _f32([1.0, 2.0, 3.0]))
+
+
+def _tied_large_logits(k, rng):
+    """Rows with ties, logits up to 1e4 in size, and exactly tied rows."""
+    spread = rng.normal(0, 1, (300, k)) * 10.0 ** rng.integers(-2, 5, (300, k))
+    ties = np.round(rng.normal(0, 2, (200, k)))
+    return np.concatenate([spread, ties, np.full((3, k), 7.5), np.full((3, k), -1e4)])
+
+
+def _broadcast_loss(logits, targets):
+    """softmax_cross_entropy as plain broadcasts and axis reductions."""
+    z = logits.astype(np.float64)
+    zmax = z.max(axis=1)
+    ez = np.exp(z - zmax[:, None])
+    denom = ez.sum(axis=1)
+    t64 = targets.astype(np.float64)
+    loss = float(np.add.reduce(np.log(denom) + zmax - (t64 * z).sum(axis=1)) / len(z))
+    return loss, ((ez / denom[:, None] - t64) / len(z)).astype(logits.dtype)
+
+
+class TestColumnFold:
+    """softmax's subtract and divide and the row reductions of softmax and the
+    loss fold narrow rows column by column: the same bytes as the broadcast
+    formulas, for widths on both sides of FOLD_COLS."""
+
+    @pytest.mark.parametrize("k", [*range(1, 10), 12])
+    def test_softmax_matches_the_broadcast_formula(self, k):
+        rng = np.random.default_rng(k)
+        z = _tied_large_logits(k, rng)
+        holes = z[:100]
+        holes[rng.random(holes.shape) < 0.3] = -np.inf
+        z[-1] = -np.inf  # a row of -inf only: NaN, both ways
+        with np.errstate(invalid="ignore"):
+            shifted = z - z.max(axis=1)[:, None]
+            want = np.exp(shifted) / np.exp(shifted).sum(axis=1)[:, None]
+            assert softmax(z).tobytes() == want.tobytes()
+        assert np.isinf(z[:100]).any() and np.isfinite(softmax(z[100:-1])).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [*range(1, 10), 12])
+    def test_loss_matches_the_broadcast_formula(self, k, dtype):
+        rng = np.random.default_rng(k)
+        logits = _tied_large_logits(k, rng).astype(dtype)
+        targets = label_rows(rng, len(logits), k)
+        loss, dlogits = softmax_cross_entropy(logits, targets)
+        want_loss, want_d = _broadcast_loss(logits, targets)
+        assert loss.hex() == want_loss.hex()
+        assert dlogits.dtype == dtype and dlogits.tobytes() == want_d.tobytes()
 
 
 def _awkward_rows(k, dtype):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,8 +16,9 @@ from cigl.masks import (
     sample_random_mask,
 )
 from cigl.rng import substream
-from cigl.tensor import MlpModel, NonFiniteError, init_mlp
+from cigl.tensor import MlpModel, NonFiniteError, forward, init_mlp, softmax
 from cigl.train import (
+    BLOCK_ROWS,
     METHODS,
     _end_epoch,
     _sgd_iteration,
@@ -23,6 +26,7 @@ from cigl.train import (
     TrainState,
     evaluate,
     masked_model,
+    predict_logits,
     predict_mc_dropout,
     train,
 )
@@ -368,6 +372,52 @@ class TestMcDropout:
         exact = mc_dropout_enumeration(model.weights, model.biases, mask.layers, 0.7, x, forward_fn)
         sampled = predict_mc_dropout(model, mask, 0.7, 10000, x, substream(6, "mc"))
         assert np.max(np.abs(sampled - exact)) < 0.01
+
+
+def _signed_zero_net(dims, seed):
+    """A net at 80% sparsity whose masked-out weights are zeros of both
+    signs, with nonzero biases, its mask, and a feature row generator."""
+    rng = substream(seed, "read.path")
+    model = init_mlp(dims, rng)
+    shapes = [w.shape for w in model.weights]
+    mask = init_mask(shapes, build_sparsity_plan(shapes, 0.8), substream(seed, "read.mask"))
+    for w, b, m in zip(model.weights, model.biases, mask.layers):
+        w *= m
+        b[:] = rng.normal(0, 0.1, b.shape)
+    zeros = np.concatenate([w[w == 0] for w in model.weights])
+    assert np.signbit(zeros).any() and (~np.signbit(zeros)).any()
+    return model, mask, lambda n: rng.standard_normal((n, dims[0])).astype(np.float32)
+
+
+class TestReadPath:
+    """The prepared blocked forward of predict_logits and predict_mc_dropout
+    against plain forward calls and the unshared per-draw formula, in bytes."""
+
+    @pytest.mark.parametrize("dims", [[2, 64, 64, 2], [784, 300, 100, 10]], ids=["moons", "mnist"])
+    def test_predict_logits_equals_plain_forward_per_block(self, dims):
+        model, _, features = _signed_zero_net(dims, 11)
+        x = features(9600)
+        for n in (1, 37, 511, 512, 513, 612, 9600):  # 612: a 100-row last block
+            blocks = [forward(model, x[s : min(s + BLOCK_ROWS, n)]) for s in range(0, n, BLOCK_ROWS)]
+            want = np.concatenate(blocks).astype(np.float64)
+            got = predict_logits(model, x[:n])
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("keep_prob", [0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("n_samples", [1, 3])
+    def test_mc_dropout_equals_the_mean_of_unshared_draws(self, keep_prob, n_samples):
+        model, mask, features = _signed_zero_net([2, 64, 64, 2], 12)
+        x = features(1100)
+        rng = substream(13, "read.mc")
+        ref = copy.deepcopy(rng)
+        got = predict_mc_dropout(model, mask, keep_prob, n_samples, x, rng)
+        draws = [softmax(predict_logits(masked_model(model, sample_random_mask(mask, keep_prob, ref)),
+                                        x)) for _ in range(n_samples)]
+        want = draws[0]
+        for probs in draws[1:]:
+            want = want + probs
+        assert got.tobytes() == (want / n_samples).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_rigl_loss_halves_in_200_fullbatch_steps_on_separable_data():
