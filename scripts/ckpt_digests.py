@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""One sha256 per training method on a short two-moons config, plus three
+"""One sha256 per training method on a short two-moons config, plus four
 over the files the runner writes.
 
 Trains every method in `cigl.config.METHODS` on the same data and prints a
@@ -9,8 +9,12 @@ probabilities and the per-epoch history. Two more lines cover the runner:
 scaling, label smoothing and mixup on. `rigl_mcdp_eval` and `cigl_eval`
 hash the `correlate` report and the `export-reliability` CSV of a
 rigl_mcdp run (MC-dropout prediction) and of the `cigl_run` checkpoint
-(a single softmax). A change that claims to keep the output bits must
-print the same lines before and after:
+(a single softmax). `idx_run` hashes the five artifacts of a
+`run_experiment` on a small seeded IDX pair that the script writes itself
+(600 images of 8x8 with a constant pixel row), standardised and with
+temperature scaling, so the IDX loader and `standardize` are pinned too.
+A change that claims to keep the output bits must print the same lines
+before and after:
 
     PYTHONPATH=src python3 scripts/ckpt_digests.py --seed 0
 
@@ -24,8 +28,10 @@ calibration.csv (at seed 0 the line went from 5a70e6e6... to 0eb1acf3...).
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
+import struct
 import tempfile
 from dataclasses import asdict, replace
 
@@ -46,6 +52,31 @@ train.lr_milestones = 6
 train.mc_samples = 5
 data.n = 1200
 """
+
+
+IDX_LINES = """run.id = idx
+train.method = cigl
+data.source = idx
+data.idx_images = images.idx
+data.idx_labels = labels.idx
+data.standardize = true
+calib.temperature = true
+"""
+
+
+def write_idx_pair(seed, n=600, side=8, n_classes=4):
+    """images.idx and labels.idx in the working directory: each image is its
+    class prototype plus u8 noise, with the first pixel row always 0."""
+    rng = substream(seed, "digests.idx")
+    protos = rng.integers(0, 256, (n_classes, side, side))
+    labels = rng.integers(0, n_classes, n).astype(np.uint8)
+    noisy = protos[labels] + rng.integers(-64, 65, (n, side, side))
+    images = np.clip(noisy, 0, 255).astype(np.uint8)
+    images[:, 0, :] = 0
+    with open("images.idx", "wb") as f:
+        f.write(struct.pack(">IIII", 0x803, n, side, side) + images.tobytes())
+    with open("labels.idx", "wb") as f:
+        f.write(struct.pack(">II", 0x801, n) + labels.tobytes())
 
 
 def make_data(seed):
@@ -103,6 +134,11 @@ def main():
         mcdp_dir = run_experiment(mcdp, out_root=tmp).out_dir
         print(f"{'rigl_mcdp_eval':<12} {eval_digest(mcdp, mcdp_dir)}")
         print(f"{'cigl_eval':<12} {eval_digest(cigl, cigl_dir)}")
+        # relative data paths, so config.resolved is the same in any directory
+        with contextlib.chdir(tmp):
+            write_idx_pair(args.seed)
+            idx_dir = run_experiment(run_config(args.seed, IDX_LINES), out_root=tmp).out_dir
+            print(f"{'idx_run':<12} {run_digest(idx_dir)}")
 
 
 if __name__ == "__main__":

@@ -55,6 +55,7 @@ SEED0_DIGESTS = {
     "cigl_run": "62db24ef9328cf928b1409c15627e96db4ceb5205ab676ac4d0ba184a04228b5",
     "rigl_mcdp_eval": "72093c95dd2b189848f9c7dd209b2bf468ba30f26c19d3971f02031fc245f353",
     "cigl_eval": "0eb1acf35f6de6cf15053cee978a6cb2431d87b4af4fd6fabe43df7d8e34f1f2",
+    "idx_run": "a980592e13a3ecb8a49fc7100e65124096590da65f4ad42c8fe51de4f29daddb",
 }
 
 
@@ -71,6 +72,7 @@ SEED1_DIGESTS = {
     "cigl_run": "f7caf281146184b0d06f0624f44ce7c381b6d15404ec81755f3ba51f34572af4",
     "rigl_mcdp_eval": "d9816b9491e26ac67338692aa4b47a0840a3631bbd8a0fb3aed7307fb88b8027",
     "cigl_eval": "1c71b8c8620fa794a1f14f263cffc381766cdfb2d48defead493044a238c2afc",
+    "idx_run": "8d5e0a8a0e2526c2a8a95ba7ecfa6a7964f5d3d3b65faac655e4f963a2b529ab",
 }
 
 
@@ -79,7 +81,8 @@ def test_ckpt_digests_run_twice_print_the_same_lines():
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in runs[0].stdout.splitlines()]
-    assert [row[0] for row in rows] == [*METHODS, "cigl_run", "rigl_mcdp_eval", "cigl_eval"]
+    assert [row[0] for row in rows] == [*METHODS, "cigl_run", "rigl_mcdp_eval", "cigl_eval",
+                                     "idx_run"]
     assert all(len(row) == 2 and re.fullmatch(r"[0-9a-f]{64}", row[1]) for row in rows)
     assert runs[1].stdout == runs[0].stdout
     assert dict(rows) == SEED0_DIGESTS
