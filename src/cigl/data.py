@@ -13,6 +13,19 @@ from .rng import substream
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# elements per block wherever a whole-dataset pass would otherwise make an n x d temporary
+BLOCK_ELEMS = 1 << 16
+
+
+def block_rows(width: int) -> int:
+    """Rows per block of a width-column array: BLOCK_ELEMS elements, at least one row."""
+    return max(1, BLOCK_ELEMS // max(1, width))
+
+
+def row_blocks(x: np.ndarray):
+    """Slices of block_rows rows that cover the rows of the 2-D array x in order."""
+    step = block_rows(x.shape[1])
+    return (slice(start, start + step) for start in range(0, len(x), step))
 
 
 class DataError(ValueError):
@@ -32,7 +45,8 @@ class Dataset:
             raise DataError("feature/label count mismatch")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise DataError("labels out of range for n_classes")
-        if not np.isfinite(self.features).all():
+        x = self.features  # checked by row blocks: no n x d boolean temporary
+        if not all(np.isfinite(x[rows]).all() for rows in row_blocks(x)):
             raise DataError("non-finite feature values")
 
     def __len__(self) -> int:
@@ -97,38 +111,39 @@ def _is_number(cell: str) -> bool:
 def load_idx(images_path, labels_path) -> Dataset:
     """MNIST-style IDX pair: u8 images (3 dims) and u8 labels (1 dim),
     big-endian headers. Pixels are scaled to [0, 1] and flattened."""
-    img_bytes = _read_file(images_path)
-    if len(img_bytes) < 16:
+    img = _read_file(images_path)
+    if len(img) < 16:
         raise DataError(f"{images_path}: truncated IDX header")
-    magic, n, rows, cols = struct.unpack(">IIII", img_bytes[:16])
+    magic, n, rows, cols = struct.unpack(">IIII", img[:16].tobytes())
     if magic != IDX_IMAGES_MAGIC:
         raise DataError(f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-    if len(img_bytes) != 16 + n * rows * cols:
-        raise DataError(f"{images_path}: payload is {len(img_bytes) - 16} bytes, expected {n * rows * cols}")
+    if len(img) != 16 + n * rows * cols:
+        raise DataError(f"{images_path}: payload is {len(img) - 16} bytes, expected {n * rows * cols}")
 
-    lab_bytes = _read_file(labels_path)
-    if len(lab_bytes) < 8:
+    lab = _read_file(labels_path)
+    if len(lab) < 8:
         raise DataError(f"{labels_path}: truncated IDX header")
-    lmagic, ln = struct.unpack(">II", lab_bytes[:8])
+    lmagic, ln = struct.unpack(">II", lab[:8].tobytes())
     if lmagic != IDX_LABELS_MAGIC:
         raise DataError(f"{labels_path}: bad magic 0x{lmagic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
     if ln != n:
         raise DataError(f"image/label count mismatch: {n} images vs {ln} labels")
-    if len(lab_bytes) != 8 + ln:
-        raise DataError(f"{labels_path}: payload is {len(lab_bytes) - 8} bytes, expected {ln}")
+    if len(lab) != 8 + ln:
+        raise DataError(f"{labels_path}: payload is {len(lab) - 8} bytes, expected {ln}")
 
-    pixels = np.frombuffer(img_bytes, dtype=np.uint8, offset=16).reshape(n, rows * cols)
-    labels = np.frombuffer(lab_bytes, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(
-        pixels.astype(np.float32) / np.float32(255.0),
-        labels,
-        n_classes=int(labels.max()) + 1 if n else 0,
-    )
+    feats = img[16:].reshape(n, rows * cols).astype(np.float32)
+    del img  # the payload is converted; only the float32 copy lives on
+    feats /= np.float32(255.0)
+    labels = lab[8:].astype(np.int64)
+    return Dataset(feats, labels, n_classes=int(labels.max()) + 1 if n else 0)
 
 
-def _read_file(path) -> bytes:
-    with open(path, "rb") as f:
-        return f.read()
+def _read_file(path) -> np.ndarray:
+    """The whole file as a u8 array. numpy asks for transparent huge pages for
+    a buffer of 4 MB or more and a bytes object does not: read as bytes, the
+    mnist_sparse training buffers that later reused the freed payload's memory
+    were seen on 4 KB pages."""
+    return np.fromfile(path, dtype=np.uint8)
 
 
 def synth_two_moons(n: int, noise_sd: float, rng: np.random.Generator) -> Dataset:
@@ -196,15 +211,41 @@ def split_dataset(dataset: Dataset, fractions, rng: np.random.Generator):
     return parts
 
 
+def column_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`x.mean(axis=0, dtype=np.float64)` and `x.std(axis=0, dtype=np.float64)`
+    bit for bit, for row-major x (what every loader and split returns), with
+    float64 temporaries of at most block_rows rows where numpy's std makes a
+    full-size one. numpy sums the squared deviations down each column in row
+    order; row 0 of the block buffer carries that running sum across blocks."""
+    mean = x.mean(axis=0, dtype=np.float64)
+    buf = np.zeros((block_rows(x.shape[1]) + 1, x.shape[1]))
+    for rows in row_blocks(x):
+        block = x[rows]
+        dev = np.subtract(block, mean, out=buf[1 : len(block) + 1])
+        np.square(dev, out=dev)
+        buf[0] = buf[: len(dev) + 1].sum(axis=0)
+    return mean, np.sqrt(buf[0] / len(x))
+
+
 def standardize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     """Per-feature zero-mean/unit-variance transform, statistics taken from
-    the training split only. Constant features are left unscaled."""
-    mean = train.features.mean(axis=0, dtype=np.float64)
-    sd = train.features.std(axis=0, dtype=np.float64)
+    the training split only. Constant features are left unscaled.
+
+    Both outputs are new float32 arrays, filled by row blocks from float64
+    temporaries of at most block_rows rows; the inputs are not modified. The
+    bits equal `((x.astype(np.float64) - mean) / sd).astype(np.float32)`
+    with `mean` and `sd` from column_stats."""
+    mean, sd = column_stats(train.features)
     sd[sd == 0.0] = 1.0
 
     def apply(ds: Dataset) -> Dataset:
-        feats = ((ds.features.astype(np.float64) - mean) / sd).astype(np.float32)
+        feats = np.empty(ds.features.shape, dtype=np.float32)
+        buf = np.empty((block_rows(feats.shape[1]), feats.shape[1]))
+        for rows in row_blocks(ds.features):
+            block = ds.features[rows]
+            dev = np.subtract(block, mean, out=buf[: len(block)])
+            dev /= sd
+            feats[rows] = dev
         return replace(ds, features=feats)
 
     return apply(train), apply(test)

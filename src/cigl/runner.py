@@ -34,6 +34,8 @@ ARTIFACTS = ("model.ckpt", "metrics.jsonl", "calibration.csv", "report.json", "c
 def build_datasets(cfg: ExperimentConfig):
     """(fit, val, test): source -> [label noise] -> train/test split -> [standardization]
     -> [validation split if calib.temperature, else val None], on the seed's streams.
+    Each stage's input is dropped once its output exists, so at most two float32
+    copies of the features are alive at once (the peak, at the train/test split).
     An empty split is a ConfigError naming the key that emptied it."""
     seed = cfg.train.seed
     d = cfg.data

@@ -1,15 +1,19 @@
 import csv
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cigl.config import parse_config_text
 from cigl.data import (
     BatchIterator,
     DataError,
     Dataset,
+    block_rows,
+    column_stats,
     inject_label_noise,
     load_csv,
     load_idx,
@@ -18,6 +22,7 @@ from cigl.data import (
     synth_two_moons,
 )
 from cigl.rng import substream
+from cigl.runner import build_datasets
 
 
 def save_csv(dataset, path):
@@ -113,6 +118,9 @@ class TestLoadIdx:
         assert ds.features[0, 0] == 1.0
         np.testing.assert_allclose(ds.features, images.reshape(6, 20) / 255.0, atol=1e-7)
         np.testing.assert_array_equal(ds.labels, labels)
+        expected = images.reshape(6, -1).astype(np.float32) / np.float32(255.0)
+        assert ds.features.dtype == np.float32
+        assert ds.features.tobytes() == expected.tobytes()
 
     def test_wrong_image_magic(self, tmp_path):
         images, labels = self._sample()
@@ -239,3 +247,58 @@ def test_dataset_rejects_non_finite_features(bad):
     features[1, 0] = bad
     with pytest.raises(DataError, match="non-finite feature values"):
         Dataset(features, np.zeros(3, dtype=np.int64), 2)
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 0), (1, -1), (1, 0), (2, 2)])
+def test_dataset_finds_a_non_finite_value_in_any_row_block(blocks, extra):
+    features = np.zeros((2 * block_rows(2) + 3, 2), dtype=np.float32)
+    features[blocks * block_rows(2) + extra, 1] = np.nan  # rows 0, B-1, B and the last
+    with pytest.raises(DataError, match="non-finite feature values"):
+        Dataset(features, np.zeros(len(features), dtype=np.int64), 2)
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+def test_standardize_equals_the_float64_expression_byte_for_byte(blocks, extra):
+    n = blocks * block_rows(4) + extra  # 1, B-1, B, B+1 and 2B+3 rows
+    rng = substream(n, "std.bytes")
+
+    def features():
+        x = (rng.normal(5, 3, (n, 4)) * [1, 1, 1, 1e4]).astype(np.float32)
+        x[:, 1] = 2.5  # constant: sd 0, left unscaled
+        x[::2, 2] = -0.0
+        x[1::2, 2] = 0.0
+        return x
+
+    tr_x, te_x = features(), features()
+    tr_before, te_before = tr_x.copy(), te_x.copy()
+    labels = np.zeros(n, dtype=np.int64)
+    tr, te = standardize(Dataset(tr_x, labels, 1), Dataset(te_x, labels, 1))
+    mean = tr_x.mean(axis=0, dtype=np.float64)
+    sd = tr_x.std(axis=0, dtype=np.float64)
+    # the statistics themselves, which a float32 output can hide an ulp of
+    assert [a.tobytes() for a in column_stats(tr_x)] == [mean.tobytes(), sd.tobytes()]
+    sd[sd == 0.0] = 1.0
+    for out, x in ((tr, tr_x), (te, te_x)):
+        expected = ((x.astype(np.float64) - mean) / sd).astype(np.float32)
+        assert out.features.dtype == np.float32
+        assert out.features.tobytes() == expected.tobytes()
+    assert tr_x.tobytes() == tr_before.tobytes()
+    assert te_x.tobytes() == te_before.tobytes()
+
+
+def test_build_datasets_peak_memory_stays_near_two_feature_copies(tmp_path):
+    # the unsplit features beside its two halves are 2x; the loader and the
+    # standardisation must add no full-size temporaries on top of that
+    rng = substream(2, "idx.memory")
+    images = rng.integers(0, 256, (4800, 28, 28), dtype=np.uint8)
+    labels = rng.integers(0, 10, 4800, dtype=np.uint8)
+    ip, lp = _write_idx_pair(tmp_path, images, labels)
+    cfg = parse_config_text(f"data.source = idx\ndata.idx_images = {ip}\ndata.idx_labels = {lp}\n"
+                            "data.standardize = true\ncalib.temperature = true\n")
+    tracemalloc.start()
+    try:
+        build_datasets(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * images.size * np.dtype(np.float32).itemsize
