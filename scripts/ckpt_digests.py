@@ -25,15 +25,24 @@ went from da84ef72... to 72093c95...). The `cigl_eval` line changed once
 on purpose too: export used to skip the temperature the run fitted, and
 now refits it on the run's validation split, so its CSV equals the run's
 calibration.csv (at seed 0 the line went from 5a70e6e6... to 0eb1acf3...).
+
+The lines hold on one OpenBLAS kernel: a float32 GEMM kernel of another
+vector width sums in another order, and every line changes (for example
+under OPENBLAS_CORETYPE=Haswell on a machine whose default is SkylakeX).
+So the script writes the kernel numpy's OpenBLAS chose to stderr, as
+`openblas core: <name>`, or `unknown` when the library does not say.
 """
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import json
 import struct
+import sys
 import tempfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -79,6 +88,19 @@ def write_idx_pair(seed, n=600, side=8, n_classes=4):
         f.write(struct.pack(">II", 0x801, n) + labels.tobytes())
 
 
+def openblas_core() -> str:
+    """The kernel name of the OpenBLAS bundled with numpy, as that library
+    reports it for this CPU, or "unknown"."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def make_data(seed):
     tr = synth_two_moons(600, 0.25, substream(seed, "data.synth.train"))
     tr, _ = inject_label_noise(tr, 0.15, substream(seed, "data.noise.train"))
@@ -120,6 +142,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    print(f"openblas core: {openblas_core()}", file=sys.stderr)
     tr, te = make_data(args.seed)
     for method in METHODS:
         cfg = replace(run_config(args.seed, "").train, method=method)

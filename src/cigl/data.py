@@ -4,6 +4,7 @@ injection, deterministic splits, and mini-batch iteration."""
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -82,6 +83,9 @@ def load_csv(path, label_column: str) -> Dataset:
                 raise DataError(
                     f"{path}: row {row_no}, column {header[bad]!r}: non-numeric value {row[bad]!r}"
                 ) from None
+            if not math.isfinite(values[label_idx]):  # NaN != NaN: each would be a class
+                raise DataError(f"{path}: row {row_no}, column {label_column!r}: "
+                                f"non-finite label {row[label_idx]!r}")
             feats.append([values[i] for i in feat_idx])
             raw_labels.append(values[label_idx])
 

@@ -127,7 +127,9 @@ def sample_random_mask(mask: DeterministicMask, keep_prob: float, rng: np.random
 
     Positions inactive in the topology are 0 by convention. One rng.random
     over all active weights draws what one per layer would. The draw fills
-    out, or a fresh flat mask, laid out as mask.flat; returns its layer views.
+    out, or a fresh flat mask, laid out as mask.flat. Returns its layer views:
+    the training loop reads out itself, but bench/tracer.py counts the
+    realized keep rate over these views.
     """
     if not 0.0 <= keep_prob <= 1.0:
         raise ValueError("keep probability must be in [0, 1]")

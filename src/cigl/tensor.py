@@ -1,11 +1,11 @@
 """Dense MLP with manual reverse-mode gradients, softmax cross-entropy,
 and SGD with momentum.
 
-Parameters are float32 in training, packed in one flat buffer (every weight,
-then every bias) that the layer arrays view: backward writes into such views,
-and sgd_step runs one ufunc per operation over it. Loss and metric reductions
-accumulate in float64; forward/backward are dtype-generic so gradient checks
-can run entirely in float64.
+Every model is packed: its weights and biases view one flat buffer (every
+weight, then every bias), float32 in training. backward writes into such
+views, and sgd_step runs one ufunc per operation over the buffer. Loss and
+metric reductions accumulate in float64; forward/backward are dtype-generic
+so gradient checks can run entirely in float64.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class MlpModel:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    flat: np.ndarray | None = field(default=None, repr=False, compare=False)  # see over()
+    flat: np.ndarray = field(default=None, repr=False, compare=False)  # None: pack the arrays
 
     def __post_init__(self):
         n_w, n_b = len(self.weights), len(self.biases)
@@ -49,6 +49,9 @@ class MlpModel:
             if b.shape != (w.shape[0],):
                 raise ShapeError(f"layer {i}: bias is {b.shape}, expected ({w.shape[0]},)")
             d = w.shape[0]
+        if self.flat is None:
+            packed = self.over(np.concatenate([a.ravel() for a in self.weights + self.biases]))
+            self.weights, self.biases, self.flat = packed.weights, packed.biases, packed.flat
 
     @property
     def n_layers(self) -> int:
@@ -59,10 +62,6 @@ class MlpModel:
         biases, view its consecutive segments."""
         views = split_flat(flat, [a.shape for a in self.weights + self.biases])
         return MlpModel(views[: self.n_layers], views[self.n_layers :], flat)
-
-    def packed(self) -> "MlpModel":
-        """A copy of this model over one fresh flat buffer."""
-        return self.over(np.concatenate([a.ravel() for a in self.weights + self.biases]))
 
 
 def split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -204,7 +203,7 @@ def backward(model: MlpModel, x: np.ndarray, targets: np.ndarray, out: MlpModel 
     logits, acts = _forward_trace(model, x)
     loss, delta = softmax_cross_entropy(logits, targets)
     if out is None:
-        out = model.over(np.empty(sum(a.size for a in model.weights + model.biases), delta.dtype))
+        out = model.over(np.empty_like(model.flat, dtype=delta.dtype))
     for i in reversed(range(model.n_layers)):
         np.matmul(delta.T, acts[i], out=out.weights[i])
         np.add.reduce(delta, axis=0, out=out.biases[i])

@@ -112,8 +112,9 @@ def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: floa
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     blocks = block_addends(model, len(x))
-    zs = (sample_random_mask(mask, keep_prob, rng) for _ in range(n_samples))
-    draws = (softmax_inplace(predict_logits(masked_model(model, z), x, blocks)) for z in zs)
+    z, seen = np.empty_like(mask.flat), model.over(np.empty_like(model.flat))
+    zs = (sample_random_mask(mask, keep_prob, rng, out=z) for _ in range(n_samples))  # refill z
+    draws = (softmax_inplace(predict_logits(masked_model(model, z, seen), x, blocks)) for _ in zs)
     total = next(draws)
     for probs in draws:
         total += probs
@@ -121,11 +122,12 @@ def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: floa
     return total
 
 
-def masked_model(model: MlpModel, z) -> MlpModel:
-    """The weights seen under the effective mask z, a random mask (zero off
-    the topology m) or m itself: w * z, which equals w * m * z bit for bit
-    because a masked-out weight becomes a zero of its own sign either way."""
-    return MlpModel([w * zz for w, zz in zip(model.weights, z)], model.biases)
+def masked_model(model: MlpModel, z: np.ndarray, out: MlpModel) -> MlpModel:
+    """out, holding w * z: the weights seen under the flat effective mask z, laid out
+    as mask.flat (a random mask, zero off the topology m, or m's mask.flat). It equals
+    w * m * z bit for bit: a masked-out weight becomes a zero of its own sign either way."""
+    np.multiply(model.flat, z, out=out.flat)
+    return out
 
 
 @dataclass
@@ -137,7 +139,7 @@ class TrainState:
 
     model: MlpModel
     grads: MlpModel
-    seen: MlpModel | None  # for random-mask methods, as are z_rng and z
+    seen: MlpModel  # w * z under a random mask, as are z_rng and z; else the model itself
     mask: DeterministicMask
     sgd: SgdState
     wma: WmaAccumulator
@@ -153,8 +155,7 @@ class TrainState:
     def start(cls, config: TrainConfig, data: Dataset) -> "TrainState":
         """He-initialised weights under a random topology of the method's sparsity."""
         method, seed, k = METHODS[config.method], config.seed, data.n_classes
-        model = init_mlp([data.n_features, *config.hidden, k],
-                         substream(seed, "init.weights")).packed()
+        model = init_mlp([data.n_features, *config.hidden, k], substream(seed, "init.weights"))
         shapes = [w.shape for w in model.weights]
         plan = build_sparsity_plan(shapes, config.sparsity if method.sparse else 0.0,
                                    config.sparsity_mode, config.mask_exclude)
@@ -162,7 +163,7 @@ class TrainState:
         model.flat *= mask.flat  # w * m, and the biases times true
         random = method.random_mask
         return cls(model, model.over(np.empty_like(model.flat)),
-                   model.over(np.empty_like(model.flat)) if random else None, mask,
+                   model.over(np.empty_like(model.flat)) if random else model, mask,
                    SgdState.for_model(model, config.momentum, config.weight_decay),
                    WmaAccumulator(), label_smoothing_targets(np.arange(k), config.label_smoothing, k),
                    substream(seed, "mask.random") if random else None,
@@ -221,11 +222,11 @@ def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.nd
                                      s.mix_rng)
     if METHODS[config.method].sparse and s.t % config.update_interval == 0 and s.t < update_end:
         _topology_update(s, config, xb, targets, update_end)
-    if s.seen is not None:
+    if s.z is not None:
         sample_random_mask(s.mask, config.keep_prob, s.z_rng, out=s.z)
-        np.multiply(s.model.flat, s.z, out=s.seen.flat)
+        masked_model(s.model, s.z, s.seen)
     try:
-        loss, _, _ = backward(s.model if s.seen is None else s.seen, xb, targets, out=s.grads)
+        loss, _, _ = backward(s.seen, xb, targets, out=s.grads)
     except NonFiniteError as exc:
         raise NonFiniteError(f"training diverged at epoch {epoch}, iteration {s.t}: {exc}") from None
     s.grads.flat *= s.mask.flat if s.z is None else s.z
@@ -242,7 +243,7 @@ def _end_epoch(s: TrainState, config: TrainConfig, test_data: Dataset, epoch: in
     wma_start = config.resolved_wma_start()
     if (METHODS[config.method].wma and epoch > wma_start
             and (epoch - wma_start) % config.wma_every == 0):
-        wma_update(s.wma, [s.model.flat * (s.mask.flat if s.z is None else s.z)])
+        wma_update(s.wma, [masked_model(s.model, s.mask.flat if s.z is None else s.z, s.seen).flat])
     out = (s.wma.means[0] if s.wma.n_models else s.model.flat).astype(np.float32)
     out *= s.mask.flat
     model = s.model.over(out)

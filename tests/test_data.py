@@ -73,6 +73,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 2, column 'b'"):
             load_csv(p, "y")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_label_reports_row_and_column(self, tmp_path, bad):
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,y\n1,0\n2,{bad}\n3,1\n4,{bad}\n5,inf\n")
+        with pytest.raises(DataError, match=f"row 3, column 'y': non-finite label '{bad}'"):
+            load_csv(p, "y")
+
     def test_load_serialize_load_roundtrip_is_exact(self, tmp_path):
         rng = substream(3, "csv")
         src = tmp_path / "src.csv"

@@ -182,13 +182,18 @@ class TestRandomMaskStream:
 
 
 class TestApplyMasks:
-    """train.masked_model, the one w * m * z path: its masks are effective
-    masks, zero off the topology, as sample_random_mask draws them."""
+    """train.masked_model, the one w * m * z path: its masks are flat effective
+    masks laid out as mask.flat, zero off the topology and true over the
+    biases, as sample_random_mask draws them."""
 
     @staticmethod
-    def _masked(w, z):
+    def _seen(model, z):
+        return masked_model(model, z, model.over(np.empty_like(model.flat)))
+
+    @classmethod
+    def _masked(cls, w, z):
         model = MlpModel([w], [np.zeros(w.shape[0], np.float32)])
-        return masked_model(model, [z]).weights[0]
+        return cls._seen(model, DeterministicMask([z], (int(z.sum()),)).flat).weights[0]
 
     def test_identity_masks(self):
         w = np.arange(6, dtype=np.float32).reshape(2, 3)
@@ -199,15 +204,19 @@ class TestApplyMasks:
         assert not self._masked(w, np.zeros((2, 3), dtype=bool)).any()
 
     def test_elementwise_product_by_hand(self):
-        w = np.array([[1.0, 2.0, 3.0, 4.0]], dtype=np.float32)
-        m = np.array([[1, 0, 1, 1]], dtype=bool)
-        z = np.array([[1, 1, 0, 1]], dtype=bool)
-        np.testing.assert_array_equal(self._masked(w, m & z), [[1.0, 0.0, 0.0, 4.0]])
+        w = np.array([[1.0, -2.0, 3.0, -4.0, -0.0]], dtype=np.float32)
+        m = np.array([[1, 0, 1, 1, 1]], dtype=bool)
+        z = np.array([[1, 1, 0, 1, 0]], dtype=bool)
+        model = MlpModel([w], [np.array([-0.5], np.float32)])
+        seen = self._seen(model, DeterministicMask([m & z], (2,)).flat)
+        want = np.array([1.0, -0.0, 0.0, -4.0, -0.0, -0.5], dtype=np.float32)
+        assert seen.flat.tobytes() == want.tobytes()
 
     def test_input_not_modified(self):
         model = MlpModel([np.ones((1, 3), dtype=np.float32)], [np.ones(1, np.float32)])
-        masked_model(model, [np.zeros((1, 3), dtype=bool)])
-        assert np.all(model.weights[0] == 1.0) and np.all(model.biases[0] == 1.0)
+        out = model.over(np.empty_like(model.flat))
+        assert masked_model(model, np.zeros(4, dtype=bool), out) is out
+        assert np.all(model.flat == 1.0) and not out.flat.any()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -216,11 +225,16 @@ class TestApplyMasks:
         w = rng.normal(0, 1, (5, 4)).astype(np.float32)
         m = rng.random((5, 4)) < 0.6
         mask = DeterministicMask([m], (int(m.sum()),))
-        z = sample_random_mask(mask, 0.8, rng)
-        model = MlpModel([w], [np.zeros(5, np.float32)])
-        once = masked_model(model, z)
-        twice = masked_model(once, z)
-        np.testing.assert_array_equal(once.weights[0], twice.weights[0])
+        z = np.empty_like(mask.flat)
+        sample_random_mask(mask, 0.8, rng, out=z)
+        model = MlpModel([w], [rng.normal(0, 1, 5).astype(np.float32)])
+        once = self._seen(model, z)
+        twice = self._seen(once, z)
+        assert once.flat.tobytes() == twice.flat.tobytes()
+        # in place by the topology, over weights already w * m: the bits stay
+        model.flat *= mask.flat
+        before = model.flat.tobytes()
+        assert masked_model(model, mask.flat, model).flat.tobytes() == before
 
 
 class TestMaskUpdate:

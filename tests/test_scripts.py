@@ -42,8 +42,9 @@ def test_correlation_probe_runs_and_a_dense_net_warns_nothing():
     assert "clamped" not in proc.stderr
 
 
-# `ckpt_digests.py --seed 0` output, recorded with numpy 2.4.6. A change that moves
-# any of these bytes must say why; the pinned lines keep every artifact bit-exact.
+# `ckpt_digests.py --seed 0` output, recorded with numpy 2.4.6 on OpenBLAS's SkylakeX
+# kernels (another kernel changes every line). A change that moves any of these
+# bytes must say why; the pinned lines keep every artifact bit-exact.
 SEED0_DIGESTS = {
     "cigl": "d44b4e102d5586d84900204fc68175aca34c2e730d3f4220e80afc189fe95ead",
     "rigl": "1246bad8e2a5742067c7830eadf22cb75630b65dc45ed4b7f373d32292467905",
@@ -59,8 +60,9 @@ SEED0_DIGESTS = {
 }
 
 
-# `ckpt_digests.py --seed 1` output, recorded with numpy 2.4.6: a second seed, so a
-# change that keeps the bits of one seed by accident still shows.
+# `ckpt_digests.py --seed 1` output, recorded with numpy 2.4.6 on OpenBLAS's SkylakeX
+# kernels: a second seed, so a change that keeps the bits of one seed by accident
+# still shows.
 SEED1_DIGESTS = {
     "cigl": "e74f0e063168c60606ab247b3286c54c46c97bb9b80eac60aaf52a05300fb89b",
     "rigl": "d36755180cdc1dc065e3176306ba09d4826811bdf6f1f8a0f81691ac99433ed1",
@@ -76,6 +78,12 @@ SEED1_DIGESTS = {
 }
 
 
+def kernel_note(proc):
+    """The digest script's `openblas core:` line, for an assertion message."""
+    core = [line for line in proc.stderr.splitlines() if line.startswith("openblas core: ")]
+    return f"pins recorded on SkylakeX; this run: {core[0] if core else 'no kernel line'}"
+
+
 def test_ckpt_digests_run_twice_print_the_same_lines():
     runs = [run_script("ckpt_digests.py", "--seed", "0") for _ in range(2)]
     for proc in runs:
@@ -85,13 +93,14 @@ def test_ckpt_digests_run_twice_print_the_same_lines():
                                      "idx_run"]
     assert all(len(row) == 2 and re.fullmatch(r"[0-9a-f]{64}", row[1]) for row in rows)
     assert runs[1].stdout == runs[0].stdout
-    assert dict(rows) == SEED0_DIGESTS
+    assert dict(rows) == SEED0_DIGESTS, kernel_note(runs[0])
 
 
 def test_ckpt_digests_at_seed_1_print_the_pinned_lines():
     proc = run_script("ckpt_digests.py", "--seed", "1")
     assert proc.returncode == 0, proc.stderr
-    assert dict(line.split() for line in proc.stdout.splitlines()) == SEED1_DIGESTS
+    assert dict(line.split() for line in proc.stdout.splitlines()) == SEED1_DIGESTS, \
+        kernel_note(proc)
 
 
 def load_script(name):

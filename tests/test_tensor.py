@@ -107,15 +107,36 @@ class TestForward:
                 for w, r in zip(model.weights, rows)]
         assert forward(model, x, plan).tobytes() == h.tobytes()
 
-    def test_packed_model_views_one_buffer_in_layer_order(self):
-        model = init_mlp([3, 4, 2], substream(8, "t"))
-        packed = model.packed()
-        assert packed.flat.size == 12 + 8 + 4 + 2
-        for a, b in zip(model.weights + model.biases, packed.weights + packed.biases):
-            assert a.tobytes() == b.tobytes() and np.shares_memory(b, packed.flat)
-        assert not np.shares_memory(packed.flat, model.weights[0])
-        packed.flat[:12] = 7.0
-        assert np.all(packed.weights[0] == 7.0) and not np.any(packed.weights[1] == 7.0)
+    def test_model_built_from_arrays_copies_them_into_one_buffer_in_layer_order(self):
+        rng = substream(8, "t")
+        arrays = [rng.normal(0, 1, s).astype(np.float32) for s in [(4, 3), (2, 4), (4,), (2,)]]
+        model = MlpModel(arrays[:2], arrays[2:])
+        assert model.flat.size == 12 + 8 + 4 + 2
+        assert model.flat.tobytes() == b"".join(a.tobytes() for a in arrays)
+        for a, b in zip(arrays, model.weights + model.biases):
+            assert a.tobytes() == b.tobytes() and np.shares_memory(b, model.flat)
+            assert not np.shares_memory(a, model.flat)
+        model.flat[:12] = 7.0
+        assert np.all(model.weights[0] == 7.0) and not np.any(model.weights[1] == 7.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_built_from_arrays_keeps_their_dtype_and_not_their_memory(self, dtype):
+        w, b = np.full((2, 3), 1.5, dtype), np.full(2, -0.5, dtype)
+        model = MlpModel([w], [b])
+        assert model.flat.dtype == dtype
+        assert all(a.dtype == dtype for a in model.weights + model.biases)
+        w[:], b[:] = 9.0, 9.0
+        assert np.all(model.weights[0] == 1.5) and np.all(model.biases[0] == -0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_model_is_packed(self, dtype):
+        model = init_mlp([3, 4, 2], substream(8, "t"), dtype=dtype)
+        assert model.flat.dtype == dtype
+        assert all(np.shares_memory(a, model.flat) for a in model.weights + model.biases)
+        _, gw, gb = backward(model, np.ones((5, 3), dtype), np.full((5, 2), 0.5, dtype))
+        buffer = gw[0].base  # without out, backward allocates one buffer like model.flat
+        assert buffer.shape == model.flat.shape and buffer.dtype == dtype
+        assert all(np.shares_memory(a, buffer) for a in gw + gb)
 
 
 class TestSoftmaxCrossEntropy:
@@ -209,7 +230,7 @@ class TestBackward:
     @pytest.mark.parametrize("dims", [[2, 64, 64, 2], [20, 48, 10], [784, 300, 100, 10]])
     def test_writing_into_packed_views_gives_the_allocating_bytes(self, dims):
         rng = substream(13, "t")
-        model = init_mlp(dims, rng).packed()
+        model = init_mlp(dims, rng)
         x = rng.standard_normal((37, dims[0])).astype(np.float32)
         targets = label_rows(rng, 37, dims[-1])
         loss, gw, gb = backward(model, x, targets)
@@ -231,7 +252,7 @@ class TestSgd:
     then one bias."""
 
     def _model(self, w0):
-        return MlpModel([np.array([[w0]], dtype=np.float32)], [np.zeros(1, np.float32)]).packed()
+        return MlpModel([np.array([[w0]], dtype=np.float32)], [np.zeros(1, np.float32)])
 
     def test_vanilla_sgd_without_momentum(self):
         model = self._model(1.0)
@@ -255,7 +276,7 @@ class TestSgd:
         assert model.weights[0][0, 0] == pytest.approx(-2.9)
 
     def test_decay_applies_to_weights_not_biases(self):
-        model = MlpModel([np.ones((1, 1), np.float32)], [np.ones(1, np.float32)]).packed()
+        model = MlpModel([np.ones((1, 1), np.float32)], [np.ones(1, np.float32)])
         state = SgdState.for_model(model, momentum=0.0, weight_decay=0.5)
         sgd_step(model.flat, _f32(0.0, 0.0), state, lr=1.0)
         assert model.weights[0][0, 0] == pytest.approx(0.5)
@@ -288,7 +309,7 @@ class TestSgd:
 
     def test_in_place_update_matches_out_of_place_formula(self):
         rng = np.random.default_rng(3)
-        model = init_mlp([6, 5, 3], rng).packed()
+        model = init_mlp([6, 5, 3], rng)
         shapes = [a.shape for a in model.weights + model.biases]
         steps = []
         for _ in range(6):
@@ -300,7 +321,7 @@ class TestSgd:
         # Masked weights and gradients are zeros of either sign; a step with a
         # zero gradient and no velocity leaves the sign of a zero weight as it is.
         rng = np.random.default_rng(4)
-        model = init_mlp([6, 5, 3], rng).packed()
+        model = init_mlp([6, 5, 3], rng)
         model.weights[0][:, :2] = -0.0
         model.weights[1][1] = 0.0
         model.biases[0][:] = [-0.0, 0.0, 1.0, -1.0, -0.0]
@@ -474,7 +495,7 @@ class TestLrSchedule:
 def test_deterministic_init_and_steps():
     def run():
         rng = substream(11, "init.weights")
-        model = init_mlp([4, 8, 2], rng).packed()
+        model = init_mlp([4, 8, 2], rng)
         state = SgdState.for_model(model, 0.9, 1e-4)
         grads = model.over(np.empty_like(model.flat))
         data_rng = substream(11, "data")
@@ -497,7 +518,7 @@ def test_loss_halves_on_separable_data():
         rng.normal(2.0, 0.3, (40, 2)),
     ]).astype(np.float32)
     targets = _one_hot(np.repeat([0, 1], 40), 2)
-    model = init_mlp([2, 8, 2], substream(5, "init.weights")).packed()
+    model = init_mlp([2, 8, 2], substream(5, "init.weights"))
     state = SgdState.for_model(model, 0.9, 0.0)
     first, _, _ = backward(model, x, targets)
     for _ in range(200):

@@ -1,4 +1,5 @@
 import copy
+import sys
 
 import numpy as np
 import pytest
@@ -146,9 +147,11 @@ class TestTrainLoop:
         w[:, :4] = -0.0
         mask = init_mask([w.shape], build_sparsity_plan([w.shape], 0.7), substream(2, "mask.init"))
         m = mask.layers[0]
-        z = sample_random_mask(mask, 0.6, substream(2, "mask.random"))[0]
-        raw = MlpModel([w.copy()], [np.zeros(40, np.float32)]).packed()
-        assert masked_model(raw, [z]).weights[0].tobytes() == (w * m * z).tobytes()
+        flat_z = np.empty_like(mask.flat)
+        z = sample_random_mask(mask, 0.6, substream(2, "mask.random"), out=flat_z)[0]
+        raw = MlpModel([w.copy()], [np.zeros(40, np.float32)])
+        seen = masked_model(raw, flat_z, raw.over(np.empty_like(raw.flat)))
+        assert seen.weights[0].tobytes() == (w * m * z).tobytes()
         raw.flat *= mask.flat  # the loop's topology multiply
         assert raw.weights[0].tobytes() == (w * m).tobytes()
         assert raw.weights[0].tobytes() == (raw.weights[0] * m).tobytes()
@@ -284,7 +287,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("method", list(METHODS))
     def test_method_chooses_mc_dropout_or_one_softmax(self, method):
         tr, _ = small_data()
-        model = init_mlp([2, 16, 2], substream(1, "eval.init")).packed()
+        model = init_mlp([2, 16, 2], substream(1, "eval.init"))
         shapes = [w.shape for w in model.weights]
         mask = init_mask(shapes, build_sparsity_plan(shapes, 0.5), substream(1, "eval.mask"))
         model.flat *= mask.flat
@@ -411,13 +414,65 @@ class TestReadPath:
         rng = substream(13, "read.mc")
         ref = copy.deepcopy(rng)
         got = predict_mc_dropout(model, mask, keep_prob, n_samples, x, rng)
-        draws = [softmax(predict_logits(masked_model(model, sample_random_mask(mask, keep_prob, ref)),
-                                        x)) for _ in range(n_samples)]
+        draws = []
+        for _ in range(n_samples):  # a per-layer w * z in fresh arrays for every draw
+            z = sample_random_mask(mask, keep_prob, ref)
+            seen = MlpModel([w * zz for w, zz in zip(model.weights, z)], model.biases)
+            draws.append(softmax(predict_logits(seen, x)))
         want = draws[0]
         for probs in draws[1:]:
             want = want + probs
         assert got.tobytes() == (want / n_samples).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestOneMaskingPath:
+    """Every product of the weights and an effective mask, w * z, goes
+    through train.masked_model: the step, the WMA snapshot and each MC draw."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        module = sys.modules["cigl.train"]  # cigl.train is the function train
+        calls, original = [], module.masked_model
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "masked_model", counting)
+        return calls
+
+    @pytest.mark.parametrize("method", ["cigl", "rigl"])
+    def test_one_call_per_step_with_a_random_mask(self, calls, method):
+        tr, _ = small_data()
+        cfg = small_config(method)
+        s = TrainState.start(cfg, tr)
+        assert (s.seen is s.model) == (method == "rigl")
+        batches = list(BatchIterator(tr, cfg.batch_size, cfg.seed).epoch_batches(0))
+        for xb, yb in batches:
+            _sgd_iteration(s, cfg, xb, yb, 0.1, 1, 100)
+        assert len(calls) == (len(batches) if method == "cigl" else 0)
+        assert all(model is s.model and out is s.seen for model, _, out in calls)
+
+    @pytest.mark.parametrize("method", ["cigl", "cigl_no_rm", "rigl"])
+    def test_one_call_per_due_snapshot(self, calls, method):
+        tr, te = small_data()
+        cfg = small_config(method, wma_start_epoch=1, wma_every=2)
+        s = TrainState.start(cfg, tr)
+        for epoch in range(1, 6):
+            before = len(calls)
+            _end_epoch(s, cfg, te, epoch, 0.1, 0.0)
+            due = METHODS[method].wma and epoch in (3, 5)
+            assert len(calls) - before == due
+        assert s.wma.n_models == 2 * METHODS[method].wma
+        assert all(out is s.seen for _, _, out in calls)
+
+    @pytest.mark.parametrize("n_samples", [1, 4])
+    def test_n_samples_calls_per_mc_prediction(self, calls, n_samples):
+        model, mask, features = _signed_zero_net([2, 16, 2], 14)
+        predict_mc_dropout(model, mask, 0.8, n_samples, features(50), substream(14, "mc"))
+        assert len(calls) == n_samples
+        assert len({id(out) for _, _, out in calls}) == 1  # one seen buffer per call
 
 
 def test_rigl_loss_halves_in_200_fullbatch_steps_on_separable_data():
