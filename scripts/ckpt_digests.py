@@ -34,10 +34,10 @@ So the script writes the kernel numpy's OpenBLAS chose to stderr, as
 """
 
 import argparse
-import contextlib
 import ctypes
 import hashlib
 import json
+import os
 import struct
 import sys
 import tempfile
@@ -158,10 +158,14 @@ def main():
         print(f"{'rigl_mcdp_eval':<12} {eval_digest(mcdp, mcdp_dir)}")
         print(f"{'cigl_eval':<12} {eval_digest(cigl, cigl_dir)}")
         # relative data paths, so config.resolved is the same in any directory
-        with contextlib.chdir(tmp):
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
             write_idx_pair(args.seed)
             idx_dir = run_experiment(run_config(args.seed, IDX_LINES), out_root=tmp).out_dir
             print(f"{'idx_run':<12} {run_digest(idx_dir)}")
+        finally:
+            os.chdir(cwd)
 
 
 if __name__ == "__main__":

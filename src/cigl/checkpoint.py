@@ -18,9 +18,9 @@ Layout (all integers little-endian):
 A model is stored as (weight, bias) record pairs, one per layer: the
 weight matrix as a rank-2 tensor with its topology bitmap, zero off it,
 and the bias vector as a rank-1 tensor with an all-ones bitmap (biases are
-never masked). `checkpoint_of` and `model_from_checkpoint` are the only
-code that knows this order. Files are written atomically (temp file +
-rename).
+never masked, so a bias bitmap that is not all ones is refused).
+`checkpoint_of` and `model_from_checkpoint` are the only code that knows
+this order. Files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -64,14 +64,16 @@ def checkpoint_of(method: str, seed: int, model: MlpModel, mask: DeterministicMa
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[MlpModel, DeterministicMask]:
-    """Rebuild (model, topology mask) from the (weight, bias) record pairs;
-    MlpModel refuses unchained layers, and this refuses a weight off its bitmap."""
+    """Rebuild (model, topology mask) from the (weight, bias) record pairs; MlpModel
+    refuses unchained layers, and this a weight off its bitmap or a cleared bias bit."""
     model = MlpModel(ckpt.tensors[0::2], ckpt.tensors[1::2])
-    mask_layers = [m.copy() for m in ckpt.masks[0::2]]
-    for i, (w, m) in enumerate(zip(model.weights, mask_layers)):
+    mask = DeterministicMask(ckpt.masks[0::2], tuple(int(m.sum()) for m in ckpt.masks[0::2]))
+    for i, (w, m, bias_bits) in enumerate(zip(model.weights, mask.layers, ckpt.masks[1::2])):
         if np.any(w[~m]):
             raise CheckpointError(f"checkpoint layer {i} holds nonzero weights off its bitmap")
-    return model, DeterministicMask(mask_layers, tuple(int(m.sum()) for m in mask_layers))
+        if not bias_bits.all():
+            raise CheckpointError(f"checkpoint layer {i} has a bias bitmap that is not all ones")
+    return model, mask
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

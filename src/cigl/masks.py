@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -78,21 +78,21 @@ def build_sparsity_plan(shapes, global_sparsity, mode="uniform", exclude=()) -> 
 
 @dataclass
 class DeterministicMask:
-    """Per-layer boolean topology masks plus their fixed nonzero targets.
-
-    `layers` is never mutated in place: a topology update builds a new
-    mask. That keeps the cached flat form and its indices valid for the
-    life of the object.
-    """
+    """Per-layer boolean topology masks plus their fixed nonzero targets,
+    packed like a model: `layers` are copied into one fresh bool buffer,
+    `.flat` (each layer raveled, then true over every bias), and become its
+    views. A mask is not edited after its `flat_active` is read: a topology
+    update edits only the fresh copy it returns."""
 
     layers: list[np.ndarray]
     target_nnz: tuple[int, ...]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def flat(self) -> np.ndarray:
-        """A packed model's mask: each layer's topology raveled, then true over every bias."""
-        return np.concatenate([m.ravel() for m in self.layers]
-                              + [np.ones(m.shape[0], dtype=bool) for m in self.layers])
+    def __post_init__(self):
+        shapes = [m.shape for m in self.layers]
+        self.flat = np.concatenate([m.ravel() for m in self.layers]
+                                   + [np.ones(s[0], dtype=bool) for s in shapes])
+        self.layers = split_flat(self.flat, shapes)
 
     @cached_property
     def flat_active(self) -> np.ndarray:  # the indices of the active weights in flat
@@ -178,12 +178,12 @@ def update_deterministic_mask(weights, dense_grads, mask: DeterministicMask,
     product. Each set is found by selection, not sorting, so an update is
     linear in the layer size.
     """
-    new_layers = []
     segments = np.split(mask.flat_active, np.cumsum(mask.nnz())[:-1])  # one per layer
     offsets = np.cumsum([0, *(m.size for m in mask.layers)])
-    for li, (w, g, m, segment, offset) in enumerate(zip(weights, dense_grads, mask.layers,
+    new = DeterministicMask(mask.layers, mask.target_nnz)
+    for li, (w, g, m, segment, offset) in enumerate(zip(weights, dense_grads, new.layers,
                                                          segments, offsets)):
-        flat_m = m.ravel()
+        flat_m = m.reshape(-1)
         active, inactive = segment - offset, np.flatnonzero(~flat_m)
         k = int(fraction * active.size)
         if k > inactive.size:
@@ -191,12 +191,10 @@ def update_deterministic_mask(weights, dense_grads, mask: DeterministicMask,
                 log.warning("layer %d: prune/regrow count %d clamped to %d inactive positions",
                             li, k, inactive.size)
             k = inactive.size
-        new = flat_m.copy()
         if k > 0:
-            new[active[_smallest_k(np.abs(w.ravel()[active]), k)]] = False
-            new[inactive[_smallest_k(-np.abs(g.ravel()[inactive]), k)]] = True
-        new_layers.append(new.reshape(m.shape))
-    return DeterministicMask(new_layers, mask.target_nnz)
+            flat_m[active[_smallest_k(np.abs(w.ravel()[active]), k)]] = False
+            flat_m[inactive[_smallest_k(-np.abs(g.ravel()[inactive]), k)]] = True
+    return new
 
 
 @dataclass

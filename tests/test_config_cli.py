@@ -653,7 +653,8 @@ class TestCorrelateCommand:
         assert not target.exists()
 
     @pytest.mark.parametrize("command", ["correlate", "export-reliability"])
-    @pytest.mark.parametrize("damage", ["short-bias", "odd-record-count", "rank-1-weight"])
+    @pytest.mark.parametrize("damage", ["short-bias", "odd-record-count", "rank-1-weight",
+                                        "cleared-bias-bit"])
     def test_checkpoint_of_malformed_layers_is_refused(self, tiny_config_file, tmp_path, capsys,
                                                       command, damage):
         out = tmp_path / "out"
@@ -664,6 +665,8 @@ class TestCorrelateCommand:
             ckpt.tensors[1], ckpt.masks[1] = ckpt.tensors[1][:1], ckpt.masks[1][:1]
         elif damage == "odd-record-count":
             del ckpt.tensors[-1], ckpt.masks[-1]
+        elif damage == "cleared-bias-bit":
+            ckpt.masks[1][0] = False  # biases are never masked
         else:
             ckpt.tensors[0], ckpt.masks[0] = ckpt.tensors[0].ravel(), ckpt.masks[0].ravel()
         save_checkpoint(ckpt_path, ckpt)
@@ -676,6 +679,9 @@ class TestCorrelateCommand:
         assert captured.err.startswith("error: ") and captured.out == ""
         if damage == "short-bias":
             assert captured.err == "error: layer 0: bias is (1,), expected (8,)\n"
+        if damage == "cleared-bias-bit":
+            assert captured.err == ("error: checkpoint layer 0 has a bias bitmap "
+                                    "that is not all ones\n")
         assert not target.exists()
 
 

@@ -181,6 +181,66 @@ class TestRandomMaskStream:
         self._assert_stream_matches(rebuilt, keep_prob)
 
 
+class TestPackedMask:
+    """A mask owns one bool buffer, .flat, in a packed model's layout: its
+    layers view that buffer and nothing its caller holds."""
+
+    SHAPES = [(30, 20), (12, 30), (3, 12)]
+
+    def _topology(self):
+        plan = build_sparsity_plan(self.SHAPES, 0.8, exclude=(2,))
+        return init_mask(self.SHAPES, plan, substream(4, "mask.init"))
+
+    def _update_inputs(self, mask):
+        rng = np.random.default_rng(0)
+        w = [rng.normal(0, 1, m.shape).astype(np.float32) * m for m in mask.layers]
+        return w, [rng.normal(0, 1, m.shape).astype(np.float32) for m in mask.layers]
+
+    def _built_by(self, source):
+        """A mask made by source, the arrays it was made from and the bool
+        arrays among them that a caller could edit afterwards."""
+        topology = self._topology()
+        if source == "init_mask":
+            return topology, [], []
+        if source == "constructor":
+            layers = [m.copy() for m in topology.layers]
+            return DeterministicMask(layers, topology.target_nnz), layers, layers
+        if source == "update":
+            w, g = self._update_inputs(topology)
+            new = update_deterministic_mask(w, g, topology, 0.3)
+            return new, [*w, *g, topology.flat, topology.flat_active], topology.layers
+        tensors, masks = [], []
+        for m in topology.layers:
+            tensors += [m.astype(np.float32), np.zeros(m.shape[0], np.float32)]
+            masks += [m.copy(), np.ones(m.shape[0], dtype=bool)]
+        _, rebuilt = model_from_checkpoint(Checkpoint("cigl", 4, tensors, masks, 0))
+        return rebuilt, tensors + masks, masks
+
+    @pytest.mark.parametrize("source", ["constructor", "init_mask", "update", "checkpoint"])
+    def test_layers_view_one_fresh_buffer(self, source):
+        mask, inputs, _ = self._built_by(source)
+        assert mask.flat.dtype == bool
+        assert all(np.shares_memory(m, mask.flat) for m in mask.layers)
+        assert not any(np.shares_memory(a, b) for a in [mask.flat, *mask.layers] for b in inputs)
+
+    @pytest.mark.parametrize("source", ["constructor", "update", "checkpoint"])
+    def test_editing_the_source_arrays_changes_nothing(self, source):
+        mask, _, sources = self._built_by(source)
+        flat, nnz = mask.flat.copy(), mask.nnz()
+        for a in sources:
+            a[...] = ~a
+        assert np.array_equal(mask.flat, flat) and mask.nnz() == nnz == mask.target_nnz
+
+    def test_update_leaves_the_old_mask_bit_for_bit(self):
+        old = self._topology()
+        before = [a.copy() for a in [old.flat, *old.layers, old.flat_active]]
+        w, g = self._update_inputs(old)
+        new = update_deterministic_mask(w, g, old, 0.3)
+        assert any(not np.array_equal(a, b) for a, b in zip(new.layers, old.layers))
+        after = [old.flat, *old.layers, old.flat_active]
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(after, before))
+
+
 class TestApplyMasks:
     """train.masked_model, the one w * m * z path: its masks are flat effective
     masks laid out as mask.flat, zero off the topology and true over the
