@@ -25,6 +25,12 @@ went from da84ef72... to 72093c95...). The `cigl_eval` line changed once
 on purpose too: export used to skip the temperature the run fitted, and
 now refits it on the run's validation split, so its CSV equals the run's
 calibration.csv (at seed 0 the line went from 5a70e6e6... to 0eb1acf3...).
+The six sparse-method lines, `cigl_run` and `idx_run` changed
+once on purpose: the loop used to re-mask the weights after every step and
+keep the velocity of a pruned weight, and now zeroes the pruned weights and
+velocities at each topology update, so some zeros off the topology carry
+another sign; every value, mask, probability and history is the same (at
+seed 0 the `cigl` line went from d44b4e10... to a0c5c114...).
 
 The lines hold on one OpenBLAS kernel: a float32 GEMM kernel of another
 vector width sums in another order, and every line changes (for example

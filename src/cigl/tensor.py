@@ -22,7 +22,7 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(ValueError):
-    """Raised when the logits reaching the loss hold NaN or infinity."""
+    """Raised when the logits reaching the loss, or evaluated probabilities, hold NaN or infinity."""
 
 
 @dataclass

@@ -91,12 +91,14 @@ def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data
     reliability bins, which carry accuracy and ECE. The one place that
     chooses MC dropout, drawn on the stream of the epoch just trained, over
     a single softmax; export passes the last epoch, so it redraws the run's
-    table."""
+    table. Non-finite rows (diverged weights) raise NonFiniteError."""
     if METHODS[config.method].mc_predict:
         probs = predict_mc_dropout(model, mask, config.keep_prob, config.mc_samples,
                                    data.features, substream(config.seed, f"mc.eval.{epoch}"))
     else:
         probs = softmax_inplace(predict_logits(model, data.features))
+    if not np.isfinite(probs).all():
+        raise NonFiniteError("non-finite probabilities")
     return probs, reliability_bins(probs, data.labels, config.n_bins)
 
 
@@ -132,10 +134,10 @@ def masked_model(model: MlpModel, z: np.ndarray, out: MlpModel) -> MlpModel:
 
 @dataclass
 class TrainState:
-    """Everything the loop carries between steps. The packed model holds
-    w * m between steps: w *= m leaves zeros of w's own sign off the topology,
-    so w equals w * m bit for bit. grads, seen (w * z), the SGD velocity, the
-    random mask z, mask.flat and the WMA mean are flat buffers of its layout."""
+    """Everything the loop carries between steps. Off the topology m the
+    weights and velocities are zero, as each topology update leaves them and
+    each step keeps them, so w equals w * m bit for bit. grads, seen (w * z),
+    the velocity, z, mask.flat and the WMA mean are flat buffers of w's layout."""
 
     model: MlpModel
     grads: MlpModel
@@ -189,31 +191,33 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
     for epoch in range(1, config.epochs + 1):
         lr = config.lr_at(epoch - 1)
         loss_sum = 0.0
-        for xb, yb in batches.epoch_batches(epoch - 1):
-            loss_sum += _sgd_iteration(s, config, xb, yb, lr, epoch, update_end)
-        result = _end_epoch(s, config, test_data, epoch, lr, loss_sum / n_batches)
+        try:
+            for xb, yb in batches.epoch_batches(epoch - 1):
+                loss_sum += _sgd_iteration(s, config, xb, yb, lr, update_end)
+            result = _end_epoch(s, config, test_data, epoch, lr, loss_sum / n_batches)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"training diverged at epoch {epoch}, iteration {s.t}: {exc}") from None
     return result
 
 
 def _topology_update(s: TrainState, config: TrainConfig, xb: np.ndarray, targets: np.ndarray,
                      update_end: int) -> None:
-    """Prune/regrow by the dense gradients at the bare masked weights, which
-    the model holds already; regrown weights start with zero velocity."""
+    """Prune/regrow by the dense gradients at the bare masked weights, then
+    zero the pruned weights and velocities; a regrown one was zero already."""
     _, dense_gw, _ = backward(s.model, xb, targets, out=s.grads)
     fraction = mask_update_fraction(s.t, config.update_fraction, update_end)
-    new_mask = update_deterministic_mask(s.model.weights, dense_gw, s.mask, fraction)
-    s.sgd.velocity[new_mask.flat & ~s.mask.flat] = 0.0
-    s.mask = new_mask
+    s.mask = update_deterministic_mask(s.model.weights, dense_gw, s.mask, fraction)
     s.model.flat *= s.mask.flat
+    s.sgd.velocity *= s.mask.flat
     s.update_log.append((s.t, s.mask.nnz()))
 
 
 def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.ndarray,
-                   lr: float, epoch: int, update_end: int) -> float:
+                   lr: float, update_end: int) -> float:
     """Iteration t: the targets (label smoothing, then mixup), a topology
     update every update_interval iterations before update_end, and an SGD
-    step on the weights seen under the effective mask z: the random mask
-    (zero off m), or m itself, under which the weights are already w * m."""
+    step on w * z, z a random mask within m or m itself (under which w is
+    w * m already). Zero gradients off z keep w and v zero off m."""
     s.t += 1
     targets = s.targets[yb]
     if s.mix_rng is not None:
@@ -225,13 +229,9 @@ def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.nd
     if s.z is not None:
         sample_random_mask(s.mask, config.keep_prob, s.z_rng, out=s.z)
         masked_model(s.model, s.z, s.seen)
-    try:
-        loss, _, _ = backward(s.seen, xb, targets, out=s.grads)
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"training diverged at epoch {epoch}, iteration {s.t}: {exc}") from None
+    loss, _, _ = backward(s.seen, xb, targets, out=s.grads)
     s.grads.flat *= s.mask.flat if s.z is None else s.z
     sgd_step(s.model.flat, s.grads.flat, s.sgd, lr)
-    s.model.flat *= s.mask.flat
     return loss
 
 

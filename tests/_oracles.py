@@ -134,9 +134,11 @@ def reference_train(config, train, test):
 
     Per iteration: smoothed (and mixed) targets; every update_interval
     iterations before the freeze, prune the smallest |w| and regrow the
-    largest dense |g| by stable argsort, zeroing the regrown velocity; then
-    the random mask z (a boolean scatter over the active positions), the
-    gradient at w * m * z, and SGD v = mu v + g + lambda w, w = (w - eta v) * m.
+    largest dense |g| by stable argsort, then w = w * m and v = v * m, so a
+    regrown weight starts from zero weight and velocity; then the random mask
+    z (a boolean scatter over the active positions), the gradient at
+    w * m * z masked by m * z, and SGD v = mu v + g + lambda w, w = w - eta v,
+    which is zero off m because g, v and w are.
     At each epoch end: fold the snapshot w * m * z into the running mean,
     output mean * m_final (or w * m before any snapshot), and score it by
     plain softmax (MC over mc.eval.<epoch> draws for MC prediction) with
@@ -215,9 +217,9 @@ def reference_train(config, train, test):
                     out[prune] = False
                     out[grow] = True
                     new_m.append(out.reshape(ml.shape))
-                vw = [np.where(nm & ~om, np.float32(0), v) for v, nm, om in zip(vw, new_m, m)]
                 m = new_m
                 w = [wl * ml for wl, ml in zip(w, m)]
+                vw = [v * ml for v, ml in zip(vw, m)]
 
             z = [scatter(ml, z_rng, config.keep_prob) for ml in m] if random_mask else m
             seen = MlpModel([wl * ml * zl for wl, ml, zl in zip(w, m, z)], b)
@@ -225,7 +227,7 @@ def reference_train(config, train, test):
             gw = [g * ml * zl for g, ml, zl in zip(gw, m, z)]
             vw = [config.momentum * v + g + config.weight_decay * wl for v, g, wl in zip(vw, gw, w)]
             vb = [config.momentum * v + g for v, g in zip(vb, gb)]
-            w = [(wl - lr * v) * ml for wl, v, ml in zip(w, vw, m)]
+            w = [wl - lr * v for wl, v in zip(w, vw)]
             b = [bl - lr * v for bl, v in zip(b, vb)]
             loss_sum += loss
 

@@ -759,7 +759,7 @@ class TestExportReliability:
         rc = main(["export-reliability", "--config", str(tiny_config_file),
                    "--ckpt", str(ckpt_path), "--out-file", str(target)])
         assert rc == 1
-        assert "sum to 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: non-finite probabilities\n"
         assert not target.exists()
 
 

@@ -46,17 +46,17 @@ def test_correlation_probe_runs_and_a_dense_net_warns_nothing():
 # kernels (another kernel changes every line). A change that moves any of these
 # bytes must say why; the pinned lines keep every artifact bit-exact.
 SEED0_DIGESTS = {
-    "cigl": "d44b4e102d5586d84900204fc68175aca34c2e730d3f4220e80afc189fe95ead",
-    "rigl": "1246bad8e2a5742067c7830eadf22cb75630b65dc45ed4b7f373d32292467905",
-    "rigl_wdp": "41ae863a03ad8aa9acebecbd324b781f399d0dda0d041ddbece87a83216d1712",
-    "rigl_mcdp": "c3a4fe5f14598447c9d6aa5d939ec95af49ba029bd2a63cfc7852790d0361159",
+    "cigl": "a0c5c114842978ad8ccbff3defd0a6436ffec6f741082f579351156d87793721",
+    "rigl": "b47308404fd45e9854a94d58487fc7b6bdab1eccd014a122d8a25316bcbcfe29",
+    "rigl_wdp": "51cf60a688f5cf99729a8e3ca8058418293af2b9ab4b308b30ce25531609fdff",
+    "rigl_mcdp": "6ba04447af5393a0fd020b95dc95acf50b258f2aa7a7a8e0eb233211c08ab371",
     "dense": "96243fc326adeef604ce740a744d3c6999ac5a7d7bb24738b0aca768fed98be3",
-    "cigl_no_rm": "91578cf0b1616122d7c905ecfb614949624c1b53811a1c607bf6637c31e06a87",
-    "cigl_no_wma": "41ae863a03ad8aa9acebecbd324b781f399d0dda0d041ddbece87a83216d1712",
-    "cigl_run": "62db24ef9328cf928b1409c15627e96db4ceb5205ab676ac4d0ba184a04228b5",
+    "cigl_no_rm": "b2ada1e175d3369339ed03799a0afe4b7f7747b1e9acb3d4ed6e3acd07aeb355",
+    "cigl_no_wma": "51cf60a688f5cf99729a8e3ca8058418293af2b9ab4b308b30ce25531609fdff",
+    "cigl_run": "cf747af3140bc85df44bccfe064cbfd4a7359ff729bca30a57cb8b3449082295",
     "rigl_mcdp_eval": "72093c95dd2b189848f9c7dd209b2bf468ba30f26c19d3971f02031fc245f353",
     "cigl_eval": "0eb1acf35f6de6cf15053cee978a6cb2431d87b4af4fd6fabe43df7d8e34f1f2",
-    "idx_run": "a980592e13a3ecb8a49fc7100e65124096590da65f4ad42c8fe51de4f29daddb",
+    "idx_run": "c79c908823a3a33c85fba25486d9430b9e611e40a78c595225147fb97217e48e",
 }
 
 
@@ -64,17 +64,17 @@ SEED0_DIGESTS = {
 # kernels: a second seed, so a change that keeps the bits of one seed by accident
 # still shows.
 SEED1_DIGESTS = {
-    "cigl": "e74f0e063168c60606ab247b3286c54c46c97bb9b80eac60aaf52a05300fb89b",
-    "rigl": "d36755180cdc1dc065e3176306ba09d4826811bdf6f1f8a0f81691ac99433ed1",
-    "rigl_wdp": "781baa95a67545154aaf7728b3d924fe182ab600dbef15c17c1453a31eb432f0",
-    "rigl_mcdp": "b1ecf657cd4b529725db754dfbd33e57be513e8fa2e6b4fcea92e2720c068433",
+    "cigl": "5fe1b5b4073befa24f857491aa85dc0379548ee91f5c9ee41c00bf27bdeb0d5c",
+    "rigl": "52411a05075be4a1f7e812a15007bc912acc44bb1ce4d80a4ab24febbd22cf14",
+    "rigl_wdp": "3632029ac76f83f288f4922bffa1a6c5eb9d71219ac7b84cb0faa63b95f74b68",
+    "rigl_mcdp": "31f11d567db53b0597863cc9e59b03112995bfe64ecee1fce5f25db74e74795d",
     "dense": "caef43bc955f3754e5551dcd5b4eb22881b067a375b6a9a954b414d99541abdf",
-    "cigl_no_rm": "4df1f47c895d10e49a8e849d0c7f5ab8f47df551b1d9377e8643bbe178d6470e",
-    "cigl_no_wma": "781baa95a67545154aaf7728b3d924fe182ab600dbef15c17c1453a31eb432f0",
-    "cigl_run": "f7caf281146184b0d06f0624f44ce7c381b6d15404ec81755f3ba51f34572af4",
+    "cigl_no_rm": "2c81510a0978808d46e26d59e755615a403d4094eca7c0efa6195b79645d2ca4",
+    "cigl_no_wma": "3632029ac76f83f288f4922bffa1a6c5eb9d71219ac7b84cb0faa63b95f74b68",
+    "cigl_run": "9e2093eac37fa59c0a93cf7c064cfef58527560d44c098eba151f22a45542d2f",
     "rigl_mcdp_eval": "d9816b9491e26ac67338692aa4b47a0840a3631bbd8a0fb3aed7307fb88b8027",
     "cigl_eval": "1c71b8c8620fa794a1f14f263cffc381766cdfb2d48defead493044a238c2afc",
-    "idx_run": "8d5e0a8a0e2526c2a8a95ba7ecfa6a7964f5d3d3b65faac655e4f963a2b529ab",
+    "idx_run": "0dcfe8ad0b313012253e3ce147e907849fbda56be0c5ae1fc3cf9f75df292883",
 }
 
 
@@ -143,11 +143,12 @@ def test_bench_pairs_summarises_one_tiny_pair_of_this_checkout():
     assert lines[1] == "workload moons_seeds, seed 7, 1 pairs of 0.01 s runs"
     assert lines[2].split() == ["metric", "better", "parent", "change", "delta", "wins",
                                 "parent_iqr"]
-    rows = [line.split() for line in lines[3:-1]]
+    rows = [line.split() for line in lines[3:-2]]
     assert [row[0] for row in rows] == names
     for name, better, parent, change, _, wins, spread in rows:
         assert better in ("lower", "higher") and wins in ("0/1", "1/1") and float(spread) == 0
         assert float(parent) > 0 and float(change) > 0
     quality = {row[0]: row for row in rows if row[0] in ("ok_frac", "test_accuracy", "test_ece")}
     assert all(row[2] == row[3] and row[5] == "0/1" for row in quality.values())
-    assert lines[-1] == "same outputs in every pair: yes"
+    assert lines[-2:] == ["same digests in every pair: yes",
+                          "same per-seed accuracy and ECE in every pair: yes"]

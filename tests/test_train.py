@@ -102,7 +102,7 @@ class TestTrainLoop:
         cfg = small_config(method, epochs=2, wma_start_epoch=0)
         s = TrainState.start(cfg, tr)
         for xb, yb in BatchIterator(tr, cfg.batch_size, cfg.seed).epoch_batches(0):
-            _sgd_iteration(s, cfg, xb, yb, 0.1, 1, 100)
+            _sgd_iteration(s, cfg, xb, yb, 0.1, 100)
         res = _end_epoch(s, cfg, te, 1, 0.1, 0.0)
         assert res.history[-1].n_models_in_wma == (method == "cigl")
         live = [s.model.flat, s.grads.flat, s.sgd.velocity, *(s.wma.means or [])]
@@ -138,6 +138,21 @@ class TestTrainLoop:
         for w, m in zip(res.model.weights, res.mask.layers):
             assert not w[~m].any()
 
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_weights_and_velocities_stay_zero_off_the_topology(self, method):
+        # the loop never re-masks w after a step: a topology update zeroes what
+        # it prunes, and the masked gradient keeps w and v zero off m
+        tr, _ = small_data()
+        cfg = small_config(method, update_interval=2)
+        s = TrainState.start(cfg, tr)
+        batches = BatchIterator(tr, cfg.batch_size, cfg.seed)
+        for epoch in range(2):
+            for xb, yb in batches.epoch_batches(epoch):
+                _sgd_iteration(s, cfg, xb, yb, 0.1, 100)
+                off = ~s.mask.flat
+                assert not s.model.flat[off].any() and not s.sgd.velocity[off].any()
+        assert len(s.update_log) == 7 * METHODS[method].sparse
+
     def test_single_effective_mask_keeps_the_bits(self):
         # The loop masks weights and gradients by the effective mask z alone,
         # and leaves the topology-applied weights bare without a random mask.
@@ -161,11 +176,22 @@ class TestTrainLoop:
         assert masked.tobytes() == (g * m * z).tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_divergence_aborts_with_diagnostics(self):
-        tr, te = small_data()
-        cfg = small_config("dense", base_lr=1e4, lr_milestones=())
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("kw, n, reason", [
+        (dict(method="dense", base_lr=1e4), 400, "logits"),  # seen by a step's backward
+        # by a topology update's backward, which comes first in every iteration here
+        (dict(method="rigl", base_lr=1e6, update_interval=1), 800, "logits"),
+        # by the evaluation after the one step of an epoch (64 training rows)
+        (dict(method="dense", base_lr=1e30, batch_size=64, epochs=1, wma_start_epoch=0), 128,
+         "probabilities"),
+        (dict(method="dense", base_lr=1e38, batch_size=64, epochs=1, wma_start_epoch=0), 128,
+         "probabilities"),
+    ], ids=["step", "topology_update", "evaluation_1e30", "evaluation_1e38"])
+    def test_divergence_aborts_with_diagnostics(self, kw, n, reason):
+        tr, te = small_data(n=n)
+        cfg = small_config(lr_milestones=(), **kw)
         with pytest.raises(NonFiniteError, match=r"^training diverged at epoch 1, iteration \d+: "
-                                                 r"non-finite logits$"):
+                                                 rf"non-finite {reason}$"):
             train(cfg, tr, te)
 
     def test_all_methods_run(self):
@@ -450,7 +476,7 @@ class TestOneMaskingPath:
         assert (s.seen is s.model) == (method == "rigl")
         batches = list(BatchIterator(tr, cfg.batch_size, cfg.seed).epoch_batches(0))
         for xb, yb in batches:
-            _sgd_iteration(s, cfg, xb, yb, 0.1, 1, 100)
+            _sgd_iteration(s, cfg, xb, yb, 0.1, 100)
         assert len(calls) == (len(batches) if method == "cigl" else 0)
         assert all(model is s.model and out is s.seen for model, _, out in calls)
 
