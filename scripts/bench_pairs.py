@@ -11,10 +11,12 @@ then per metric the parent's and the change's medians, the number of pairs
 the change won (strictly better in the direction BENCHMARK.json gives; ties
 count for neither side) and the distance between the parent's quartiles.
 A gain is claimable only when the change wins nearly every pair and the gap
-between the medians exceeds that spread. The last two lines say whether the
-two sides' digests were equal in every pair, and whether each seed's accuracy
-and ECE were. The digests hash bytes, the sign of a zero weight too, so they
-can move while the values do not.
+between the medians exceeds that spread. The last three lines say whether the
+two sides' digests were equal in every pair, whether each seed's accuracy and
+ECE were, and the largest per-seed |change - parent| of each over all pairs,
+which shows how far a change that moves last bits moves them. The digests
+hash bytes, the sign of a zero weight too, so they can move while the values
+do not.
 """
 
 import argparse
@@ -66,6 +68,14 @@ def summarise(parent_runs, change_runs, better) -> list[str]:
     return lines
 
 
+def largest_gaps(pairs) -> tuple[float, float]:
+    """The largest per-seed |change - parent| of test accuracy and of test ECE
+    over pairs of per-seed (seed, accuracy, ECE) lists, parent's first."""
+    gaps = [(abs(ca - pa), abs(ce - pe))
+            for parent, change in pairs for (_, pa, pe), (_, ca, ce) in zip(parent, change)]
+    return max((a for a, _ in gaps), default=0.0), max((e for _, e in gaps), default=0.0)
+
+
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -89,6 +99,7 @@ def main(argv=None):
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
     same_digests = same_quality = True
+    quality = []  # per pair, each side's per-seed (seed, accuracy, ECE)
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         outputs = {}
@@ -97,6 +108,7 @@ def main(argv=None):
             runs[side].append(metrics)
         same_digests &= outputs["parent"][0] == outputs["change"][0]
         same_quality &= outputs["parent"][1] == outputs["change"][1]
+        quality.append((outputs["parent"][1], outputs["change"][1]))
         line = " ".join(f"{name}={runs['parent'][-1][name]:.6g}/{runs['change'][-1][name]:.6g}"
                         for name in better)
         print(f"pair {i + 1} ({order[0]} first) parent/change: {line}", flush=True)
@@ -105,6 +117,8 @@ def main(argv=None):
     print("\n".join(summarise(runs["parent"], runs["change"], better)))
     print(f"same digests in every pair: {'yes' if same_digests else 'no'}")
     print(f"same per-seed accuracy and ECE in every pair: {'yes' if same_quality else 'no'}")
+    acc_gap, ece_gap = largest_gaps(quality)
+    print(f"largest per-seed |change - parent|: test_accuracy {acc_gap:.3g}, test_ece {ece_gap:.3g}")
 
 
 if __name__ == "__main__":

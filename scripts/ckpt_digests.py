@@ -31,6 +31,19 @@ keep the velocity of a pruned weight, and now zeroes the pruned weights and
 velocities at each topology update, so some zeros off the topology carry
 another sign; every value, mask, probability and history is the same (at
 seed 0 the `cigl` line went from d44b4e10... to a0c5c114...).
+Nine lines changed once on purpose again: a full 512-row prediction block
+now runs only through the hidden units with a path to a logit
+(`cigl.train.reaching_units`), so its sums run over fewer terms, in the order
+BLAS picks for the smaller shapes. The weights, masks, biases and `model.ckpt`
+bytes are the same; the probabilities, histories and the files made from them
+moved by float32 rounding. The `dense` line, whose units all reach a logit,
+and `idx_run`, whose splits are shorter than one block, did not move (at
+seed 0 the `cigl` line went from a0c5c114... to c0dfb98d..., and
+`rigl_mcdp_eval` from 72093c95... to 624a7595...). Those bits cannot be kept:
+pruning only the hidden layers and running the last one at full width over a
+zero-filled scatter still changed 5 of 480 full blocks (16 random 2-64-64-2
+nets at sparsity 0.9, 30 draws each), since a narrower hidden layer makes
+OpenBLAS sum in another order.
 
 The lines hold on one OpenBLAS kernel: a float32 GEMM kernel of another
 vector width sums in another order, and every line changes (for example

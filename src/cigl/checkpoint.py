@@ -65,12 +65,16 @@ def checkpoint_of(method: str, seed: int, model: MlpModel, mask: DeterministicMa
 
 def model_from_checkpoint(ckpt: Checkpoint) -> tuple[MlpModel, DeterministicMask]:
     """Rebuild (model, topology mask) from the (weight, bias) record pairs; MlpModel
-    refuses unchained layers, and this a weight off its bitmap or a cleared bias bit."""
+    refuses unchained layers, and this a weight off its bitmap, a cleared bias bit
+    or a value that is not finite (a diverged run's weights)."""
     model = MlpModel(ckpt.tensors[0::2], ckpt.tensors[1::2])
     mask = DeterministicMask(ckpt.masks[0::2], tuple(int(m.sum()) for m in ckpt.masks[0::2]))
-    for i, (w, m, bias_bits) in enumerate(zip(model.weights, mask.layers, ckpt.masks[1::2])):
+    for i, (w, b, m, bias_bits) in enumerate(zip(model.weights, model.biases, mask.layers,
+                                                 ckpt.masks[1::2])):
         if np.any(w[~m]):
             raise CheckpointError(f"checkpoint layer {i} holds nonzero weights off its bitmap")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise CheckpointError(f"checkpoint layer {i} holds a non-finite weight or bias")
         if not bias_bits.all():
             raise CheckpointError(f"checkpoint layer {i} has a bias bitmap that is not all ones")
     return model, mask

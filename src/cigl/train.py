@@ -62,27 +62,53 @@ class TrainResult:
     final_bins: ReliabilityBins  # their reliability bins, which history[-1] reads
 
 
-def predict_logits(model: MlpModel, features: np.ndarray, blocks=None) -> np.ndarray:
+def predict_logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Float64 logits, a forward pass per BLOCK_ROWS rows (other sizes change the
-    bits). A full block reads each weight transposed into a contiguous copy made
-    once per call; a short one reads w.T, since small-matrix BLAS kernels give
-    the two layouts different bits. blocks defaults to block_addends(...)."""
-    out = np.empty((len(features), model.weights[-1].shape[0]), dtype=np.float64)
-    rows, zeros = blocks or block_addends(model, len(features))
-    for start in range(0, len(features), BLOCK_ROWS):
-        x = features[start : start + BLOCK_ROWS]
-        if start == 0 or len(x) < BLOCK_ROWS:  # the first block, and a shorter last one
-            plan = [(np.ascontiguousarray(w.T) if len(x) == BLOCK_ROWS else w.T, r[: len(x)],
-                     z[: len(x)]) for w, r, z in zip(model.weights, rows, zeros)]
-        out[start : start + BLOCK_ROWS] = forward(model, x, plan)
+    bits). A full block runs through reaching_units(model), reading each weight
+    transposed into a contiguous copy and the bias rows and ReLU zeros as
+    contiguous blocks, all made once per call. A shorter last block is plain
+    forward(model, x): there small-matrix BLAS kernels give a pruned or copied
+    operand other bits, and a test set of at most BLOCK_ROWS rows keeps the
+    bits of one forward call."""
+    n = len(features)
+    out = np.empty((n, model.weights[-1].shape[0]), dtype=np.float64)
+    n_full = n - n % BLOCK_ROWS
+    if n_full:
+        pruned = reaching_units(model)
+        plan = [(np.ascontiguousarray(w.T), np.broadcast_to(b, (BLOCK_ROWS, b.size)).copy(),
+                 np.zeros((BLOCK_ROWS, b.size), dtype=b.dtype))
+                for w, b in zip(pruned.weights, pruned.biases)]
+        for start in range(0, n_full, BLOCK_ROWS):
+            out[start : start + BLOCK_ROWS] = forward(pruned, features[start : start + BLOCK_ROWS],
+                                                      plan)
+    if n_full < n:
+        out[n_full:] = forward(model, features[n_full:])
     return out
 
 
-def block_addends(model: MlpModel, n_rows: int) -> tuple[list, list]:
-    """Per layer, the bias broadcast to the rows of a block of n_rows features
-    and a zero block for the ReLU: built once, shared by MC dropout's draws."""
-    rows = [np.broadcast_to(b, (min(BLOCK_ROWS, n_rows), b.size)).copy() for b in model.biases]
-    return rows, [np.zeros_like(r) for r in rows]
+def reaching_units(model: MlpModel) -> MlpModel:
+    """model restricted to the hidden units with a path to a logit. Walking the
+    layers backwards, a hidden unit stays if it has a nonzero weight into a unit
+    that stays; every input and output unit stays. A dropped unit adds only
+    exact zeros to the units that stay, so the logits keep their values, up to
+    the float32 rounding of the shorter sums. Returns model itself when every
+    unit stays, and also when a weight or bias is not finite, so that a NaN
+    reaches the logits as in the unpruned forward (0 * nan is nan), where
+    evaluate refuses it."""
+    keeps, keep = [None] * model.n_layers, None  # per layer, its kept inputs; None: all
+    for i in range(model.n_layers - 1, 0, -1):
+        w = model.weights[i] if keep is None else model.weights[i][keep]
+        keep = (w != 0).any(axis=0)
+        keeps[i] = keep = None if keep.all() else keep
+    if all(k is None for k in keeps) or not np.isfinite(model.flat).all():
+        return model
+    weights, biases = [], []
+    for w, b, keep_in, keep_out in zip(model.weights, model.biases, keeps, keeps[1:] + [None]):
+        if keep_out is not None:
+            w, b = w[keep_out], b[keep_out]
+        weights.append(w if keep_in is None else w[:, keep_in])
+        biases.append(b)
+    return MlpModel(weights, biases)
 
 
 def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data: Dataset,
@@ -113,10 +139,9 @@ def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: floa
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    blocks = block_addends(model, len(x))
     z, seen = np.empty_like(mask.flat), model.over(np.empty_like(model.flat))
     zs = (sample_random_mask(mask, keep_prob, rng, out=z) for _ in range(n_samples))  # refill z
-    draws = (softmax_inplace(predict_logits(masked_model(model, z, seen), x, blocks)) for _ in zs)
+    draws = (softmax_inplace(predict_logits(masked_model(model, z, seen), x)) for _ in zs)
     total = next(draws)
     for probs in draws:
         total += probs

@@ -115,6 +115,21 @@ def mc_dropout_enumeration(model_weights, biases, mask_layers, keep_prob, x, for
     return expected
 
 
+def reaching_units_by_loops(model):
+    """model without the hidden units that have no path to a logit, by a
+    backward scan over every weight: a hidden unit stays if some nonzero weight
+    leads from it to a unit that stays; every input and output unit stays.
+    The kept weights and biases are fresh C-contiguous arrays."""
+    from cigl.tensor import MlpModel
+
+    kept = [list(range(model.weights[-1].shape[0]))]  # the output units
+    for w in reversed(model.weights[1:]):
+        kept.insert(0, [j for j in range(w.shape[1]) if any(w[r, j] != 0 for r in kept[0])])
+    kept.insert(0, list(range(model.weights[0].shape[1])))  # the inputs
+    weights = [w[np.ix_(out, inp)] for w, inp, out in zip(model.weights, kept, kept[1:])]
+    return MlpModel(weights, [b[out] for b, out in zip(model.biases, kept[1:])])
+
+
 # Each method's parts, spelled out from the paper rather than read from
 # cigl.config.METHODS: (sparse topology, random mask, weight & mask
 # averaging, MC-dropout prediction).

@@ -8,6 +8,7 @@ from cigl.checkpoint import (
     CheckpointError,
     METHOD_TAGS,
     load_checkpoint,
+    model_from_checkpoint,
     save_checkpoint,
 )
 from cigl.rng import substream
@@ -107,6 +108,21 @@ class TestErrors:
         ckpt.method = "mystery"
         with pytest.raises(CheckpointError, match="method"):
             save_checkpoint(tmp_path / "m.ckpt", ckpt)
+
+
+@pytest.mark.parametrize("record", [1, 2, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_value_is_refused_naming_its_layer(record, value):
+    ckpt = random_checkpoint()
+    ckpt.masks[1::2] = [np.ones_like(m) for m in ckpt.masks[1::2]]
+    for w, m in zip(ckpt.tensors[0::2], ckpt.masks[0::2]):
+        w[~m] = 0.0
+    model_from_checkpoint(ckpt)
+    ckpt.tensors[record][(0,) * ckpt.tensors[record].ndim] = value
+    ckpt.masks[record][(0,) * ckpt.masks[record].ndim] = True
+    with pytest.raises(CheckpointError, match=rf"^checkpoint layer {record // 2} holds a "
+                                              "non-finite weight or bias$"):
+        model_from_checkpoint(ckpt)
 
 
 def test_atomic_write_leaves_no_partial_files(tmp_path):

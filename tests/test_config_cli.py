@@ -237,6 +237,25 @@ def tiny_config_file(tmp_path):
     return path
 
 
+DIVERGED = ["every-active-first-layer-weight", "into-a-unit-with-no-path-to-a-logit"]
+
+
+def diverge_checkpoint(path, where) -> int:
+    """Write NaN into the checkpoint at path; returns the layer that holds it.
+    The second case first cuts every outgoing weight of hidden unit 0 of the
+    last hidden layer, so prediction can drop that unit and its NaN with it."""
+    ckpt = load_checkpoint(path)
+    if where == DIVERGED[0]:
+        ckpt.tensors[0][ckpt.masks[0]] = np.nan
+        layer = 0
+    else:
+        layer = len(ckpt.tensors) // 2 - 2  # into the last hidden layer
+        ckpt.tensors[2 * layer + 2][:, 0], ckpt.masks[2 * layer + 2][:, 0] = 0.0, False
+        ckpt.tensors[2 * layer][0, 0], ckpt.masks[2 * layer][0, 0] = np.nan, True
+    save_checkpoint(path, ckpt)
+    return layer
+
+
 class TestRunCommand:
     def test_run_writes_all_artifacts(self, tiny_config_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -568,18 +587,17 @@ class TestCorrelateCommand:
         assert report["n_draws"] == 3
         assert report["base_accuracy"] >= report["mean_masked_accuracy"] - 1.0
 
-    def test_diverged_checkpoint_is_refused(self, tiny_config_file, tmp_path, capsys):
+    @pytest.mark.parametrize("where", DIVERGED)
+    def test_diverged_checkpoint_is_refused(self, tiny_config_file, tmp_path, capsys, where):
         out = tmp_path / "out"
         main(["run", "--config", str(tiny_config_file), "--out", str(out)])
         ckpt_path = out / "demo" / "model.ckpt"
-        ckpt = load_checkpoint(ckpt_path)
-        ckpt.tensors[0][ckpt.masks[0]] = np.nan
-        save_checkpoint(ckpt_path, ckpt)
+        layer = diverge_checkpoint(ckpt_path, where)
         capsys.readouterr()
         rc = main(["correlate", "--config", str(tiny_config_file), "--ckpt", str(ckpt_path)])
         assert rc == 1
-        captured = capsys.readouterr()
-        assert "sum to 1" in captured.err and captured.out == ""
+        assert capsys.readouterr() == ("", f"error: checkpoint layer {layer} holds a non-finite "
+                                           "weight or bias\n")
 
     @pytest.mark.parametrize("command", ["correlate", "export-reliability"])
     def test_checkpoint_of_another_seed_is_refused(self, tiny_config_file, tmp_path, capsys,
@@ -748,18 +766,19 @@ class TestExportReliability:
         assert "invalid configuration: calib.n_bins: must be >= 1" in capsys.readouterr().err
         assert not target.exists()
 
-    def test_diverged_checkpoint_is_refused(self, tiny_config_file, tmp_path, capsys):
+    @pytest.mark.parametrize("where", DIVERGED)
+    def test_diverged_checkpoint_is_refused(self, tiny_config_file, tmp_path, capsys, where):
         out = tmp_path / "out"
         main(["run", "--config", str(tiny_config_file), "--out", str(out)])
         ckpt_path = out / "demo" / "model.ckpt"
-        ckpt = load_checkpoint(ckpt_path)
-        ckpt.tensors[0][ckpt.masks[0]] = np.nan
-        save_checkpoint(ckpt_path, ckpt)
+        layer = diverge_checkpoint(ckpt_path, where)
+        capsys.readouterr()
         target = tmp_path / "rel.csv"
         rc = main(["export-reliability", "--config", str(tiny_config_file),
                    "--ckpt", str(ckpt_path), "--out-file", str(target)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: non-finite probabilities\n"
+        assert capsys.readouterr() == ("", f"error: checkpoint layer {layer} holds a non-finite "
+                                           "weight or bias\n")
         assert not target.exists()
 
 

@@ -46,16 +46,16 @@ def test_correlation_probe_runs_and_a_dense_net_warns_nothing():
 # kernels (another kernel changes every line). A change that moves any of these
 # bytes must say why; the pinned lines keep every artifact bit-exact.
 SEED0_DIGESTS = {
-    "cigl": "a0c5c114842978ad8ccbff3defd0a6436ffec6f741082f579351156d87793721",
-    "rigl": "b47308404fd45e9854a94d58487fc7b6bdab1eccd014a122d8a25316bcbcfe29",
-    "rigl_wdp": "51cf60a688f5cf99729a8e3ca8058418293af2b9ab4b308b30ce25531609fdff",
-    "rigl_mcdp": "6ba04447af5393a0fd020b95dc95acf50b258f2aa7a7a8e0eb233211c08ab371",
+    "cigl": "c0dfb98de79c23badc55638e7dffe560a232a60bce95e64d5e302b7f2a1c7bec",
+    "rigl": "6bfbc739ed09c4b2b953edf95bf531a9c13ccb99cfe91aed722a6caa9773080d",
+    "rigl_wdp": "9ab81cc17b682dcb2e0c482e9c858df304b84f616143c81a82e9daa8a3f69397",
+    "rigl_mcdp": "d1de94f05f4b40df1c2a3f2c1e7c92ad2da6357342b2017ce71d37b2af26927c",
     "dense": "96243fc326adeef604ce740a744d3c6999ac5a7d7bb24738b0aca768fed98be3",
-    "cigl_no_rm": "b2ada1e175d3369339ed03799a0afe4b7f7747b1e9acb3d4ed6e3acd07aeb355",
-    "cigl_no_wma": "51cf60a688f5cf99729a8e3ca8058418293af2b9ab4b308b30ce25531609fdff",
-    "cigl_run": "cf747af3140bc85df44bccfe064cbfd4a7359ff729bca30a57cb8b3449082295",
-    "rigl_mcdp_eval": "72093c95dd2b189848f9c7dd209b2bf468ba30f26c19d3971f02031fc245f353",
-    "cigl_eval": "0eb1acf35f6de6cf15053cee978a6cb2431d87b4af4fd6fabe43df7d8e34f1f2",
+    "cigl_no_rm": "314be9c4a68b703b4c1e4da4a221fc69954ef68b0fbcc8631bcaa564a503279b",
+    "cigl_no_wma": "9ab81cc17b682dcb2e0c482e9c858df304b84f616143c81a82e9daa8a3f69397",
+    "cigl_run": "0be21bc803ccd1154926e978f14beac0d220a9d3bae12e62e4f32642d8c7b218",
+    "rigl_mcdp_eval": "624a75955e31bf6888f42903de4964d0f2ae376c867865f01fc76af480ec1dbe",
+    "cigl_eval": "aed41f8c25c14d566aafb6ca6288552a60f454bb9387273fa916d1a8acfc7922",
     "idx_run": "c79c908823a3a33c85fba25486d9430b9e611e40a78c595225147fb97217e48e",
 }
 
@@ -64,16 +64,16 @@ SEED0_DIGESTS = {
 # kernels: a second seed, so a change that keeps the bits of one seed by accident
 # still shows.
 SEED1_DIGESTS = {
-    "cigl": "5fe1b5b4073befa24f857491aa85dc0379548ee91f5c9ee41c00bf27bdeb0d5c",
-    "rigl": "52411a05075be4a1f7e812a15007bc912acc44bb1ce4d80a4ab24febbd22cf14",
-    "rigl_wdp": "3632029ac76f83f288f4922bffa1a6c5eb9d71219ac7b84cb0faa63b95f74b68",
-    "rigl_mcdp": "31f11d567db53b0597863cc9e59b03112995bfe64ecee1fce5f25db74e74795d",
+    "cigl": "498e8f29a6cf08b4d2b6ac48beb046aa72b1c19346666bbd1fad8db330881b48",
+    "rigl": "f65fc4baf5ead483b46c07d5d8bddf6ae1c1d1f5fa1b97387878e7af078550d2",
+    "rigl_wdp": "6341a2f01ec9a8ba44022479bc42e1aa04cae3ffcedb6ae4047fc922e4f4437f",
+    "rigl_mcdp": "744e6e499b7973980c63937e1a9cf079a4ac60360798ce6fb963e67513e915f2",
     "dense": "caef43bc955f3754e5551dcd5b4eb22881b067a375b6a9a954b414d99541abdf",
-    "cigl_no_rm": "2c81510a0978808d46e26d59e755615a403d4094eca7c0efa6195b79645d2ca4",
-    "cigl_no_wma": "3632029ac76f83f288f4922bffa1a6c5eb9d71219ac7b84cb0faa63b95f74b68",
-    "cigl_run": "9e2093eac37fa59c0a93cf7c064cfef58527560d44c098eba151f22a45542d2f",
-    "rigl_mcdp_eval": "d9816b9491e26ac67338692aa4b47a0840a3631bbd8a0fb3aed7307fb88b8027",
-    "cigl_eval": "1c71b8c8620fa794a1f14f263cffc381766cdfb2d48defead493044a238c2afc",
+    "cigl_no_rm": "9ad0e7fc9efe1ed50cfa1370826dac9a9fcea5797189cb9ecc0c136a3b86dd98",
+    "cigl_no_wma": "6341a2f01ec9a8ba44022479bc42e1aa04cae3ffcedb6ae4047fc922e4f4437f",
+    "cigl_run": "8b0a924ef16cd58babedeab5244ffceb8802cd72236544f4257dca68fe698dca",
+    "rigl_mcdp_eval": "8f8dbb725e2e2659bf6126c22ba9afb58538e5940550ce0dc5029f5c58532f9a",
+    "cigl_eval": "570257715bdf8c1e56ae3534c114513d6219bcdb6df61f0216c916511af15d16",
     "idx_run": "0dcfe8ad0b313012253e3ce147e907849fbda56be0c5ae1fc3cf9f75df292883",
 }
 
@@ -143,12 +143,22 @@ def test_bench_pairs_summarises_one_tiny_pair_of_this_checkout():
     assert lines[1] == "workload moons_seeds, seed 7, 1 pairs of 0.01 s runs"
     assert lines[2].split() == ["metric", "better", "parent", "change", "delta", "wins",
                                 "parent_iqr"]
-    rows = [line.split() for line in lines[3:-2]]
+    rows = [line.split() for line in lines[3:-3]]
     assert [row[0] for row in rows] == names
     for name, better, parent, change, _, wins, spread in rows:
         assert better in ("lower", "higher") and wins in ("0/1", "1/1") and float(spread) == 0
         assert float(parent) > 0 and float(change) > 0
     quality = {row[0]: row for row in rows if row[0] in ("ok_frac", "test_accuracy", "test_ece")}
     assert all(row[2] == row[3] and row[5] == "0/1" for row in quality.values())
-    assert lines[-2:] == ["same digests in every pair: yes",
-                          "same per-seed accuracy and ECE in every pair: yes"]
+    assert lines[-3:] == ["same digests in every pair: yes",
+                          "same per-seed accuracy and ECE in every pair: yes",
+                          "largest per-seed |change - parent|: test_accuracy 0, test_ece 0"]
+
+
+def test_bench_pairs_reports_the_largest_per_seed_quality_gap():
+    bench_pairs = load_script("bench_pairs")
+    pairs = [([(1, 0.75, 0.03), (2, 0.5, 0.02)], [(1, 0.75, 0.03 + 2e-9), (2, 0.5, 0.02)]),
+             ([(1, 0.25, 0.01)], [(1, 0.5, 0.01 - 1e-8)])]
+    acc_gap, ece_gap = bench_pairs.largest_gaps(pairs)
+    assert acc_gap == 0.25 and ece_gap == pytest.approx(1e-8, rel=1e-6)
+    assert bench_pairs.largest_gaps([]) == (0.0, 0.0)

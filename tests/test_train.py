@@ -29,10 +29,11 @@ from cigl.train import (
     masked_model,
     predict_logits,
     predict_mc_dropout,
+    reaching_units,
     train,
 )
 
-from _oracles import mc_dropout_enumeration, reference_train
+from _oracles import mc_dropout_enumeration, reaching_units_by_loops, reference_train
 
 
 def small_data(seed=0, n=400):
@@ -418,18 +419,31 @@ def _signed_zero_net(dims, seed):
     return model, mask, lambda n: rng.standard_normal((n, dims[0])).astype(np.float32)
 
 
+def blocked_forward(model, x, pruned=None):
+    """Plain forward calls per BLOCK_ROWS rows, in float64, in the layout
+    predict_logits reads: a full block through pruned (default: model), each
+    weight as a contiguous copy of w.T, and a shorter one through model itself."""
+    pruned = model if pruned is None else pruned
+    full = [(np.ascontiguousarray(w.T), b, 0) for w, b in zip(pruned.weights, pruned.biases)]
+    blocks = [x[s : s + BLOCK_ROWS] for s in range(0, len(x), BLOCK_ROWS)]
+    return np.concatenate([forward(pruned, xb, full) if len(xb) == BLOCK_ROWS else
+                           forward(model, xb) for xb in blocks]).astype(np.float64)
+
+
 class TestReadPath:
     """The prepared blocked forward of predict_logits and predict_mc_dropout
-    against plain forward calls and the unshared per-draw formula, in bytes."""
+    against plain forward calls, a full block's through an explicitly pruned
+    model, and the unshared per-draw formula, in bytes."""
 
     @pytest.mark.parametrize("dims", [[2, 64, 64, 2], [784, 300, 100, 10]], ids=["moons", "mnist"])
     def test_predict_logits_equals_plain_forward_per_block(self, dims):
         model, _, features = _signed_zero_net(dims, 11)
+        pruned = reaching_units_by_loops(model)
+        assert pruned.flat.size < model.flat.size  # some hidden unit reaches no logit
         x = features(9600)
         for n in (1, 37, 511, 512, 513, 612, 9600):  # 612: a 100-row last block
-            blocks = [forward(model, x[s : min(s + BLOCK_ROWS, n)]) for s in range(0, n, BLOCK_ROWS)]
-            want = np.concatenate(blocks).astype(np.float64)
             got = predict_logits(model, x[:n])
+            want = blocked_forward(model, x[:n], pruned)
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("keep_prob", [0.5, 0.9, 1.0])
@@ -450,6 +464,97 @@ class TestReadPath:
             want = want + probs
         assert got.tobytes() == (want / n_samples).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestReachingUnits:
+    """predict_logits drops the hidden units that reach no logit: its logits
+    against the unpruned forward, a float64 reference, and the refusals."""
+
+    def test_a_draw_that_leaves_no_unit_reaching_a_logit_gives_the_output_bias(self):
+        model, mask, features = _signed_zero_net([2, 64, 64, 2], 20)
+        x = features(1100)
+        bias_rows = np.broadcast_to(model.biases[-1], (len(x), 2)).astype(np.float64)
+        cut = MlpModel(model.weights[:-1] + [np.zeros_like(model.weights[-1])], model.biases)
+        assert [w.shape for w in reaching_units(cut).weights] == [(0, 2), (0, 0), (2, 0)]
+        got = predict_logits(cut, x)
+        assert got.tobytes() == bias_rows.tobytes() == blocked_forward(cut, x).tobytes()
+        probs = predict_mc_dropout(model, mask, 0.0, 1, x, substream(0, "none"))  # drops all
+        assert probs.tobytes() == softmax(bias_rows).tobytes()
+
+    @pytest.mark.parametrize("dims, sparsity", [([784, 10], 0.8), ([2, 64, 64, 2], 0.0)],
+                             ids=["one-layer", "dense"])
+    def test_a_net_that_keeps_every_unit_gives_the_unpruned_bits(self, dims, sparsity):
+        rng = substream(18, "keep.all")
+        model = init_mlp(dims, rng)
+        shapes = [w.shape for w in model.weights]
+        model.flat *= init_mask(shapes, build_sparsity_plan(shapes, sparsity),
+                                substream(18, "keep.mask")).flat
+        for b in model.biases:
+            b[:] = rng.normal(0, 0.1, b.shape)
+        assert reaching_units(model) is model
+        x = rng.standard_normal((1100, dims[0])).astype(np.float32)
+        for n in (37, 1100):
+            assert predict_logits(model, x[:n]).tobytes() == blocked_forward(model, x[:n]).tobytes()
+
+    def test_a_float64_model_is_pruned_in_float64(self):
+        model, _, features = _signed_zero_net([2, 64, 64, 2], 19)
+        f64 = MlpModel([w.astype(np.float64) for w in model.weights],
+                       [b.astype(np.float64) for b in model.biases])
+        pruned = reaching_units(f64)
+        assert pruned.flat.dtype == np.float64 and pruned.flat.size < f64.flat.size
+        x = features(1100).astype(np.float64)
+        want = blocked_forward(f64, x, reaching_units_by_loops(f64))
+        assert predict_logits(f64, x).tobytes() == want.tobytes()
+
+    def test_every_operand_of_a_full_block_is_c_contiguous(self, monkeypatch):
+        module = sys.modules["cigl.train"]  # cigl.train is the function train
+        calls, real = [], module.forward
+
+        def recording(model, x, plan=None):
+            calls.append((x, plan))
+            return real(model, x, plan)
+
+        monkeypatch.setattr(module, "forward", recording)
+        model, mask, features = _signed_zero_net([2, 64, 64, 2], 17)
+        predict_mc_dropout(model, mask, 0.9, 2, features(1100), substream(0, "layout"))
+        full = [(x, plan) for x, plan in calls if len(x) == BLOCK_ROWS]
+        assert len(full) == 4 and all(plan[1][0].size < 64 * 64 for _, plan in full)  # pruned
+        for x, plan in full:
+            for operand in [x, *(op for layer in plan for op in layer)]:
+                assert isinstance(operand, np.ndarray) and operand.flags.c_contiguous
+
+    @pytest.mark.parametrize("dims", [[2, 64, 64, 2], [784, 300, 100, 10]], ids=["moons", "mnist"])
+    def test_pruned_logits_stay_within_float32_rounding_of_a_float64_dense_forward(self, dims):
+        model, _, features = _signed_zero_net(dims, 15)
+        x = features(1100)
+        f64 = MlpModel([w.astype(np.float64) for w in model.weights],
+                       [b.astype(np.float64) for b in model.biases])
+        want = forward(f64, x.astype(np.float64))
+        # first order: layer l's float32 sums of K_l terms (bias add and rounding to
+        # float32 included) err by at most (K_l + 1) eps / 2 of the same sums over
+        # absolute values, which the later layers and ReLU do not amplify
+        scale = forward(MlpModel([np.abs(w) for w in f64.weights], [np.abs(b) for b in f64.biases]),
+                        np.abs(x).astype(np.float64))
+        tol = sum(w.shape[1] + 2 for w in model.weights) * np.finfo(np.float32).eps * scale
+        assert np.all(np.abs(predict_logits(model, x) - want) <= tol)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["rigl", "rigl_mcdp"])
+    @pytest.mark.parametrize("where", ["into-a-dropped-unit", "bias-of-a-dropped-unit",
+                                       "into-a-kept-unit"])
+    def test_a_non_finite_parameter_still_makes_evaluate_raise(self, method, where):
+        model, mask, features = _signed_zero_net([2, 64, 64, 2], 16)
+        dropped = np.flatnonzero(~(model.weights[-1] != 0).any(axis=0))
+        kept = np.flatnonzero((model.weights[-1] != 0).any(axis=0))
+        if where == "into-a-dropped-unit":
+            model.weights[-2][dropped[0], 0] = np.nan
+        elif where == "bias-of-a-dropped-unit":
+            model.biases[-2][dropped[0]] = np.inf
+        else:
+            model.weights[-2][kept[0], 0] = np.nan
+        data = Dataset(features(600), np.zeros(600, dtype=np.int64), 2)
+        with pytest.raises(NonFiniteError, match="^non-finite probabilities$"):
+            evaluate(model, mask, TrainConfig(method=method, mc_samples=3), data, 1)
 
 
 class TestOneMaskingPath:
