@@ -44,6 +44,14 @@ pruning only the hidden layers and running the last one at full width over a
 zero-filled scatter still changed 5 of 480 full blocks (16 random 2-64-64-2
 nets at sparsity 0.9, 30 draws each), since a narrower hidden layer makes
 OpenBLAS sum in another order.
+The six sparse-method lines, `cigl_run` and `idx_run` changed once on purpose
+again: the loop now keeps its weights, velocities and random mask only at the
+active positions and writes the output model as zeros plus one scatter, so
+every weight off the topology is +0, and so is an active weight still at the
+zero it was regrown with. No value changed: every nonzero weight, every bias, mask, update log,
+probability and history, and every run file but `model.ckpt`, is the same.
+The `dense`, `rigl_mcdp_eval` and `cigl_eval` lines did not move (at seed 0
+the `cigl` line went from c0dfb98d... to 495a6f9b...).
 
 The lines hold on one OpenBLAS kernel: a float32 GEMM kernel of another
 vector width sums in another order, and every line changes (for example

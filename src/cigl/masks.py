@@ -81,8 +81,9 @@ class DeterministicMask:
     """Per-layer boolean topology masks plus their fixed nonzero targets,
     packed like a model: `layers` are copied into one fresh bool buffer,
     `.flat` (each layer raveled, then true over every bias), and become its
-    views. A mask is not edited after its `flat_active` is read: a topology
-    update edits only the fresh copy it returns."""
+    views. Its `positions` lay out the training loop's compact state. A mask
+    is not edited after its `positions` are read: a topology update edits
+    only the fresh copy it returns."""
 
     layers: list[np.ndarray]
     target_nnz: tuple[int, ...]
@@ -95,8 +96,12 @@ class DeterministicMask:
         self.layers = split_flat(self.flat, shapes)
 
     @cached_property
+    def positions(self) -> np.ndarray:  # the indices in flat of the active weights, then every bias
+        return np.flatnonzero(self.flat)
+
+    @cached_property
     def flat_active(self) -> np.ndarray:  # the indices of the active weights in flat
-        return np.flatnonzero(self.flat)[: sum(self.nnz())]
+        return self.positions[: sum(self.nnz())]
 
     def nnz(self) -> tuple[int, ...]:
         return tuple(int(np.count_nonzero(m)) for m in self.layers)
@@ -123,20 +128,19 @@ def init_mask(shapes, layer_sparsities, rng: np.random.Generator) -> Determinist
 
 def sample_random_mask(mask: DeterministicMask, keep_prob: float, rng: np.random.Generator,
                        out: np.ndarray | None = None):
-    """Bernoulli(keep_prob) over the active positions of the topology mask.
+    """Bernoulli(keep_prob) over the active weights of the topology mask,
+    compact: one bool per active weight, in mask.flat_active order.
 
-    Positions inactive in the topology are 0 by convention. One rng.random
-    over all active weights draws what one per layer would. The draw fills
-    out, or a fresh flat mask, laid out as mask.flat. Returns its layer views:
-    the training loop reads out itself, but bench/tracer.py counts the
-    realized keep rate over these views.
+    One rng.random over all active weights draws what one per layer would.
+    The draw fills out, or a fresh array. Returns (out,): the training loop
+    reads out itself, but bench/tracer.py counts the realized keep rate over
+    the returned arrays.
     """
     if not 0.0 <= keep_prob <= 1.0:
         raise ValueError("keep probability must be in [0, 1]")
-    out = np.empty_like(mask.flat) if out is None else out
-    np.copyto(out, mask.flat)
-    out[mask.flat_active] = rng.random(mask.flat_active.size) < keep_prob
-    return split_flat(out, [m.shape for m in mask.layers])
+    out = np.empty(mask.flat_active.size, dtype=bool) if out is None else out
+    np.less(rng.random(mask.flat_active.size), keep_prob, out=out)
+    return (out,)
 
 
 def mask_update_fraction(step: int, alpha: float, t_end: int) -> float:

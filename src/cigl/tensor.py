@@ -3,9 +3,9 @@ and SGD with momentum.
 
 Every model is packed: its weights and biases view one flat buffer (every
 weight, then every bias), float32 in training. backward writes into such
-views, and sgd_step runs one ufunc per operation over the buffer. Loss and
-metric reductions accumulate in float64; forward/backward are dtype-generic
-so gradient checks can run entirely in float64.
+views, and sgd_step runs one ufunc per operation over a flat parameter
+vector. Loss and metric reductions accumulate in float64; forward/backward
+are dtype-generic so gradient checks can run entirely in float64.
 """
 
 from __future__ import annotations
@@ -215,24 +215,21 @@ def backward(model: MlpModel, x: np.ndarray, targets: np.ndarray, out: MlpModel 
 
 @dataclass
 class SgdState:
-    """The flat momentum buffer of a packed model: every weight's velocity,
-    then every bias's. Decay applies to the first n_weights, never biases."""
+    """The momentum buffer of a flat parameter vector laid out as weights,
+    then biases: a packed model's .flat, or the training loop's compact
+    active weights and biases. Decay applies to the first n_weights, never
+    to biases."""
 
     velocity: np.ndarray
     n_weights: int
     momentum: float
     weight_decay: float
 
-    @classmethod
-    def for_model(cls, model: MlpModel, momentum: float, weight_decay: float) -> "SgdState":
-        return cls(np.zeros_like(model.flat), sum(w.size for w in model.weights), momentum,
-                   weight_decay)
-
 
 def sgd_step(w: np.ndarray, g: np.ndarray, state: SgdState, lr: float) -> None:
-    """v <- momentum*v + g + weight_decay*w ; w <- w - lr*v over the flat
-    buffers of a packed model, biases undecayed. Updated in place, in that
-    operation order, so the float32 results equal the out-of-place expression's."""
+    """v <- momentum*v + g + weight_decay*w ; w <- w - lr*v over flat
+    parameter vectors, biases undecayed. Updated in place, in that operation
+    order, so the float32 results equal the out-of-place expression's."""
     v, nw = state.velocity, state.n_weights
     v *= state.momentum
     v += g

@@ -117,7 +117,10 @@ def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data
     reliability bins, which carry accuracy and ECE. The one place that
     chooses MC dropout, drawn on the stream of the epoch just trained, over
     a single softmax; export passes the last epoch, so it redraws the run's
-    table. Non-finite rows (diverged weights) raise NonFiniteError."""
+    table. A non-finite weight or bias raises NonFiniteError, even where it
+    could not reach a logit, and so do non-finite rows (diverged weights)."""
+    if not np.isfinite(model.flat).all():
+        raise NonFiniteError("non-finite parameters")
     if METHODS[config.method].mc_predict:
         probs = predict_mc_dropout(model, mask, config.keep_prob, config.mc_samples,
                                    data.features, substream(config.seed, f"mc.eval.{epoch}"))
@@ -130,7 +133,8 @@ def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data
 
 def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: float,
                        n_samples: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Mean softmax over n_samples random-mask draws applied to the weights.
+    """Mean softmax over n_samples random-mask draws applied to the weights
+    on the topology mask; weights off it count as +0.
 
     Each draw runs the same blocked forward as evaluate's single softmax, so
     a single draw at keep_prob=1 reproduces it bit for bit. Each draw's
@@ -139,9 +143,10 @@ def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: floa
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    z, seen = np.empty_like(mask.flat), model.over(np.empty_like(model.flat))
+    w, z = model.flat[mask.positions], np.empty(mask.flat_active.size, dtype=bool)
+    seen = model.over(np.zeros_like(model.flat))
     zs = (sample_random_mask(mask, keep_prob, rng, out=z) for _ in range(n_samples))  # refill z
-    draws = (softmax_inplace(predict_logits(masked_model(model, z, seen), x)) for _ in zs)
+    draws = (softmax_inplace(predict_logits(masked_model(w, z, mask, seen), x)) for _ in zs)
     total = next(draws)
     for probs in draws:
         total += probs
@@ -149,29 +154,37 @@ def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: floa
     return total
 
 
-def masked_model(model: MlpModel, z: np.ndarray, out: MlpModel) -> MlpModel:
-    """out, holding w * z: the weights seen under the flat effective mask z, laid out
-    as mask.flat (a random mask, zero off the topology m, or m's mask.flat). It equals
-    w * m * z bit for bit: a masked-out weight becomes a zero of its own sign either way."""
-    np.multiply(model.flat, z, out=out.flat)
+def masked_model(w: np.ndarray, z: np.ndarray | None, mask: DeterministicMask,
+                 out: MlpModel) -> MlpModel:
+    """out, holding w * z: the compact parameters w (the active weights of mask in
+    flat_active order, then every bias) scattered into out.flat, each active weight
+    times its draw in the compact random mask z (None: all kept). out must hold +0
+    off the topology m already. A weight z drops is a zero of its own sign, as in
+    w * m * z."""
+    n_active = mask.flat_active.size
+    out.flat[mask.flat_active] = w[:n_active] if z is None else w[:n_active] * z
+    out.flat[n_active - w.size :] = w[n_active:]  # the biases end both layouts
     return out
 
 
 @dataclass
 class TrainState:
-    """Everything the loop carries between steps. Off the topology m the
-    weights and velocities are zero, as each topology update leaves them and
-    each step keeps them, so w equals w * m bit for bit. grads, seen (w * z),
-    the velocity, z, mask.flat and the WMA mean are flat buffers of w's layout."""
+    """Everything the loop carries between steps. The parameters w, their
+    gradient g and velocity, and the random mask z are compact: laid out over
+    mask.positions, the active weights in flat_active order, then every bias
+    (z covers the active weights only). Only BLAS reads the model's layout:
+    seen holds w * z there, +0 off the topology m, and backward writes grads
+    there. The WMA mean is a flat buffer of that layout too."""
 
-    model: MlpModel
+    w: np.ndarray
+    g: np.ndarray  # the last step's gradient at w * z, masked by z
+    seen: MlpModel
     grads: MlpModel
-    seen: MlpModel  # w * z under a random mask, as are z_rng and z; else the model itself
     mask: DeterministicMask
     sgd: SgdState
     wma: WmaAccumulator
     targets: np.ndarray  # the smoothed target row of each class
-    z_rng: np.random.Generator | None
+    z_rng: np.random.Generator | None  # under a random mask, as is z
     z: np.ndarray | None  # the last iteration's draw; without one, m is the effective mask
     mix_rng: np.random.Generator | None  # mixup draws, when mixup is on
     t: int = 0  # iterations run
@@ -187,15 +200,21 @@ class TrainState:
         plan = build_sparsity_plan(shapes, config.sparsity if method.sparse else 0.0,
                                    config.sparsity_mode, config.mask_exclude)
         mask = init_mask(shapes, plan, substream(seed, "mask.init"))
-        model.flat *= mask.flat  # w * m, and the biases times true
+        w, n_active = model.flat[mask.positions], mask.flat_active.size
         random = method.random_mask
-        return cls(model, model.over(np.empty_like(model.flat)),
-                   model.over(np.empty_like(model.flat)) if random else model, mask,
-                   SgdState.for_model(model, config.momentum, config.weight_decay),
+        return cls(w, np.empty_like(w), model.over(np.zeros_like(model.flat)),
+                   model.over(np.empty_like(model.flat)), mask,
+                   SgdState(np.zeros_like(w), n_active, config.momentum, config.weight_decay),
                    WmaAccumulator(), label_smoothing_targets(np.arange(k), config.label_smoothing, k),
                    substream(seed, "mask.random") if random else None,
-                   np.empty_like(mask.flat) if random else None,
+                   np.empty(n_active, dtype=bool) if random else None,
                    substream(seed, "train.mixup") if config.mixup_alpha > 0 else None)
+
+    def bare_model(self) -> MlpModel:
+        """The weights w in a fresh packed model, +0 off the topology."""
+        flat = np.zeros_like(self.seen.flat)
+        flat[self.mask.positions] = self.w
+        return self.seen.over(flat)
 
 
 def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> TrainResult:
@@ -227,13 +246,18 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
 
 def _topology_update(s: TrainState, config: TrainConfig, xb: np.ndarray, targets: np.ndarray,
                      update_end: int) -> None:
-    """Prune/regrow by the dense gradients at the bare masked weights, then
-    zero the pruned weights and velocities; a regrown one was zero already."""
-    _, dense_gw, _ = backward(s.model, xb, targets, out=s.grads)
+    """Prune/regrow by the dense gradients at the bare weights, then move w
+    and v onto the new positions: a kept weight keeps its weight and velocity,
+    a regrown one starts from +0 of both, and seen is +0 where one was pruned."""
+    old = s.mask
+    _, dense_gw, _ = backward(masked_model(s.w, None, old, s.seen), xb, targets, out=s.grads)
     fraction = mask_update_fraction(s.t, config.update_fraction, update_end)
-    s.mask = update_deterministic_mask(s.model.weights, dense_gw, s.mask, fraction)
-    s.model.flat *= s.mask.flat
-    s.sgd.velocity *= s.mask.flat
+    s.mask = update_deterministic_mask(s.seen.weights, dense_gw, old, fraction)
+    was, stays = old.flat[s.mask.positions], s.mask.flat[old.positions]  # kept, in both orders
+    for a in (s.w, s.sgd.velocity):
+        a[was] = a[stays]
+        a[~was] = 0
+    s.seen.flat[old.positions[~stays]] = 0
     s.update_log.append((s.t, s.mask.nnz()))
 
 
@@ -241,8 +265,8 @@ def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.nd
                    lr: float, update_end: int) -> float:
     """Iteration t: the targets (label smoothing, then mixup), a topology
     update every update_interval iterations before update_end, and an SGD
-    step on w * z, z a random mask within m or m itself (under which w is
-    w * m already). Zero gradients off z keep w and v zero off m."""
+    step on w * z, z a random mask within m or m itself: the gradient at
+    the active weights, masked by z, and at every bias."""
     s.t += 1
     targets = s.targets[yb]
     if s.mix_rng is not None:
@@ -253,10 +277,11 @@ def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.nd
         _topology_update(s, config, xb, targets, update_end)
     if s.z is not None:
         sample_random_mask(s.mask, config.keep_prob, s.z_rng, out=s.z)
-        masked_model(s.model, s.z, s.seen)
-    loss, _, _ = backward(s.seen, xb, targets, out=s.grads)
-    s.grads.flat *= s.mask.flat if s.z is None else s.z
-    sgd_step(s.model.flat, s.grads.flat, s.sgd, lr)
+    loss, _, _ = backward(masked_model(s.w, s.z, s.mask, s.seen), xb, targets, out=s.grads)
+    np.take(s.grads.flat, s.mask.positions, out=s.g, mode="wrap")  # mode "raise" buffers out
+    if s.z is not None:
+        s.g[: s.z.size] *= s.z
+    sgd_step(s.w, s.g, s.sgd, lr)
     return loss
 
 
@@ -264,14 +289,17 @@ def _end_epoch(s: TrainState, config: TrainConfig, test_data: Dataset, epoch: in
                train_loss: float) -> TrainResult:
     """Fold a due WMA snapshot and evaluate and record the output model: the
     snapshot mean under the current mask once a snapshot is in, else the bare
-    masked weights, in fresh arrays. Returns the result of a run stopped here."""
+    weights, in fresh arrays. Returns the result of a run stopped here."""
     wma_start = config.resolved_wma_start()
     if (METHODS[config.method].wma and epoch > wma_start
             and (epoch - wma_start) % config.wma_every == 0):
-        wma_update(s.wma, [masked_model(s.model, s.mask.flat if s.z is None else s.z, s.seen).flat])
-    out = (s.wma.means[0] if s.wma.n_models else s.model.flat).astype(np.float32)
-    out *= s.mask.flat
-    model = s.model.over(out)
+        wma_update(s.wma, [masked_model(s.w, s.z, s.mask, s.seen).flat])
+    if s.wma.n_models:
+        out = s.wma.means[0].astype(np.float32)
+        out *= s.mask.flat
+        model = s.seen.over(out)
+    else:
+        model = s.bare_model()
     probs, bins = evaluate(model, s.mask, config, test_data, epoch)
     s.history.append(EpochRecord(epoch, train_loss, bins.accuracy, bins.ece, lr,
                                  s.mask.sparsity(), s.wma.n_models))

@@ -92,6 +92,15 @@ def prune_regrow_bruteforce(weights, grads, mask, fraction):
     return out.reshape(np.asarray(mask).shape)
 
 
+def draw_layers(mask, z):
+    """A compact random-mask draw z (one bool per active weight, in
+    mask.flat_active order) laid out as mask's layers, false off the topology."""
+    flat = np.zeros_like(mask.flat)
+    flat[mask.flat_active] = z
+    ends = np.cumsum([m.size for m in mask.layers])
+    return [flat[end - m.size : end].reshape(m.shape) for m, end in zip(mask.layers, ends)]
+
+
 def mc_dropout_enumeration(model_weights, biases, mask_layers, keep_prob, x, forward_fn):
     """Exact MC-dropout expectation by enumerating every random-mask support
     over the active positions (feasible for <= ~16 active weights)."""
@@ -147,17 +156,19 @@ REFERENCE_METHODS = {
 def reference_train(config, train, test):
     """The whole training loop, written out of place from the algorithm.
 
-    Per iteration: smoothed (and mixed) targets; every update_interval
-    iterations before the freeze, prune the smallest |w| and regrow the
-    largest dense |g| by stable argsort, then w = w * m and v = v * m, so a
-    regrown weight starts from zero weight and velocity; then the random mask
-    z (a boolean scatter over the active positions), the gradient at
-    w * m * z masked by m * z, and SGD v = mu v + g + lambda w, w = w - eta v,
-    which is zero off m because g, v and w are.
+    Weights and velocities off m are +0: they start so, and every
+    update_interval iterations before the freeze, after pruning the smallest
+    |w| and regrowing the largest dense |g| by stable argsort, w and v are
+    set to +0 off the new m, so a regrown weight starts from +0 weight and
+    velocity. Per iteration: smoothed (and mixed) targets, the topology
+    update when due, the random mask z (a boolean scatter over the active
+    positions), the gradient at w * m * z masked by m * z, and SGD
+    v = mu v + g + lambda w, w = w - eta v, which keeps +0 off m because v
+    and w are +0 there (+0 + -0 is +0).
     At each epoch end: fold the snapshot w * m * z into the running mean,
     output mean * m_final (or w * m before any snapshot), and score it by
-    plain softmax (MC over mc.eval.<epoch> draws for MC prediction) with
-    ece_bruteforce.
+    plain softmax (MC over mc.eval.<epoch> draws, each w * z on m and +0
+    off it, for MC prediction) with ece_bruteforce.
 
     Returns a dict: final weights, biases and mask layers, the unmasked
     snapshot mean (weights then biases; None without snapshots), and per
@@ -178,6 +189,9 @@ def reference_train(config, train, test):
         z[active] = rng.random(active.size) < keep_prob
         return z.reshape(m.shape)
 
+    def on(m, a):  # a on m, +0 off it
+        return np.where(m, a, np.zeros((), a.dtype))
+
     def test_probs(w, b):
         logits = forward(MlpModel(w, b), test.features).astype(np.float64)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -189,7 +203,7 @@ def reference_train(config, train, test):
     plan = build_sparsity_plan(shapes, config.sparsity if sparse else 0.0,
                                config.sparsity_mode, config.mask_exclude)
     m = init_mask(shapes, plan, substream(seed, "mask.init")).layers
-    w = [wl * ml for wl, ml in zip(init.weights, m)]
+    w = [on(ml, wl) for wl, ml in zip(init.weights, m)]
     b = list(init.biases)
     vw = [np.zeros_like(x) for x in w]
     vb = [np.zeros_like(x) for x in b]
@@ -233,8 +247,8 @@ def reference_train(config, train, test):
                     out[grow] = True
                     new_m.append(out.reshape(ml.shape))
                 m = new_m
-                w = [wl * ml for wl, ml in zip(w, m)]
-                vw = [v * ml for v, ml in zip(vw, m)]
+                w = [on(ml, wl) for wl, ml in zip(w, m)]
+                vw = [on(ml, v) for v, ml in zip(vw, m)]
 
             z = [scatter(ml, z_rng, config.keep_prob) for ml in m] if random_mask else m
             seen = MlpModel([wl * ml * zl for wl, ml, zl in zip(w, m, z)], b)
@@ -260,7 +274,7 @@ def reference_train(config, train, test):
 
         if mc_predict:
             rng = substream(seed, f"mc.eval.{epoch}")
-            draws = [test_probs([wl * scatter(ml, rng, config.keep_prob)
+            draws = [test_probs([on(ml, wl * scatter(ml, rng, config.keep_prob))
                                  for wl, ml in zip(out_w, m)], out_b)
                      for _ in range(config.mc_samples)]
             probs = draws[0]

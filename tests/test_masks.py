@@ -20,7 +20,7 @@ from cigl.runner import model_from_checkpoint
 from cigl.tensor import MlpModel
 from cigl.train import masked_model
 
-from _oracles import prune_regrow_bruteforce
+from _oracles import draw_layers, prune_regrow_bruteforce
 
 
 class TestInitMask:
@@ -79,8 +79,8 @@ class TestRandomMask:
 
     def test_keep_prob_one_reproduces_topology(self):
         mask = self._mask(sparsity=0.9)
-        z = sample_random_mask(mask, 1.0, substream(0, "mask.random"))
-        assert np.array_equal(z[0], mask.layers[0])
+        (z,) = sample_random_mask(mask, 1.0, substream(0, "mask.random"))
+        assert z.all() and np.array_equal(draw_layers(mask, z)[0], mask.layers[0])
 
     def test_keep_prob_zero_gives_empty_mask(self):
         mask = self._mask(sparsity=0.5)
@@ -94,9 +94,11 @@ class TestRandomMask:
         assert 0.88 <= frac <= 0.92
 
     def test_inactive_positions_stay_zero(self):
+        # the draw is compact: one bool per active weight, none for the others
         mask = self._mask(sparsity=0.7)
-        z = sample_random_mask(mask, 0.9, substream(2, "mask.random"))
-        assert not z[0][~mask.layers[0]].any()
+        (z,) = sample_random_mask(mask, 0.9, substream(2, "mask.random"))
+        assert z.dtype == bool and z.shape == (mask.nnz()[0],) == mask.flat_active.shape
+        assert not draw_layers(mask, z)[0][~mask.layers[0]].any()
 
 
 def _reference_random_mask(mask, keep_prob, rng):
@@ -110,13 +112,14 @@ def _reference_random_mask(mask, keep_prob, rng):
 
 
 class TestRandomMaskStream:
-    """sample_random_mask scatters into cached active indices; its output and
-    its generator stream must equal the boolean-scatter reference."""
+    """sample_random_mask draws one bool per cached active index; laid out as
+    the layers, its output and its generator stream must equal the
+    boolean-scatter reference."""
 
     def _assert_stream_matches(self, mask, keep_prob, draws=3):
         got_rng, want_rng = substream(9, "mask.random"), substream(9, "mask.random")
         for _ in range(draws):  # repeated draws reuse the cached indices
-            got = sample_random_mask(mask, keep_prob, got_rng)
+            got = draw_layers(mask, *sample_random_mask(mask, keep_prob, got_rng))
             want = _reference_random_mask(mask, keep_prob, want_rng)
             for a, b in zip(got, want):
                 assert a.dtype == bool and a.shape == b.shape
@@ -151,23 +154,26 @@ class TestRandomMaskStream:
         offsets = np.cumsum([0] + [m.size for m in mask.layers])
         want = np.concatenate([np.flatnonzero(m) + off for m, off in zip(mask.layers, offsets)])
         assert np.array_equal(mask.flat_active, want) and want.max() < n_weights
+        biases = np.arange(n_weights, mask.flat.size)
+        assert np.array_equal(mask.positions, np.concatenate([want, biases]))
 
     @pytest.mark.parametrize("keep_prob", [0.0, 0.9, 1.0])
     def test_reused_buffer_draws_what_a_fresh_one_does(self, mask, keep_prob):
-        # a buffer last filled under an old topology, or left all true, holds
-        # no stale true at the new topology's inactive positions
+        # a buffer last filled under an old topology, or left all true, is
+        # overwritten whole: a topology update keeps the active count
         rng = np.random.default_rng(0)
         w = [rng.normal(0, 1, m.shape).astype(np.float32) * m for m in mask.layers]
         g = [rng.normal(0, 1, m.shape).astype(np.float32) for m in mask.layers]
         new = update_deterministic_mask(w, g, mask, 0.3)
-        out = np.ones_like(mask.flat)
+        out = np.ones(mask.flat_active.size, dtype=bool)
         got_rng, want_rng = substream(9, "mask.random"), substream(9, "mask.random")
         for m in (mask, mask, new, new):
-            got = sample_random_mask(m, keep_prob, got_rng, out=out)
-            want = sample_random_mask(m, keep_prob, want_rng)
-            assert all(np.array_equal(a, b) and np.shares_memory(a, out) for a, b in zip(got, want))
-            assert not out[~m.flat].any() and out[-sum(layer.shape[0] for layer in m.layers):].all()
+            (got,) = sample_random_mask(m, keep_prob, got_rng, out=out)
+            (want,) = sample_random_mask(m, keep_prob, want_rng)
+            assert got is out and np.array_equal(got, want)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        with pytest.raises(ValueError):  # a buffer of another size is not silently refilled
+            sample_random_mask(mask, keep_prob, got_rng, out=out[1:])
 
     @pytest.mark.parametrize("keep_prob", [0.0, 0.9, 1.0])
     def test_mask_rebuilt_from_checkpoint(self, mask, keep_prob, tmp_path):
@@ -242,18 +248,19 @@ class TestPackedMask:
 
 
 class TestApplyMasks:
-    """train.masked_model, the one w * m * z path: its masks are flat effective
-    masks laid out as mask.flat, zero off the topology and true over the
-    biases, as sample_random_mask draws them."""
+    """train.masked_model, the one w * m * z path: compact weights over
+    mask.positions and a compact draw z, as sample_random_mask makes it,
+    scattered into a model that is +0 off the topology."""
 
     @staticmethod
-    def _seen(model, z):
-        return masked_model(model, z, model.over(np.empty_like(model.flat)))
+    def _seen(model, mask, z):
+        out = model.over(np.zeros_like(model.flat))
+        return masked_model(model.flat[mask.positions], z, mask, out)
 
     @classmethod
-    def _masked(cls, w, z):
+    def _masked(cls, w, m):
         model = MlpModel([w], [np.zeros(w.shape[0], np.float32)])
-        return cls._seen(model, DeterministicMask([z], (int(z.sum()),)).flat).weights[0]
+        return cls._seen(model, DeterministicMask([m], (int(m.sum()),)), None).weights[0]
 
     def test_identity_masks(self):
         w = np.arange(6, dtype=np.float32).reshape(2, 3)
@@ -264,19 +271,22 @@ class TestApplyMasks:
         assert not self._masked(w, np.zeros((2, 3), dtype=bool)).any()
 
     def test_elementwise_product_by_hand(self):
+        # z over the active positions 0, 2, 3, 4; the weight off m is +0
         w = np.array([[1.0, -2.0, 3.0, -4.0, -0.0]], dtype=np.float32)
         m = np.array([[1, 0, 1, 1, 1]], dtype=bool)
-        z = np.array([[1, 1, 0, 1, 0]], dtype=bool)
+        z = np.array([1, 0, 1, 0], dtype=bool)
         model = MlpModel([w], [np.array([-0.5], np.float32)])
-        seen = self._seen(model, DeterministicMask([m & z], (2,)).flat)
-        want = np.array([1.0, -0.0, 0.0, -4.0, -0.0, -0.5], dtype=np.float32)
+        seen = self._seen(model, DeterministicMask([m], (4,)), z)
+        want = np.array([1.0, 0.0, 0.0, -4.0, -0.0, -0.5], dtype=np.float32)
         assert seen.flat.tobytes() == want.tobytes()
 
     def test_input_not_modified(self):
-        model = MlpModel([np.ones((1, 3), dtype=np.float32)], [np.ones(1, np.float32)])
-        out = model.over(np.empty_like(model.flat))
-        assert masked_model(model, np.zeros(4, dtype=bool), out) is out
-        assert np.all(model.flat == 1.0) and not out.flat.any()
+        model = MlpModel([np.ones((1, 3), dtype=np.float32)], [np.zeros(1, np.float32)])
+        mask = DeterministicMask([np.ones((1, 3), dtype=bool)], (3,))
+        w = model.flat[mask.positions]
+        out = model.over(np.zeros_like(model.flat))
+        assert masked_model(w, np.zeros(3, dtype=bool), mask, out) is out
+        assert np.all(w[:3] == 1.0) and np.all(model.flat[:3] == 1.0) and not out.flat.any()
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -285,16 +295,15 @@ class TestApplyMasks:
         w = rng.normal(0, 1, (5, 4)).astype(np.float32)
         m = rng.random((5, 4)) < 0.6
         mask = DeterministicMask([m], (int(m.sum()),))
-        z = np.empty_like(mask.flat)
-        sample_random_mask(mask, 0.8, rng, out=z)
+        (z,) = sample_random_mask(mask, 0.8, rng)
         model = MlpModel([w], [rng.normal(0, 1, 5).astype(np.float32)])
-        once = self._seen(model, z)
-        twice = self._seen(once, z)
+        once = self._seen(model, mask, z)
+        twice = self._seen(once, mask, z)
         assert once.flat.tobytes() == twice.flat.tobytes()
-        # in place by the topology, over weights already w * m: the bits stay
-        model.flat *= mask.flat
-        before = model.flat.tobytes()
-        assert masked_model(model, mask.flat, model).flat.tobytes() == before
+        # in place, without a draw, over a model holding the bare weights: the bits stay
+        bare = self._seen(model, mask, None)
+        before = bare.flat.tobytes()
+        assert masked_model(bare.flat[mask.positions], None, mask, bare).flat.tobytes() == before
 
 
 class TestMaskUpdate:

@@ -46,17 +46,17 @@ def test_correlation_probe_runs_and_a_dense_net_warns_nothing():
 # kernels (another kernel changes every line). A change that moves any of these
 # bytes must say why; the pinned lines keep every artifact bit-exact.
 SEED0_DIGESTS = {
-    "cigl": "c0dfb98de79c23badc55638e7dffe560a232a60bce95e64d5e302b7f2a1c7bec",
-    "rigl": "6bfbc739ed09c4b2b953edf95bf531a9c13ccb99cfe91aed722a6caa9773080d",
-    "rigl_wdp": "9ab81cc17b682dcb2e0c482e9c858df304b84f616143c81a82e9daa8a3f69397",
-    "rigl_mcdp": "d1de94f05f4b40df1c2a3f2c1e7c92ad2da6357342b2017ce71d37b2af26927c",
+    "cigl": "495a6f9b86afaa8d5f986f7e52c2a5c9aab54c4fdc4030e61d39923daa5b1997",
+    "rigl": "457fb2530f8fc01ff4cd8bd5c1e2114c8cbf2f63780294cbfa04203c8a545250",
+    "rigl_wdp": "60eb76b135b28ccd9303b00b2886e050b2afdc34acb588dba67fc711d56e424d",
+    "rigl_mcdp": "a731569fe5e16d2aae0d586975d19bfbd2f164ae5d0e5122357d5392b6da1345",
     "dense": "96243fc326adeef604ce740a744d3c6999ac5a7d7bb24738b0aca768fed98be3",
-    "cigl_no_rm": "314be9c4a68b703b4c1e4da4a221fc69954ef68b0fbcc8631bcaa564a503279b",
-    "cigl_no_wma": "9ab81cc17b682dcb2e0c482e9c858df304b84f616143c81a82e9daa8a3f69397",
-    "cigl_run": "0be21bc803ccd1154926e978f14beac0d220a9d3bae12e62e4f32642d8c7b218",
+    "cigl_no_rm": "c20bbe8c0c3884b3ac72d9289a72ecf1a78769d986b54c5142f6f9f59c1863ce",
+    "cigl_no_wma": "60eb76b135b28ccd9303b00b2886e050b2afdc34acb588dba67fc711d56e424d",
+    "cigl_run": "468a19837c6fe95c20805cbaf6dfe4aacde2a4812576b70b950807c7e503c403",
     "rigl_mcdp_eval": "624a75955e31bf6888f42903de4964d0f2ae376c867865f01fc76af480ec1dbe",
     "cigl_eval": "aed41f8c25c14d566aafb6ca6288552a60f454bb9387273fa916d1a8acfc7922",
-    "idx_run": "c79c908823a3a33c85fba25486d9430b9e611e40a78c595225147fb97217e48e",
+    "idx_run": "c5a69de763360fff2b5030b44a793ea5dec30f47f1730cd4d9da1f1e0f80aaf8",
 }
 
 
@@ -64,17 +64,17 @@ SEED0_DIGESTS = {
 # kernels: a second seed, so a change that keeps the bits of one seed by accident
 # still shows.
 SEED1_DIGESTS = {
-    "cigl": "498e8f29a6cf08b4d2b6ac48beb046aa72b1c19346666bbd1fad8db330881b48",
-    "rigl": "f65fc4baf5ead483b46c07d5d8bddf6ae1c1d1f5fa1b97387878e7af078550d2",
-    "rigl_wdp": "6341a2f01ec9a8ba44022479bc42e1aa04cae3ffcedb6ae4047fc922e4f4437f",
-    "rigl_mcdp": "744e6e499b7973980c63937e1a9cf079a4ac60360798ce6fb963e67513e915f2",
+    "cigl": "1a4cbacee7677458d6b0f80c956dbb84639bca800f125236c6258a178e93e46e",
+    "rigl": "bf2abaf6c13b7fbc9992b9d4fcacb86d2e907f43956102614a0cca96d53ed12e",
+    "rigl_wdp": "2b21d7f302d094c323d0d81ade9b842bac5e56370ed05dfdf7a5a86c66f4e001",
+    "rigl_mcdp": "bcc303f767da12aedab55e2ac60c6d7109bc27f7942329a8f19b65513c259f49",
     "dense": "caef43bc955f3754e5551dcd5b4eb22881b067a375b6a9a954b414d99541abdf",
-    "cigl_no_rm": "9ad0e7fc9efe1ed50cfa1370826dac9a9fcea5797189cb9ecc0c136a3b86dd98",
-    "cigl_no_wma": "6341a2f01ec9a8ba44022479bc42e1aa04cae3ffcedb6ae4047fc922e4f4437f",
-    "cigl_run": "8b0a924ef16cd58babedeab5244ffceb8802cd72236544f4257dca68fe698dca",
+    "cigl_no_rm": "f5962d3990ed524d9458222beed8f6090e1f4a9d115081233983effeea209137",
+    "cigl_no_wma": "2b21d7f302d094c323d0d81ade9b842bac5e56370ed05dfdf7a5a86c66f4e001",
+    "cigl_run": "0855460ae9bb8e7b78aa01ab4375f9b30c8f338e1b5bbb00ac4648a1146c643c",
     "rigl_mcdp_eval": "8f8dbb725e2e2659bf6126c22ba9afb58538e5940550ce0dc5029f5c58532f9a",
     "cigl_eval": "570257715bdf8c1e56ae3534c114513d6219bcdb6df61f0216c916511af15d16",
-    "idx_run": "0dcfe8ad0b313012253e3ce147e907849fbda56be0c5ae1fc3cf9f75df292883",
+    "idx_run": "5b662a3e357fca4200aea390ad666cada421f1c495dd9653f1014ec2b00816e3",
 }
 
 

@@ -247,6 +247,12 @@ def _flat(arrays):
     return np.concatenate([a.ravel() for a in arrays])
 
 
+def sgd_state(model, momentum, weight_decay):
+    """Zero velocities over a packed model's flat buffer, its weights decayed."""
+    return SgdState(np.zeros_like(model.flat), sum(w.size for w in model.weights), momentum,
+                    weight_decay)
+
+
 class TestSgd:
     """sgd_step works on the flat buffers of a packed model: here one weight,
     then one bias."""
@@ -256,19 +262,19 @@ class TestSgd:
 
     def test_vanilla_sgd_without_momentum(self):
         model = self._model(1.0)
-        state = SgdState.for_model(model, momentum=0.0, weight_decay=0.0)
+        state = sgd_state(model, momentum=0.0, weight_decay=0.0)
         sgd_step(model.flat, _f32(0.5, 0.0), state, lr=0.1)
         assert model.weights[0][0, 0] == pytest.approx(0.95, abs=1e-7)
 
     def test_zero_gradient_is_fixed_point(self):
         model = self._model(2.0)
-        state = SgdState.for_model(model, momentum=0.0, weight_decay=0.0)
+        state = sgd_state(model, momentum=0.0, weight_decay=0.0)
         sgd_step(model.flat, _f32(0.0, 0.0), state, lr=0.1)
         assert model.weights[0][0, 0] == 2.0
 
     def test_two_momentum_steps_hand_iteration(self):
         model = self._model(0.0)
-        state = SgdState.for_model(model, momentum=0.9, weight_decay=0.0)
+        state = sgd_state(model, momentum=0.9, weight_decay=0.0)
         g = _f32(1.0, 0.0)
         sgd_step(model.flat, g, state, lr=1.0)
         assert model.weights[0][0, 0] == pytest.approx(-1.0)
@@ -277,7 +283,7 @@ class TestSgd:
 
     def test_decay_applies_to_weights_not_biases(self):
         model = MlpModel([np.ones((1, 1), np.float32)], [np.ones(1, np.float32)])
-        state = SgdState.for_model(model, momentum=0.0, weight_decay=0.5)
+        state = sgd_state(model, momentum=0.0, weight_decay=0.5)
         sgd_step(model.flat, _f32(0.0, 0.0), state, lr=1.0)
         assert model.weights[0][0, 0] == pytest.approx(0.5)
         assert model.biases[0][0] == 1.0
@@ -285,7 +291,7 @@ class TestSgd:
     def _assert_matches_per_layer_formula(self, model, grad_steps, regrow_at=None):
         """Run flat sgd_step on the packed model and the out-of-place per-layer
         expression on copies; weights, biases and velocities must match in bytes."""
-        state = SgdState.for_model(model, momentum=0.9, weight_decay=5e-4)
+        state = sgd_state(model, momentum=0.9, weight_decay=5e-4)
         velocity = model.over(state.velocity)
         ref_w, ref_b = [w.copy() for w in model.weights], [b.copy() for b in model.biases]
         ref_vw = [np.zeros_like(w) for w in ref_w]
@@ -496,7 +502,7 @@ def test_deterministic_init_and_steps():
     def run():
         rng = substream(11, "init.weights")
         model = init_mlp([4, 8, 2], rng)
-        state = SgdState.for_model(model, 0.9, 1e-4)
+        state = sgd_state(model, 0.9, 1e-4)
         grads = model.over(np.empty_like(model.flat))
         data_rng = substream(11, "data")
         x = data_rng.normal(0, 1, (16, 4)).astype(np.float32)
@@ -519,7 +525,7 @@ def test_loss_halves_on_separable_data():
     ]).astype(np.float32)
     targets = _one_hot(np.repeat([0, 1], 40), 2)
     model = init_mlp([2, 8, 2], substream(5, "init.weights"))
-    state = SgdState.for_model(model, 0.9, 0.0)
+    state = sgd_state(model, 0.9, 0.0)
     first, _, _ = backward(model, x, targets)
     for _ in range(200):
         _, gw, gb = backward(model, x, targets)
