@@ -63,16 +63,16 @@ def build_datasets(cfg: ExperimentConfig):
 
 
 def _report(cfg: ExperimentConfig, model: MlpModel, val_ds: Dataset | None, test_ds: Dataset,
-            probs: np.ndarray, bins: ReliabilityBins) -> CalibrationReport:
+            probs: np.ndarray, bins: ReliabilityBins,
+            logits: np.ndarray | None) -> CalibrationReport:
     """The run's test calibration: probs and their bins as given, or with a
-    validation split, the test logits' softmax at the temperature fitted on it,
-    binned at calib.n_bins."""
+    validation split, the softmax of the test logits (the ones probs was
+    taken of; a single-softmax method's, as the config requires) at the
+    temperature fitted on it, binned at calib.n_bins."""
     temp = None
     if val_ds is not None:
         temp = fit_temperature(predict_logits(model, val_ds.features), val_ds.labels)
-        logits = predict_logits(model, test_ds.features)
-        logits /= temp
-        probs = softmax_inplace(logits)
+        probs = softmax_inplace(logits / temp)
         bins = reliability_bins(probs, test_ds.labels, cfg.train.n_bins)
     return CalibrationReport(nll=nll(probs, test_ds.labels), bins=bins, temperature=temp)
 
@@ -91,7 +91,8 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
         raise ConfigError(f"run.id: output {out_dir} already holds run artifacts (use --force)")
     fit_ds, val_ds, test_ds = build_datasets(cfg)
     result = train(cfg.train, fit_ds, test_ds)
-    report = _report(cfg, result.model, val_ds, test_ds, result.final_probs, result.final_bins)
+    report = _report(cfg, result.model, val_ds, test_ds, result.final_probs, result.final_bins,
+                     result.final_logits)
 
     # made only now, so a run that fails leaves no directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -197,8 +198,9 @@ def run_correlate(cfg: ExperimentConfig, ckpt_path, keep_prob: float = 0.9,
 def run_export_reliability(cfg: ExperimentConfig, ckpt_path, out_file) -> Path:
     """The checkpoint's test reliability table: under its run's config, the run's calibration.csv."""
     cfg, model, mask, val_ds, test_ds = _load_for_eval(cfg, ckpt_path)
-    probs, bins = evaluate(model, mask, cfg.train, test_ds, cfg.train.epochs)
+    probs, bins, logits = evaluate(model, mask, cfg.train, test_ds, cfg.train.epochs)
     out_file = Path(out_file)
     out_file.parent.mkdir(parents=True, exist_ok=True)
-    write_reliability_csv(_report(cfg, model, val_ds, test_ds, probs, bins).bins, out_file)
+    report = _report(cfg, model, val_ds, test_ds, probs, bins, logits)
+    write_reliability_csv(report.bins, out_file)
     return out_file

@@ -60,6 +60,7 @@ class TrainResult:
     mask_update_log: list[tuple[int, tuple[int, ...]]]  # (iteration, nnz per layer)
     final_probs: np.ndarray  # test probabilities of the output model
     final_bins: ReliabilityBins  # their reliability bins, which history[-1] reads
+    final_logits: np.ndarray | None  # their float64 logits; None under MC dropout
 
 
 def predict_logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
@@ -112,23 +113,27 @@ def reaching_units(model: MlpModel) -> MlpModel:
 
 
 def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data: Dataset,
-             epoch: int) -> tuple[np.ndarray, ReliabilityBins]:
-    """The method's probability rows for data and their config.n_bins
-    reliability bins, which carry accuracy and ECE. The one place that
+             epoch: int) -> tuple[np.ndarray, ReliabilityBins, np.ndarray | None]:
+    """The method's probability rows for data, their config.n_bins
+    reliability bins, which carry accuracy and ECE, and under a single
+    softmax the float64 logits it was taken of (None under MC dropout),
+    which temperature scaling rescales. The one place that
     chooses MC dropout, drawn on the stream of the epoch just trained, over
     a single softmax; export passes the last epoch, so it redraws the run's
     table. A non-finite weight or bias raises NonFiniteError, even where it
     could not reach a logit, and so do non-finite rows (diverged weights)."""
     if not np.isfinite(model.flat).all():
         raise NonFiniteError("non-finite parameters")
+    logits = None
     if METHODS[config.method].mc_predict:
         probs = predict_mc_dropout(model, mask, config.keep_prob, config.mc_samples,
                                    data.features, substream(config.seed, f"mc.eval.{epoch}"))
     else:
-        probs = softmax_inplace(predict_logits(model, data.features))
+        logits = predict_logits(model, data.features)
+        probs = softmax_inplace(logits.copy())
     if not np.isfinite(probs).all():
         raise NonFiniteError("non-finite probabilities")
-    return probs, reliability_bins(probs, data.labels, config.n_bins)
+    return probs, reliability_bins(probs, data.labels, config.n_bins), logits
 
 
 def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: float,
@@ -300,7 +305,7 @@ def _end_epoch(s: TrainState, config: TrainConfig, test_data: Dataset, epoch: in
         model = s.seen.over(out)
     else:
         model = s.bare_model()
-    probs, bins = evaluate(model, s.mask, config, test_data, epoch)
+    probs, bins, logits = evaluate(model, s.mask, config, test_data, epoch)
     s.history.append(EpochRecord(epoch, train_loss, bins.accuracy, bins.ece, lr,
                                  s.mask.sparsity(), s.wma.n_models))
-    return TrainResult(model, s.mask, s.history, s.update_log, probs, bins)
+    return TrainResult(model, s.mask, s.history, s.update_log, probs, bins, logits)

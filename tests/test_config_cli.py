@@ -814,6 +814,20 @@ class TestFinalTable:
         assert calls == ["cigl.runner"]
         assert out.report.bins is not out.result.final_bins
 
+    def test_temperature_run_predicts_the_test_split_once(self, tmp_path, monkeypatch):
+        # the report rescales the logits of the last epoch's evaluation
+        calls = []
+        for module_name in ("cigl.train", "cigl.runner"):
+            module = sys.modules[module_name]
+            real = module.predict_logits
+            monkeypatch.setattr(module, "predict_logits", lambda model, x, real=real:
+                                calls.append((model, len(x))) or real(model, x))
+        cfg = parse_config_text(with_lines(TINY_CONFIG, "calib.temperature = true"))
+        out = run_experiment(cfg, out_root=tmp_path)
+        final = [n for model, n in calls if model is out.result.model]
+        assert final.count(len(out.result.final_probs)) == 1
+        assert len(final) == 2  # and the validation split's once
+
     @pytest.mark.parametrize("method", ["cigl", "rigl_mcdp"])
     def test_export_bins_its_table_once(self, tmp_path, monkeypatch, method):
         cfg = parse_config_text(with_lines(TINY_CONFIG, f"train.method = {method}",

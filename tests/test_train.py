@@ -313,8 +313,9 @@ def full_mask(model):
 
 
 def plain_evaluate(model, data):
-    """evaluate under a method without MC prediction: one softmax."""
-    return evaluate(model, full_mask(model), TrainConfig(method="rigl"), data, 1)
+    """evaluate's probabilities and bins under a method without MC prediction:
+    one softmax."""
+    return evaluate(model, full_mask(model), TrainConfig(method="rigl"), data, 1)[:2]
 
 
 class TestEvaluate:
@@ -352,12 +353,14 @@ class TestEvaluate:
         mask = init_mask(shapes, build_sparsity_plan(shapes, 0.5), substream(1, "eval.mask"))
         model.flat *= mask.flat
         cfg = TrainConfig(method=method, seed=5, keep_prob=0.7, mc_samples=3, n_bins=7)
-        probs, bins = evaluate(model, mask, cfg, tr, 4)
+        probs, bins, logits = evaluate(model, mask, cfg, tr, 4)
         if METHODS[method].mc_predict:
             want = predict_mc_dropout(model, mask, 0.7, 3, tr.features,
                                       substream(5, "mc.eval.4"))
+            assert logits is None
         else:
             want, _ = plain_evaluate(model, tr)
+            assert logits.tobytes() == predict_logits(model, tr.features).tobytes()
         np.testing.assert_array_equal(probs, want)
         assert bins == reliability_bins(want, tr.labels, 7)
 
