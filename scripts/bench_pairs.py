@@ -4,6 +4,9 @@
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload mc_eval \\
         --pairs 10 --seconds 30 --seed 7
 
+`--workload` also takes a comma-separated list (`mnist_sparse,mc_eval`): the
+workloads run one after another, each with its own pairs and summary block.
+
 Each pair runs `bench/run.py --trace 0` once in each checkout, each in a fresh
 process; the side that runs first alternates from pair to pair, so drift in
 the machine's speed falls on both. Prints every pair's end-to-end metrics,
@@ -27,11 +30,11 @@ import sys
 from pathlib import Path
 
 
-def run_bench(checkout: Path, args) -> tuple[dict, list]:
-    """One untraced run in checkout: its end-to-end metrics, name -> value,
-    and its outputs: the digests and each seed's accuracy and ECE."""
+def run_bench(checkout: Path, workload: str, args) -> tuple[dict, list]:
+    """One untraced run of workload in checkout: its end-to-end metrics,
+    name -> value, and its outputs: the digests and each seed's accuracy and ECE."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(args.seed),
          "--seconds", str(args.seconds), "--trace", "0", "--size", args.size],
         cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
@@ -81,7 +84,7 @@ def parse_args(argv):
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, help="a workload, or a comma-separated list")
     ap.add_argument("--pairs", required=True, type=int)
     ap.add_argument("--seconds", required=True, type=float)
     ap.add_argument("--seed", required=True, type=int)
@@ -89,13 +92,13 @@ def parse_args(argv):
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
+    if not all(args.workload.split(",")):
+        ap.error("--workload: empty workload name")
     return args
 
 
-def main(argv=None):
-    args = parse_args(argv)
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+def compare(args, workload: str, better: dict) -> None:
+    """args.pairs alternating pairs of workload: a line per pair, then the summary block."""
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
     same_digests = same_quality = True
@@ -104,7 +107,7 @@ def main(argv=None):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         outputs = {}
         for side in order:
-            metrics, outputs[side] = run_bench(sides[side], args)
+            metrics, outputs[side] = run_bench(sides[side], workload, args)
             runs[side].append(metrics)
         same_digests &= outputs["parent"][0] == outputs["change"][0]
         same_quality &= outputs["parent"][1] == outputs["change"][1]
@@ -112,13 +115,21 @@ def main(argv=None):
         line = " ".join(f"{name}={runs['parent'][-1][name]:.6g}/{runs['change'][-1][name]:.6g}"
                         for name in better)
         print(f"pair {i + 1} ({order[0]} first) parent/change: {line}", flush=True)
-    print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs of "
+    print(f"workload {workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds:g} s runs")
     print("\n".join(summarise(runs["parent"], runs["change"], better)))
     print(f"same digests in every pair: {'yes' if same_digests else 'no'}")
     print(f"same per-seed accuracy and ECE in every pair: {'yes' if same_quality else 'no'}")
     acc_gap, ece_gap = largest_gaps(quality)
     print(f"largest per-seed |change - parent|: test_accuracy {acc_gap:.3g}, test_ece {ece_gap:.3g}")
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    for workload in args.workload.split(","):
+        compare(args, workload, better)
 
 
 if __name__ == "__main__":

@@ -33,17 +33,17 @@ another sign; every value, mask, probability and history is the same (at
 seed 0 the `cigl` line went from d44b4e10... to a0c5c114...).
 Nine lines changed once on purpose again: a full 512-row prediction block
 now runs only through the hidden units with a path to a logit
-(`cigl.train.reaching_units`), so its sums run over fewer terms, in the order
-BLAS picks for the smaller shapes. The weights, masks, biases and `model.ckpt`
-bytes are the same; the probabilities, histories and the files made from them
-moved by float32 rounding. The `dense` line, whose units all reach a logit,
-and `idx_run`, whose splits are shorter than one block, did not move (at
-seed 0 the `cigl` line went from a0c5c114... to c0dfb98d..., and
-`rigl_mcdp_eval` from 72093c95... to 624a7595...). Those bits cannot be kept:
-pruning only the hidden layers and running the last one at full width over a
-zero-filled scatter still changed 5 of 480 full blocks (16 random 2-64-64-2
-nets at sparsity 0.9, 30 draws each), since a narrower hidden layer makes
-OpenBLAS sum in another order.
+(then `cigl.train.reaching_units`), so its sums run over fewer terms, in
+the order BLAS picks for the smaller shapes. The weights, masks, biases and
+`model.ckpt` bytes are the same; the probabilities, histories and the
+files made from them moved by float32 rounding. The `dense` line, whose
+units all reach a logit, and `idx_run`, whose splits are shorter than one
+block, did not move (at seed 0 the `cigl` line went from a0c5c114... to
+c0dfb98d..., and `rigl_mcdp_eval` from 72093c95... to 624a7595...). Those
+bits cannot be kept: pruning only the hidden layers and running the last one
+at full width over a zero-filled scatter still changed 5 of 480 full blocks
+(16 random 2-64-64-2 nets at sparsity 0.9, 30 draws each), since a narrower
+hidden layer makes OpenBLAS sum in another order.
 The six sparse-method lines, `cigl_run` and `idx_run` changed once on purpose
 again: the loop now keeps its weights, velocities and random mask only at the
 active positions and writes the output model as zeros plus one scatter, so
@@ -52,6 +52,17 @@ zero it was regrown with. No value changed: every nonzero weight, every bias, ma
 probability and history, and every run file but `model.ckpt`, is the same.
 The `dense`, `rigl_mcdp_eval` and `cigl_eval` lines did not move (at seed 0
 the `cigl` line went from c0dfb98d... to 495a6f9b...).
+Ten lines changed once on purpose again: prediction now runs only through
+the hidden units that both depend on the input and reach a logit
+(`cigl.train.live_units`). A unit that reaches a logit but has no path from
+the input outputs a constant, which is folded into the next layer's bias, and
+the shorter last block, so every test split of at most 512 rows, runs through
+the same live net instead of the whole model. The weights, masks, biases and
+`model.ckpt` bytes are the same; the probabilities, histories and the files
+made from them moved by float32 rounding. Only the `dense` line, with no unit
+to drop or fold, did not move (at seed 0 the `cigl` line went from
+495a6f9b... to 5ab04800..., and `rigl_mcdp_eval` from 624a7595... to
+dae4b0dd...).
 
 The lines hold on one OpenBLAS kernel: a float32 GEMM kernel of another
 vector width sums in another order, and every line changes (for example

@@ -65,50 +65,62 @@ class TrainResult:
 
 def predict_logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
     """Float64 logits, a forward pass per BLOCK_ROWS rows (other sizes change the
-    bits). A full block runs through reaching_units(model), reading each weight
+    bits), every block through live_units(model). A full block reads each weight
     transposed into a contiguous copy and the bias rows and ReLU zeros as
-    contiguous blocks, all made once per call. A shorter last block is plain
-    forward(model, x): there small-matrix BLAS kernels give a pruned or copied
-    operand other bits, and a test set of at most BLOCK_ROWS rows keeps the
-    bits of one forward call."""
+    contiguous blocks, all made once per call; a shorter last block, and so a
+    test set of fewer than BLOCK_ROWS rows, is plain forward over the live net."""
     n = len(features)
     out = np.empty((n, model.weights[-1].shape[0]), dtype=np.float64)
-    n_full = n - n % BLOCK_ROWS
+    live, n_full = live_units(model), n - n % BLOCK_ROWS
     if n_full:
-        pruned = reaching_units(model)
         plan = [(np.ascontiguousarray(w.T), np.broadcast_to(b, (BLOCK_ROWS, b.size)).copy(),
                  np.zeros((BLOCK_ROWS, b.size), dtype=b.dtype))
-                for w, b in zip(pruned.weights, pruned.biases)]
+                for w, b in zip(live.weights, live.biases)]
         for start in range(0, n_full, BLOCK_ROWS):
-            out[start : start + BLOCK_ROWS] = forward(pruned, features[start : start + BLOCK_ROWS],
+            out[start : start + BLOCK_ROWS] = forward(live, features[start : start + BLOCK_ROWS],
                                                       plan)
     if n_full < n:
-        out[n_full:] = forward(model, features[n_full:])
+        out[n_full:] = forward(live, features[n_full:])
     return out
 
 
-def reaching_units(model: MlpModel) -> MlpModel:
-    """model restricted to the hidden units with a path to a logit. Walking the
-    layers backwards, a hidden unit stays if it has a nonzero weight into a unit
-    that stays; every input and output unit stays. A dropped unit adds only
-    exact zeros to the units that stay, so the logits keep their values, up to
-    the float32 rounding of the shorter sums. Returns model itself when every
-    unit stays, and also when a weight or bias is not finite, so that a NaN
-    reaches the logits as in the unpruned forward (0 * nan is nan), where
-    evaluate refuses it."""
-    keeps, keep = [None] * model.n_layers, None  # per layer, its kept inputs; None: all
-    for i in range(model.n_layers - 1, 0, -1):
-        w = model.weights[i] if keep is None else model.weights[i][keep]
-        keep = (w != 0).any(axis=0)
-        keeps[i] = keep = None if keep.all() else keep
-    if all(k is None for k in keeps) or not np.isfinite(model.flat).all():
+def live_units(model: MlpModel) -> MlpModel:
+    """model through only the hidden units that depend on the input and reach a
+    logit. Walking the layers backwards, a hidden unit reaches a logit if it has
+    a nonzero weight into a unit that does; walking forwards, it depends on the
+    input if it has a nonzero weight from an input or from a unit that does. A
+    unit that reaches a logit but not the input outputs the constant
+    c = relu(b'), b' its folded bias, which folds into the next layer's bias as
+    b + w[:, const] @ c, summed left to right in the model's dtype. Every other
+    dropped unit adds only exact zeros to the kept ones. So the logits keep
+    their values, up to the float32 rounding of the shorter sums and the fold.
+    Returns model itself when every unit is live, and also when a weight or bias
+    is not finite, so that a NaN reaches the logits as in the full forward
+    (0 * nan is nan), where evaluate refuses it."""
+    n = model.n_layers
+    reach = [None] * (n - 1)  # per hidden layer, its units with a path to a logit
+    for i in range(n - 1, 0, -1):
+        w = model.weights[i] if i == n - 1 else model.weights[i][reach[i]]
+        reach[i - 1] = (w != 0).any(axis=0)
+    depend = []  # per hidden layer, its units with a path from the input
+    for i in range(n - 1):
+        w = model.weights[i] if i == 0 else model.weights[i][:, depend[-1]]
+        depend.append((w != 0).any(axis=1))
+    live = [r & d for r, d in zip(reach, depend)]
+    if all(keep.all() for keep in live) or not np.isfinite(model.flat).all():
         return model
-    weights, biases = [], []
-    for w, b, keep_in, keep_out in zip(model.weights, model.biases, keeps, keeps[1:] + [None]):
-        if keep_out is not None:
-            w, b = w[keep_out], b[keep_out]
-        weights.append(w if keep_in is None else w[:, keep_in])
-        biases.append(b)
+    weights, biases, keep_in, const = [], [], slice(None), ()
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        if len(const):  # b + w[:, const] @ c, summed left to right in the model's dtype
+            terms = np.concatenate([b[None], w.T[const] * c[:, None]])
+            b = np.add.accumulate(terms, out=terms)[-1]
+        keep_out = slice(None)
+        if i < n - 1:
+            keep_out, const = live[i], np.flatnonzero(reach[i] & ~depend[i])
+            c = np.maximum(b[const], 0)
+        weights.append(w[keep_out][:, keep_in])
+        biases.append(b[keep_out])
+        keep_in = keep_out
     return MlpModel(weights, biases)
 
 

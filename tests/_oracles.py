@@ -124,19 +124,44 @@ def mc_dropout_enumeration(model_weights, biases, mask_layers, keep_prob, x, for
     return expected
 
 
-def reaching_units_by_loops(model):
-    """model without the hidden units that have no path to a logit, by a
-    backward scan over every weight: a hidden unit stays if some nonzero weight
-    leads from it to a unit that stays; every input and output unit stays.
-    The kept weights and biases are fresh C-contiguous arrays."""
+def live_units_by_loops(model):
+    """model through only the hidden units that depend on the input and reach a
+    logit, by scans over every weight. Backwards, a hidden unit reaches a logit
+    if some nonzero weight leads from it to a unit that does; forwards, it
+    depends on the input if some nonzero weight leads to it from an input or
+    from a unit that does. Every input and output unit stays. A unit that
+    reaches a logit but not the input outputs max(b', 0), b' its folded bias:
+    its bias, then plus w[r, j] * c_j for each such unit j of the layer before
+    in ascending order, one rounding in the model's dtype per operation. The
+    kept weights and biases are fresh C-contiguous arrays."""
     from cigl.tensor import MlpModel
 
-    kept = [list(range(model.weights[-1].shape[0]))]  # the output units
-    for w in reversed(model.weights[1:]):
-        kept.insert(0, [j for j in range(w.shape[1]) if any(w[r, j] != 0 for r in kept[0])])
-    kept.insert(0, list(range(model.weights[0].shape[1])))  # the inputs
-    weights = [w[np.ix_(out, inp)] for w, inp, out in zip(model.weights, kept, kept[1:])]
-    return MlpModel(weights, [b[out] for b, out in zip(model.biases, kept[1:])])
+    weights, biases = model.weights, model.biases
+    reach = [list(range(weights[-1].shape[0]))]  # the output units
+    for w in reversed(weights[1:]):
+        reach.insert(0, [j for j in range(w.shape[1]) if any(w[r, j] != 0 for r in reach[0])])
+    depend = [list(range(weights[0].shape[1]))]  # the inputs
+    for w in weights[:-1]:
+        depend.append([r for r in range(w.shape[0]) if any(w[r, j] != 0 for j in depend[-1])])
+    kept, const = [depend[0]], [[]]
+    for r_units, d_units in zip(reach[:-1], depend[1:]):
+        kept.append([u for u in r_units if u in d_units])
+        const.append([u for u in r_units if u not in d_units])
+    kept.append(reach[-1])
+    const.append([])
+    out_w, out_b, c = [], [], {}  # c: each constant unit's output, of the layer before
+    for w, b, inp, out, const_in, const_out in zip(weights, biases, kept, kept[1:], const,
+                                                   const[1:]):
+        folded = {}
+        for r in sorted(set(out) | set(const_out)):
+            acc = b[r]
+            for j in const_in:
+                acc = acc + w[r, j] * c[j]
+            folded[r] = acc
+        c = {r: max(folded[r], np.zeros((), b.dtype)) for r in const_out}
+        out_w.append(w[np.ix_(out, inp)])
+        out_b.append(np.array([folded[r] for r in out], dtype=b.dtype))
+    return MlpModel(out_w, out_b)
 
 
 # Each method's parts, spelled out from the paper rather than read from
@@ -167,8 +192,9 @@ def reference_train(config, train, test):
     and w are +0 there (+0 + -0 is +0).
     At each epoch end: fold the snapshot w * m * z into the running mean,
     output mean * m_final (or w * m before any snapshot), and score it by
-    plain softmax (MC over mc.eval.<epoch> draws, each w * z on m and +0
-    off it, for MC prediction) with ece_bruteforce.
+    plain softmax of one forward through its live units (MC over
+    mc.eval.<epoch> draws, each w * z on m and +0 off it, for MC prediction)
+    with ece_bruteforce.
 
     Returns a dict: final weights, biases and mask layers, the unmasked
     snapshot mean (weights then biases; None without snapshots), and per
@@ -193,7 +219,7 @@ def reference_train(config, train, test):
         return np.where(m, a, np.zeros((), a.dtype))
 
     def test_probs(w, b):
-        logits = forward(MlpModel(w, b), test.features).astype(np.float64)
+        logits = forward(live_units_by_loops(MlpModel(w, b)), test.features).astype(np.float64)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 

@@ -46,17 +46,17 @@ def test_correlation_probe_runs_and_a_dense_net_warns_nothing():
 # kernels (another kernel changes every line). A change that moves any of these
 # bytes must say why; the pinned lines keep every artifact bit-exact.
 SEED0_DIGESTS = {
-    "cigl": "495a6f9b86afaa8d5f986f7e52c2a5c9aab54c4fdc4030e61d39923daa5b1997",
-    "rigl": "457fb2530f8fc01ff4cd8bd5c1e2114c8cbf2f63780294cbfa04203c8a545250",
-    "rigl_wdp": "60eb76b135b28ccd9303b00b2886e050b2afdc34acb588dba67fc711d56e424d",
-    "rigl_mcdp": "a731569fe5e16d2aae0d586975d19bfbd2f164ae5d0e5122357d5392b6da1345",
+    "cigl": "5ab04800dfd2ae3461797390eb28817380f8090dec1dad0a6f24189199624eab",
+    "rigl": "65a1e6a8e1840c27215bf50ade520455f1a752bdeb6ddb21099aee17afebe499",
+    "rigl_wdp": "0e8a6e59d52896c25257163f81ae32880c5dba6e3cd509a1add9d96f6bde1493",
+    "rigl_mcdp": "45b2685b60841054980b66466b8ec5486265f2604c0aeb190560fa43c3e7cbeb",
     "dense": "96243fc326adeef604ce740a744d3c6999ac5a7d7bb24738b0aca768fed98be3",
-    "cigl_no_rm": "c20bbe8c0c3884b3ac72d9289a72ecf1a78769d986b54c5142f6f9f59c1863ce",
-    "cigl_no_wma": "60eb76b135b28ccd9303b00b2886e050b2afdc34acb588dba67fc711d56e424d",
-    "cigl_run": "468a19837c6fe95c20805cbaf6dfe4aacde2a4812576b70b950807c7e503c403",
-    "rigl_mcdp_eval": "624a75955e31bf6888f42903de4964d0f2ae376c867865f01fc76af480ec1dbe",
-    "cigl_eval": "aed41f8c25c14d566aafb6ca6288552a60f454bb9387273fa916d1a8acfc7922",
-    "idx_run": "c5a69de763360fff2b5030b44a793ea5dec30f47f1730cd4d9da1f1e0f80aaf8",
+    "cigl_no_rm": "e5a53471f9dcd58b681426b76e1e7d0a57109037586165722242056a3013b28d",
+    "cigl_no_wma": "0e8a6e59d52896c25257163f81ae32880c5dba6e3cd509a1add9d96f6bde1493",
+    "cigl_run": "09b75061347f1e86e20a78ff457380ec1edfadb5166c2b89e25698a647435e8c",
+    "rigl_mcdp_eval": "dae4b0dd3f885175c24fdc86374f5ce7bf0d5de7b418b5bf3022dd0d22708590",
+    "cigl_eval": "03ef567c54a684eb8481a4ed763233b54daa08aa34b227665f7c582f8369b58e",
+    "idx_run": "6f502e7c926d13039acbb46bda4be0f8c1210e2d55ebb36cf2f7e62ed8eb627d",
 }
 
 
@@ -64,17 +64,17 @@ SEED0_DIGESTS = {
 # kernels: a second seed, so a change that keeps the bits of one seed by accident
 # still shows.
 SEED1_DIGESTS = {
-    "cigl": "1a4cbacee7677458d6b0f80c956dbb84639bca800f125236c6258a178e93e46e",
-    "rigl": "bf2abaf6c13b7fbc9992b9d4fcacb86d2e907f43956102614a0cca96d53ed12e",
-    "rigl_wdp": "2b21d7f302d094c323d0d81ade9b842bac5e56370ed05dfdf7a5a86c66f4e001",
-    "rigl_mcdp": "bcc303f767da12aedab55e2ac60c6d7109bc27f7942329a8f19b65513c259f49",
+    "cigl": "486ad26a698486ca66b4b43d75145abfe3a07936c6a9488cc9d6a7bc4c06fb3f",
+    "rigl": "ff0273cc15f77560ec7be5bc56885051b1ba3ec1ce6a619d0eef867d131a0bbc",
+    "rigl_wdp": "f76db21edfc6d71f26b971e53d94a653ea17a54682134c497a0ce7d88cb52e1d",
+    "rigl_mcdp": "4ece8056a10f4226524f1423d796595a6a57e99af3c9fd83e7e201c5e6d8dfc6",
     "dense": "caef43bc955f3754e5551dcd5b4eb22881b067a375b6a9a954b414d99541abdf",
-    "cigl_no_rm": "f5962d3990ed524d9458222beed8f6090e1f4a9d115081233983effeea209137",
-    "cigl_no_wma": "2b21d7f302d094c323d0d81ade9b842bac5e56370ed05dfdf7a5a86c66f4e001",
-    "cigl_run": "0855460ae9bb8e7b78aa01ab4375f9b30c8f338e1b5bbb00ac4648a1146c643c",
-    "rigl_mcdp_eval": "8f8dbb725e2e2659bf6126c22ba9afb58538e5940550ce0dc5029f5c58532f9a",
-    "cigl_eval": "570257715bdf8c1e56ae3534c114513d6219bcdb6df61f0216c916511af15d16",
-    "idx_run": "5b662a3e357fca4200aea390ad666cada421f1c495dd9653f1014ec2b00816e3",
+    "cigl_no_rm": "5e287bc12ef5026921da52d4318fe9817057bbd28e48f6574b68e18cdf596970",
+    "cigl_no_wma": "f76db21edfc6d71f26b971e53d94a653ea17a54682134c497a0ce7d88cb52e1d",
+    "cigl_run": "a94e05da45417d0196e1815646676b1740ff1a94bfd30a403b8634c64c1fb4f3",
+    "rigl_mcdp_eval": "d9ff8a8ffa28e4d51ad3af14359e72508c178fec8d19ce0e2136a8a19e5bc614",
+    "cigl_eval": "6dacd310afb7ec56cb01a3488cef94196504aa66464aefe35ea591f0049a661c",
+    "idx_run": "05c8226d7b659297028437dd4a39948d80ac838f8d9a0d2f0b7ef78c97d4111f",
 }
 
 
@@ -162,3 +162,26 @@ def test_bench_pairs_reports_the_largest_per_seed_quality_gap():
     acc_gap, ece_gap = bench_pairs.largest_gaps(pairs)
     assert acc_gap == 0.25 and ece_gap == pytest.approx(1e-8, rel=1e-6)
     assert bench_pairs.largest_gaps([]) == (0.0, 0.0)
+
+
+def test_bench_pairs_prints_one_summary_block_per_listed_workload(monkeypatch, capsys):
+    bench_pairs = load_script("bench_pairs")
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    ran = []
+
+    def fake_run(checkout, workload, args):
+        ran.append(workload)
+        return {name: 1.0 for name in names}, [{"round": "digest"}, [(1, 0.5, 0.1)]]
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    argv = [str(ROOT), str(ROOT), "--pairs", "2", "--seconds", "1", "--seed", "3", "--workload"]
+    bench_pairs.main(argv + ["mnist_sparse,mc_eval"])
+    lines = capsys.readouterr().out.splitlines()
+    assert ran == ["mnist_sparse"] * 4 + ["mc_eval"] * 4
+    half = len(lines) // 2
+    assert lines[2] == "workload mnist_sparse, seed 3, 2 pairs of 1 s runs"
+    assert lines[half + 2] == "workload mc_eval, seed 3, 2 pairs of 1 s runs"
+    bench_pairs.main(argv + ["mc_eval"])
+    assert capsys.readouterr().out.splitlines() == lines[half:]
+    with pytest.raises(SystemExit):
+        bench_pairs.main(argv + ["mc_eval,"])

@@ -30,11 +30,11 @@ from cigl.train import (
     masked_model,
     predict_logits,
     predict_mc_dropout,
-    reaching_units,
+    live_units,
     train,
 )
 
-from _oracles import draw_layers, mc_dropout_enumeration, reaching_units_by_loops, reference_train
+from _oracles import draw_layers, live_units_by_loops, mc_dropout_enumeration, reference_train
 
 
 def small_data(seed=0, n=400):
@@ -417,7 +417,7 @@ class TestMcDropout:
             z = draw_layers(mask, *sample_random_mask(mask, 0.8, rng))
             masked = MlpModel([w * m * zz for w, m, zz in zip(model.weights, mask.layers, z)],
                               model.biases)
-            total += softmax(forward(masked, tr.features))
+            total += softmax(forward(live_units_by_loops(masked), tr.features))
         np.testing.assert_array_equal(probs, total / 7)
 
     def test_rows_sum_to_one_tightly(self):
@@ -455,31 +455,31 @@ def _signed_zero_net(dims, seed):
     return model, mask, lambda n: rng.standard_normal((n, dims[0])).astype(np.float32)
 
 
-def blocked_forward(model, x, pruned=None):
-    """Plain forward calls per BLOCK_ROWS rows, in float64, in the layout
-    predict_logits reads: a full block through pruned (default: model), each
-    weight as a contiguous copy of w.T, and a shorter one through model itself."""
-    pruned = model if pruned is None else pruned
-    full = [(np.ascontiguousarray(w.T), b, 0) for w, b in zip(pruned.weights, pruned.biases)]
+def blocked_forward(model, x, live=None):
+    """Plain forward calls per BLOCK_ROWS rows through live (default: model), in
+    float64, in the layout predict_logits reads: a full block with each weight as
+    a contiguous copy of w.T, a shorter one as it is."""
+    live = model if live is None else live
+    full = [(np.ascontiguousarray(w.T), b, 0) for w, b in zip(live.weights, live.biases)]
     blocks = [x[s : s + BLOCK_ROWS] for s in range(0, len(x), BLOCK_ROWS)]
-    return np.concatenate([forward(pruned, xb, full) if len(xb) == BLOCK_ROWS else
-                           forward(model, xb) for xb in blocks]).astype(np.float64)
+    return np.concatenate([forward(live, xb, full if len(xb) == BLOCK_ROWS else None)
+                           for xb in blocks]).astype(np.float64)
 
 
 class TestReadPath:
     """The prepared blocked forward of predict_logits and predict_mc_dropout
-    against plain forward calls, a full block's through an explicitly pruned
-    model, and the unshared per-draw formula, in bytes."""
+    against plain forward calls through the live units that the loop oracle
+    finds, and the unshared per-draw formula, in bytes."""
 
     @pytest.mark.parametrize("dims", [[2, 64, 64, 2], [784, 300, 100, 10]], ids=["moons", "mnist"])
     def test_predict_logits_equals_plain_forward_per_block(self, dims):
         model, _, features = _signed_zero_net(dims, 11)
-        pruned = reaching_units_by_loops(model)
-        assert pruned.flat.size < model.flat.size  # some hidden unit reaches no logit
+        live = live_units_by_loops(model)
+        assert live.flat.size < model.flat.size  # some hidden unit is not live
         x = features(9600)
         for n in (1, 37, 511, 512, 513, 612, 9600):  # 612: a 100-row last block
             got = predict_logits(model, x[:n])
-            want = blocked_forward(model, x[:n], pruned)
+            want = blocked_forward(model, x[:n], live)
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("keep_prob", [0.5, 0.9, 1.0])
@@ -502,20 +502,82 @@ class TestReadPath:
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-class TestReachingUnits:
-    """predict_logits drops the hidden units that reach no logit: its logits
-    against the unpruned forward, a float64 reference, and the refusals."""
+def float64_reference(model, x):
+    """The logits of a float64 dense forward of model and x, and the bound on a
+    float32 forward's error against them. First order: layer l's float32 sums of
+    K_l terms (bias add and rounding to float32 included) err by at most
+    (K_l + 1) eps / 2 of the same sums over absolute values, which the later
+    layers and ReLU do not amplify; folding a constant unit only regroups them."""
+    f64 = MlpModel([w.astype(np.float64) for w in model.weights],
+                   [b.astype(np.float64) for b in model.biases])
+    scale = forward(MlpModel([np.abs(w) for w in f64.weights], [np.abs(b) for b in f64.biases]),
+                    np.abs(x).astype(np.float64))
+    tol = sum(w.shape[1] + 2 for w in model.weights) * np.finfo(np.float32).eps * scale
+    return forward(f64, x.astype(np.float64)), tol
+
+
+class TestLiveUnits:
+    """predict_logits runs only through the hidden units that depend on the input
+    and reach a logit, with the constant ones folded into the next layer's bias:
+    its logits against the loop oracle, the full forward, a float64 reference,
+    and the refusals."""
 
     def test_a_draw_that_leaves_no_unit_reaching_a_logit_gives_the_output_bias(self):
         model, mask, features = _signed_zero_net([2, 64, 64, 2], 20)
         x = features(1100)
         bias_rows = np.broadcast_to(model.biases[-1], (len(x), 2)).astype(np.float64)
         cut = MlpModel(model.weights[:-1] + [np.zeros_like(model.weights[-1])], model.biases)
-        assert [w.shape for w in reaching_units(cut).weights] == [(0, 2), (0, 0), (2, 0)]
+        assert [w.shape for w in live_units(cut).weights] == [(0, 2), (0, 0), (2, 0)]
         got = predict_logits(cut, x)
         assert got.tobytes() == bias_rows.tobytes() == blocked_forward(cut, x).tobytes()
         probs = predict_mc_dropout(model, mask, 0.0, 1, x, substream(0, "none"))  # drops all
         assert probs.tobytes() == softmax(bias_rows).tobytes()
+
+    def test_a_draw_that_leaves_a_hidden_layer_constant_gives_the_folded_output_bias(self):
+        model, mask, features = _signed_zero_net([2, 64, 64, 2], 20)
+        x = features(1100)
+        cut = MlpModel([np.zeros_like(model.weights[0]), *model.weights[1:]], model.biases)
+        live, oracle = live_units(cut), live_units_by_loops(cut)
+        assert [w.shape for w in live.weights] == [(0, 2), (0, 0), (2, 0)]
+        folded = oracle.biases[-1]
+        assert live.biases[-1].tobytes() == folded.tobytes() != model.biases[-1].tobytes()
+        rows = np.broadcast_to(folded, (len(x), 2)).astype(np.float64)
+        got = predict_logits(cut, x)
+        assert got.tobytes() == rows.tobytes()
+        want, tol = float64_reference(cut, x)
+        assert np.all(np.abs(got - want) <= tol)
+        probs = predict_mc_dropout(cut, mask, 1.0, 1, x, substream(0, "all"))  # keeps all
+        assert probs.tobytes() == softmax(rows).tobytes()
+
+    def test_a_reaching_first_layer_unit_with_no_input_weight_is_folded(self):
+        model, _, features = _signed_zero_net([2, 64, 64, 2], 15)
+        w0, w1, w2 = model.weights
+        reaches = (w1[(w2 != 0).any(axis=0)] != 0).any(axis=0)
+        has_input = (w0 != 0).any(axis=1)
+        const = np.flatnonzero(reaches & ~has_input)
+        assert const.size and (model.biases[0][const] > 0).any()  # a nonzero constant
+        live, oracle = live_units(model), live_units_by_loops(model)
+        assert live.weights[0].tobytes() == w0[reaches & has_input].tobytes()
+        assert live.flat.tobytes() == oracle.flat.tobytes()
+        unfolded = model.biases[1][(w1[:, has_input] != 0).any(axis=1) & (w2 != 0).any(axis=0)]
+        assert unfolded.shape == live.biases[1].shape and np.any(unfolded != live.biases[1])
+        x = features(1100)
+        want, tol = float64_reference(model, x)
+        assert np.all(np.abs(predict_logits(model, x) - want) <= tol)
+
+    def test_a_net_with_no_constant_unit_keeps_the_reaching_widths_and_bits(self):
+        model, _, features = _signed_zero_net([784, 300, 100, 10], 11)
+        assert all((w != 0).any(axis=1).all() for w in model.weights)  # every unit has an input
+        reach = [np.arange(10)]  # the backward scan alone, with the biases as they are
+        for w in reversed(model.weights[1:]):
+            reach.insert(0, np.flatnonzero((w[reach[0]] != 0).any(axis=0)))
+        kept = [np.arange(784), *reach]
+        reaching = MlpModel([w[np.ix_(o, i)] for w, i, o in zip(model.weights, kept, kept[1:])],
+                            [b[o] for b, o in zip(model.biases, kept[1:])])
+        assert reaching.flat.size < model.flat.size
+        assert live_units(model).flat.tobytes() == reaching.flat.tobytes()
+        x = features(1024)
+        assert predict_logits(model, x).tobytes() == blocked_forward(model, x, reaching).tobytes()
 
     @pytest.mark.parametrize("dims, sparsity", [([784, 10], 0.8), ([2, 64, 64, 2], 0.0)],
                              ids=["one-layer", "dense"])
@@ -527,20 +589,22 @@ class TestReachingUnits:
                                 substream(18, "keep.mask")).flat
         for b in model.biases:
             b[:] = rng.normal(0, 0.1, b.shape)
-        assert reaching_units(model) is model
+        assert live_units(model) is model
         x = rng.standard_normal((1100, dims[0])).astype(np.float32)
         for n in (37, 1100):
             assert predict_logits(model, x[:n]).tobytes() == blocked_forward(model, x[:n]).tobytes()
 
-    def test_a_float64_model_is_pruned_in_float64(self):
+    def test_a_float64_model_folds_in_float64(self):
         model, _, features = _signed_zero_net([2, 64, 64, 2], 19)
         f64 = MlpModel([w.astype(np.float64) for w in model.weights],
                        [b.astype(np.float64) for b in model.biases])
-        pruned = reaching_units(f64)
-        assert pruned.flat.dtype == np.float64 and pruned.flat.size < f64.flat.size
+        live, oracle = live_units(f64), live_units_by_loops(f64)
+        assert live.flat.dtype == np.float64 and live.flat.size < f64.flat.size
+        assert live.flat.tobytes() == oracle.flat.tobytes()
+        in_f32 = live_units(model).biases[1].astype(np.float64)
+        assert in_f32.shape == live.biases[1].shape and np.any(in_f32 != live.biases[1])
         x = features(1100).astype(np.float64)
-        want = blocked_forward(f64, x, reaching_units_by_loops(f64))
-        assert predict_logits(f64, x).tobytes() == want.tobytes()
+        assert predict_logits(f64, x).tobytes() == blocked_forward(f64, x, oracle).tobytes()
 
     def test_every_operand_of_a_full_block_is_c_contiguous(self, monkeypatch):
         module = sys.modules["cigl.train"]  # cigl.train is the function train
@@ -563,15 +627,7 @@ class TestReachingUnits:
     def test_pruned_logits_stay_within_float32_rounding_of_a_float64_dense_forward(self, dims):
         model, _, features = _signed_zero_net(dims, 15)
         x = features(1100)
-        f64 = MlpModel([w.astype(np.float64) for w in model.weights],
-                       [b.astype(np.float64) for b in model.biases])
-        want = forward(f64, x.astype(np.float64))
-        # first order: layer l's float32 sums of K_l terms (bias add and rounding to
-        # float32 included) err by at most (K_l + 1) eps / 2 of the same sums over
-        # absolute values, which the later layers and ReLU do not amplify
-        scale = forward(MlpModel([np.abs(w) for w in f64.weights], [np.abs(b) for b in f64.biases]),
-                        np.abs(x).astype(np.float64))
-        tol = sum(w.shape[1] + 2 for w in model.weights) * np.finfo(np.float32).eps * scale
+        want, tol = float64_reference(model, x)
         assert np.all(np.abs(predict_logits(model, x) - want) <= tol)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
