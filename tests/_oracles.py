@@ -152,12 +152,12 @@ def live_units_by_loops(model):
     out_w, out_b, c = [], [], {}  # c: each constant unit's output, of the layer before
     for w, b, inp, out, const_in, const_out in zip(weights, biases, kept, kept[1:], const,
                                                    const[1:]):
-        folded = {}
-        for r in sorted(set(out) | set(const_out)):
+        folded = []
+        for r in range(w.shape[0]):
             acc = b[r]
             for j in const_in:
                 acc = acc + w[r, j] * c[j]
-            folded[r] = acc
+            folded.append(acc)
         c = {r: max(folded[r], np.zeros((), b.dtype)) for r in const_out}
         out_w.append(w[np.ix_(out, inp)])
         out_b.append(np.array([folded[r] for r in out], dtype=b.dtype))
