@@ -63,12 +63,20 @@ made from them moved by float32 rounding. Only the `dense` line, with no unit
 to drop or fold, did not move (at seed 0 the `cigl` line went from
 495a6f9b... to 5ab04800..., and `rigl_mcdp_eval` from 624a7595... to
 dae4b0dd...).
+The `cigl_run` and `idx_run` lines changed once on purpose again, at both
+seeds: `model.ckpt` is now a version-2 file, one topology bitmap plus the
+active weights and every bias, in place of every value of every tensor.
+The same change builds a WMA output as zeros plus one scatter of the mean,
++0 off the topology where `mean * m` could hold -0; on these configs that
+moved no weight's bytes. No other line moved (at seed 0 `cigl_run` went from
+09b75061... to f17cb63e..., and `idx_run` from 6f502e7c... to abee7092...).
 
 The lines hold on one OpenBLAS kernel: a float32 GEMM kernel of another
 vector width sums in another order, and every line changes (for example
 under OPENBLAS_CORETYPE=Haswell on a machine whose default is SkylakeX).
 So the script writes the kernel numpy's OpenBLAS chose to stderr, as
-`openblas core: <name>`, or `unknown` when the library does not say.
+`openblas core: <name>`, or `unknown` when the library does not say, and
+the tests keep one set of pinned lines per kernel name.
 """
 
 import argparse

@@ -19,7 +19,7 @@ from .calibration import (
     reliability_bins,
     write_reliability_csv,
 )
-from .checkpoint import checkpoint_of, load_checkpoint, model_from_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig, format_config, resolve_config
 from .fileio import atomic_write_text
 from .data import Dataset, load_csv, load_idx, inject_label_noise, split_dataset, standardize, synth_two_moons
@@ -96,7 +96,7 @@ def run_experiment(cfg: ExperimentConfig, out_root=None, force: bool = False) ->
 
     # made only now, so a run that fails leaves no directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / "model.ckpt", checkpoint_of(
+    save_checkpoint(out_dir / "model.ckpt", Checkpoint(
         cfg.train.method, cfg.train.seed, result.model, result.mask,
         result.history[-1].n_models_in_wma))
     atomic_write_text(out_dir / "metrics.jsonl",
@@ -178,14 +178,13 @@ def _load_for_eval(cfg: ExperimentConfig, ckpt_path):
         if ours != theirs:
             raise ConfigError(f"train.{key}: {ours} differs from the checkpoint's {key} "
                               f"{theirs}, so its evaluation would not be the run's")
-    model, mask = model_from_checkpoint(ckpt)
     _, val_ds, test_ds = build_datasets(cfg)
     sizes = [test_ds.n_features, *cfg.train.hidden, test_ds.n_classes]
-    ours, theirs = list(zip(sizes[1:], sizes[:-1])), [w.shape for w in model.weights]
+    ours, theirs = list(zip(sizes[1:], sizes[:-1])), [w.shape for w in ckpt.model.weights]
     if ours != theirs:
         raise ConfigError(f"train.hidden: weight shapes {ours} differ from the checkpoint's "
                           f"{theirs}, so its evaluation would not be the run's")
-    return cfg, model, mask, val_ds, test_ds
+    return cfg, ckpt.model, ckpt.mask, val_ds, test_ds
 
 
 def run_correlate(cfg: ExperimentConfig, ckpt_path, keep_prob: float = 0.9,

@@ -227,20 +227,14 @@ class TrainState:
                    np.empty(n_active, dtype=bool) if random else None,
                    substream(seed, "train.mixup") if config.mixup_alpha > 0 else None)
 
-    def bare_model(self) -> MlpModel:
-        """The weights w in a fresh packed model, +0 off the topology."""
-        flat = np.zeros_like(self.seen.flat)
-        flat[self.mask.positions] = self.w
-        return self.seen.over(flat)
-
 
 def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> TrainResult:
     """Run the configured method end to end: per iteration, a topology
     update when one is due, then one SGD step; per epoch, the WMA fold and
     an evaluation. One epoch record per epoch; its test metrics track the
     model the method would output if stopped at that epoch. A WMA method
-    outputs the mean of the snapshots w * m_t * z_t masked by the final m,
-    so snapshots taken before the topology freezes can hold weights that
+    outputs the mean of the snapshots w * m_t * z_t on the final m, +0 off
+    it, so snapshots taken before the topology freezes can hold weights that
     the final mask drops."""
     config.validate()
     if train_data.n_classes != test_data.n_classes:
@@ -304,19 +298,16 @@ def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.nd
 
 def _end_epoch(s: TrainState, config: TrainConfig, test_data: Dataset, epoch: int, lr: float,
                train_loss: float) -> TrainResult:
-    """Fold a due WMA snapshot and evaluate and record the output model: the
-    snapshot mean under the current mask once a snapshot is in, else the bare
-    weights, in fresh arrays. Returns the result of a run stopped here."""
+    """Fold a due WMA snapshot and evaluate and record the output model: zeros
+    plus one scatter of the snapshot mean at the current mask's positions, cast
+    to float32, once a snapshot is in, else of the bare weights, so it is +0
+    off the topology, in fresh arrays. Returns the result of a run stopped here."""
     wma_start = config.resolved_wma_start()
     if (METHODS[config.method].wma and epoch > wma_start
             and (epoch - wma_start) % config.wma_every == 0):
         wma_update(s.wma, [masked_model(s.w, s.z, s.mask, s.seen).flat])
-    if s.wma.n_models:
-        out = s.wma.means[0].astype(np.float32)
-        out *= s.mask.flat
-        model = s.seen.over(out)
-    else:
-        model = s.bare_model()
+    compact = s.wma.means[0][s.mask.positions].astype(np.float32) if s.wma.n_models else s.w
+    model = masked_model(compact, None, s.mask, s.seen.over(np.zeros_like(s.seen.flat)))
     probs, bins, logits = evaluate(model, s.mask, config, test_data, epoch)
     s.history.append(EpochRecord(epoch, train_loss, bins.accuracy, bins.ece, lr,
                                  s.mask.sparsity(), s.wma.n_models))

@@ -191,10 +191,10 @@ def reference_train(config, train, test):
     v = mu v + g + lambda w, w = w - eta v, which keeps +0 off m because v
     and w are +0 there (+0 + -0 is +0).
     At each epoch end: fold the snapshot w * m * z into the running mean,
-    output mean * m_final (or w * m before any snapshot), and score it by
-    plain softmax of one forward through its live units (MC over
-    mc.eval.<epoch> draws, each w * z on m and +0 off it, for MC prediction)
-    with ece_bruteforce.
+    output the mean on m_final and +0 off it (or w * m before any
+    snapshot), and score it by plain softmax of one forward through its
+    live units (MC over mc.eval.<epoch> draws, each w * z on m and +0 off
+    it, for MC prediction) with ece_bruteforce.
 
     Returns a dict: final weights, biases and mask layers, the unmasked
     snapshot mean (weights then biases; None without snapshots), and per
@@ -293,7 +293,7 @@ def reference_train(config, train, test):
                                               for a, s in zip(mean, snap)]
             n_snapshots += 1
         if n_snapshots:
-            out_w = [a.astype(np.float32) * ml for a, ml in zip(mean, m)]
+            out_w = [on(ml, a.astype(np.float32)) for a, ml in zip(mean, m)]
             out_b = [a.astype(np.float32) for a in mean[len(w):]]
         else:
             out_w, out_b = [wl * ml for wl, ml in zip(w, m)], list(b)

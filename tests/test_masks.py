@@ -16,7 +16,6 @@ from cigl.masks import (
 )
 from cigl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cigl.rng import substream
-from cigl.runner import model_from_checkpoint
 from cigl.tensor import MlpModel
 from cigl.train import masked_model
 
@@ -177,12 +176,10 @@ class TestRandomMaskStream:
 
     @pytest.mark.parametrize("keep_prob", [0.0, 0.9, 1.0])
     def test_mask_rebuilt_from_checkpoint(self, mask, keep_prob, tmp_path):
-        tensors, masks = [], []
-        for m in mask.layers:
-            tensors += [m.astype(np.float32), np.zeros(m.shape[0], np.float32)]
-            masks += [m, np.ones(m.shape[0], dtype=bool)]
-        save_checkpoint(tmp_path / "model.ckpt", Checkpoint("cigl", 4, tensors, masks, 0))
-        _, rebuilt = model_from_checkpoint(load_checkpoint(tmp_path / "model.ckpt"))
+        model = MlpModel([m.astype(np.float32) for m in mask.layers],
+                         [np.zeros(m.shape[0], np.float32) for m in mask.layers])
+        save_checkpoint(tmp_path / "model.ckpt", Checkpoint("cigl", 4, model, mask, 0))
+        rebuilt = load_checkpoint(tmp_path / "model.ckpt").mask
         assert all(np.array_equal(a, b) for a, b in zip(rebuilt.layers, mask.layers))
         self._assert_stream_matches(rebuilt, keep_prob)
 
@@ -202,7 +199,7 @@ class TestPackedMask:
         w = [rng.normal(0, 1, m.shape).astype(np.float32) * m for m in mask.layers]
         return w, [rng.normal(0, 1, m.shape).astype(np.float32) for m in mask.layers]
 
-    def _built_by(self, source):
+    def _built_by(self, source, tmp_path):
         """A mask made by source, the arrays it was made from and the bool
         arrays among them that a caller could edit afterwards."""
         topology = self._topology()
@@ -215,23 +212,22 @@ class TestPackedMask:
             w, g = self._update_inputs(topology)
             new = update_deterministic_mask(w, g, topology, 0.3)
             return new, [*w, *g, topology.flat, topology.flat_active], topology.layers
-        tensors, masks = [], []
-        for m in topology.layers:
-            tensors += [m.astype(np.float32), np.zeros(m.shape[0], np.float32)]
-            masks += [m.copy(), np.ones(m.shape[0], dtype=bool)]
-        _, rebuilt = model_from_checkpoint(Checkpoint("cigl", 4, tensors, masks, 0))
-        return rebuilt, tensors + masks, masks
+        model = MlpModel([m.astype(np.float32) for m in topology.layers],
+                         [np.zeros(m.shape[0], np.float32) for m in topology.layers])
+        save_checkpoint(tmp_path / "model.ckpt", Checkpoint("cigl", 4, model, topology, 0))
+        loaded = load_checkpoint(tmp_path / "model.ckpt")
+        return loaded.mask, [model.flat, topology.flat, loaded.model.flat], topology.layers
 
     @pytest.mark.parametrize("source", ["constructor", "init_mask", "update", "checkpoint"])
-    def test_layers_view_one_fresh_buffer(self, source):
-        mask, inputs, _ = self._built_by(source)
+    def test_layers_view_one_fresh_buffer(self, source, tmp_path):
+        mask, inputs, _ = self._built_by(source, tmp_path)
         assert mask.flat.dtype == bool
         assert all(np.shares_memory(m, mask.flat) for m in mask.layers)
         assert not any(np.shares_memory(a, b) for a in [mask.flat, *mask.layers] for b in inputs)
 
     @pytest.mark.parametrize("source", ["constructor", "update", "checkpoint"])
-    def test_editing_the_source_arrays_changes_nothing(self, source):
-        mask, _, sources = self._built_by(source)
+    def test_editing_the_source_arrays_changes_nothing(self, source, tmp_path):
+        mask, _, sources = self._built_by(source, tmp_path)
         flat, nnz = mask.flat.copy(), mask.nnz()
         for a in sources:
             a[...] = ~a

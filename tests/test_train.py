@@ -1,5 +1,6 @@
 import copy
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,14 +138,13 @@ class TestTrainLoop:
     def test_final_weights_supported_by_mask(self):
         tr, te = small_data()
         res = train(small_config("cigl"), tr, te)
-        for w, m in zip(res.model.weights, res.mask.layers):
-            assert not w[~m].any()
+        assert not res.model.flat[~res.mask.flat].view(np.uint32).any()  # +0 exactly
 
     @pytest.mark.parametrize("method", list(METHODS))
     def test_weights_and_velocities_stay_zero_off_the_topology(self, method):
-        # w and v hold only the active positions; the bare model is +0 off m,
-        # and a regrown position enters its first step from +0 weight and
-        # velocity: after it, v is that step's gradient and w is -lr * v
+        # w and v hold only the active positions; seen, which BLAS reads, is
+        # +0 off m, and a regrown position enters its first step from +0
+        # weight and velocity: after it, v is that step's gradient and w is -lr * v
         tr, _ = small_data()
         cfg = small_config(method, update_interval=2)
         s = TrainState.start(cfg, tr)
@@ -154,9 +154,7 @@ class TestTrainLoop:
             for xb, yb in batches.epoch_batches(epoch):
                 before = s.mask
                 _sgd_iteration(s, cfg, xb, yb, 0.1, 100)
-                model = s.bare_model()
-                assert not np.signbit(model.flat[~s.mask.flat]).any()
-                assert not model.flat[~s.mask.flat].any()
+                assert not s.seen.flat[~s.mask.flat].view(np.uint32).any()
                 assert s.w.size == s.sgd.velocity.size == s.mask.positions.size
                 regrown = ~before.flat[s.mask.positions]
                 n_regrown += int(regrown.sum())
@@ -663,7 +661,7 @@ class TestLiveUnits:
 class TestOneMaskingPath:
     """Every product of the weights and an effective mask, w * z, goes
     through train.masked_model: the step, the topology update's bare weights,
-    the WMA snapshot and each MC draw."""
+    the WMA snapshot, each epoch's output model and each MC draw."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -701,9 +699,12 @@ class TestOneMaskingPath:
             before = len(calls)
             _end_epoch(s, cfg, te, epoch, 0.1, 0.0)
             due = METHODS[method].wma and epoch in (3, 5)
-            assert len(calls) - before == due
+            new = calls[before:]  # the snapshot when one is due, then the output model
+            assert len(new) == due + 1
+            assert all(out is s.seen for *_, out in new[:due])
+            _, z, _, out = new[-1]
+            assert z is None and out is not s.seen
         assert s.wma.n_models == 2 * METHODS[method].wma
-        assert all(out is s.seen for *_, out in calls)
 
     @pytest.mark.parametrize("n_samples", [1, 4])
     def test_n_samples_calls_per_mc_prediction(self, calls, n_samples):
@@ -808,16 +809,26 @@ class TestReferenceTrainer:
         assume(all(round((1.0 - s) * o * i) >= 1 for s, (o, i) in zip(plan, shapes)))
         assert_matches_reference(config, train_data, test_data)
 
+    # snapshots from epoch 1 while the topology moves until the last iteration
+    SPANNING = TrainConfig(method="cigl", epochs=5, batch_size=10, seed=4, hidden=(8, 8),
+                           sparsity=0.7, update_interval=4, update_end_fraction=1.0,
+                           wma_start_epoch=0, lr_milestones=())
+
     def test_averaging_across_topology_updates_drops_mass_off_the_final_mask(self):
-        # snapshots from epoch 1 while the topology moves until the last
-        # iteration: the mean holds weights that the final mask drops
+        # the mean holds weights that the final mask drops
         tr, te = blob_data(1, 60, 2, 2), blob_data(2, 40, 2, 2)
-        cfg = TrainConfig(method="cigl", epochs=5, batch_size=10, seed=4, hidden=(8, 8),
-                          sparsity=0.7, update_interval=4, update_end_fraction=1.0,
-                          wma_start_epoch=0, lr_milestones=())
-        ref = assert_matches_reference(cfg, tr, te)
+        ref = assert_matches_reference(self.SPANNING, tr, te)
         dropped = [a[~m] for a, m in zip(ref["mean"], ref["mask"])]
         assert any(np.any(d != 0) for d in dropped)
+
+    def test_a_wma_output_is_plus_zero_off_the_final_mask(self):
+        # at this seed the mean is negative at some weights the final mask
+        # drops, where mean * m would be -0
+        tr, te, cfg = blob_data(1, 60, 2, 2), blob_data(2, 40, 2, 2), replace(self.SPANNING, seed=6)
+        ref = reference_train(cfg, tr, te)
+        assert any(np.any(a[~m] < 0) for a, m in zip(ref["mean"], ref["mask"]))
+        res = train(cfg, tr, te)
+        assert not res.model.flat[~res.mask.flat].view(np.uint32).any()
 
     def test_update_end_is_a_share_of_all_iterations(self):
         # 0.7 * (3 * 10) is 21.0, but (0.7 * 3) * 10 rounds below 21
