@@ -70,6 +70,16 @@ The same change builds a WMA output as zeros plus one scatter of the mean,
 +0 off the topology where `mean * m` could hold -0; on these configs that
 moved no weight's bytes. No other line moved (at seed 0 `cigl_run` went from
 09b75061... to f17cb63e..., and `idx_run` from 6f502e7c... to abee7092...).
+The lines that hash predictions changed once on purpose again: prediction
+now runs feature-major, `W @ H` on `[width, columns]` activations over column
+blocks of `x.T` (`cigl.train.ColumnForward`), where it ran `x @ w.T` over
+512-row blocks, and its softmax sums the k classes in order. The weights,
+masks, biases and `model.ckpt` bytes are the same at both seeds on both
+kernels; the probabilities, histories and the files made from them moved by
+float32 rounding wherever the kernel sums the transposed product in another
+order. On SkylakeX only the `dense` line moved, at both seeds (at seed 0 from
+96243fc3... to 8bc78d3f...); on Haswell every line moved, all of them hashing
+some prediction (at seed 0 `cigl` went from 9ce20b6b... to 6723a4aa...).
 
 The lines hold on one OpenBLAS kernel: a float32 GEMM kernel of another
 vector width sums in another order, and every line changes (for example

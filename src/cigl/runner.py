@@ -26,7 +26,8 @@ from .data import Dataset, load_csv, load_idx, inject_label_noise, split_dataset
 from .masks import DeterministicMask
 from .rng import substream
 from .tensor import MlpModel, softmax_inplace
-from .train import TrainResult, evaluate, predict_logits, predict_mc_dropout, train
+from .train import (ColumnForward, TrainResult, evaluate, predict_logits, predict_mc_dropout,
+                    predict_probs, train)
 
 ARTIFACTS = ("model.ckpt", "metrics.jsonl", "calibration.csv", "report.json", "config.resolved")
 
@@ -154,11 +155,13 @@ def correlate(model: MlpModel, mask: DeterministicMask, data: Dataset, keep_prob
     def n_correct(probs) -> int:
         return int(np.count_nonzero(correct_rows(probs, data.labels)))
 
-    base = n_correct(softmax_inplace(predict_logits(model, data.features))) / len(data)
+    columns = ColumnForward(model, data.features)  # every prediction here reuses its buffers
+    base = n_correct(predict_probs(model, data.features, columns)) / len(data)
     # integer correct-counts so the keep_prob=1 drop is exactly zero
     correct = 0
     for _ in range(n_draws):
-        correct += n_correct(predict_mc_dropout(model, mask, keep_prob, 1, data.features, rng))
+        correct += n_correct(predict_mc_dropout(model, mask, keep_prob, 1, data.features, rng,
+                                                columns))
     mean_masked = correct / (n_draws * len(data))
     return {
         "base_accuracy": base,

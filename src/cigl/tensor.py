@@ -80,27 +80,25 @@ def init_mlp(dims, rng, dtype=np.float32) -> MlpModel:
     return MlpModel(weights, biases)
 
 
-def _forward_trace(model: MlpModel, x: np.ndarray, plan=None):
+def _forward_trace(model: MlpModel, x: np.ndarray):
     """Logits plus the input seen by each layer (needed for backprop). The bias
-    add and the ReLU write into the matmul's output. The operands are w.T, b
-    and 0, or plan[layer]: w.T or its contiguous copy, and b and 0 as blocks
-    of x's shape, the same bits in cheaper calls. Only x's shape is checked."""
+    add and the ReLU write into the matmul's output. Only x's shape is checked."""
     if x.ndim != 2 or x.shape[1] != model.weights[0].shape[1]:
         raise ShapeError(f"layer 0: input is {x.shape}, weight is {model.weights[0].shape}")
     h, acts, last = x, [x], model.n_layers - 1
-    layers = plan or [(w.T, b, 0) for w, b in zip(model.weights, model.biases)]
-    for i, (w_t, bias, floor) in enumerate(layers):
-        h = h @ w_t
-        h += bias
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        h = h @ w.T
+        h += b
         if i != last:
-            np.maximum(h, floor, out=h)
+            np.maximum(h, 0, out=h)
             acts.append(h)
     return h, acts
 
 
-def forward(model: MlpModel, x: np.ndarray, plan=None) -> np.ndarray:
-    """Logits for a batch of inputs."""
-    return _forward_trace(model, x, plan)[0]
+def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Logits for a batch of inputs, row-major; prediction runs feature-major
+    (train.ColumnForward)."""
+    return _forward_trace(model, x)[0]
 
 
 # numpy reduces a narrow last axis as a per-row loop, many times slower than
@@ -167,6 +165,23 @@ def softmax_inplace(z: np.ndarray) -> np.ndarray:
     by_rows(np.subtract, z, row_max(z), z)
     np.exp(z, out=z)
     return by_rows(np.divide, z, row_sum(z), z)
+
+
+def softmax_columns(z: np.ndarray) -> np.ndarray:
+    """Softmax down each column of the float64 [k, n] array z, the logits of n
+    rows feature-major, written over z and returned. The max and the sum fold
+    the k rows in order; numpy's row sum is pairwise from 8 terms on, so for
+    k >= 8 the bits can differ from softmax's."""
+    top = z[0].copy()
+    for row in z[1:]:
+        np.maximum(top, row, out=top)
+    z -= top
+    np.exp(z, out=z)
+    total = z[0].copy()
+    for row in z[1:]:
+        total += row
+    z /= total
+    return z
 
 
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):

@@ -31,14 +31,19 @@ from .tensor import (
     MlpModel,
     NonFiniteError,
     SgdState,
+    ShapeError,
     backward,
-    forward,
     init_mlp,
     sgd_step,
-    softmax_inplace,
+    softmax_columns,
+    split_flat,
 )
 
-BLOCK_ROWS = 512  # rows per forward pass in prediction
+# Prediction runs feature-major, over column blocks of x.T holding at most this many
+# activations of the widest live layer: the ~10-wide live nets of MC dropout take ten
+# thousand rows in one block, a 64-wide net 2048 columns and a 300-wide one 436, so
+# their activations stay in cache. Other block sizes can change the logits' last bits.
+BLOCK_ACTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -60,28 +65,68 @@ class TrainResult:
     mask_update_log: list[tuple[int, tuple[int, ...]]]  # (iteration, nnz per layer)
     final_probs: np.ndarray  # test probabilities of the output model
     final_bins: ReliabilityBins  # their reliability bins, which history[-1] reads
-    final_logits: np.ndarray | None  # their float64 logits; None under MC dropout
+    final_logits: np.ndarray | None  # their float64 logits; None under MC dropout or before
+    # the last epoch, since only temperature scaling reads them
+
+
+class ColumnForward:
+    """The feature-major forward over the rows of x, and the buffers that every
+    forward through it reuses: two activation buffers and a ReLU floor of zeros,
+    each large enough for a column block of any live net of model, and the
+    float64 logits [k, n]. A prediction call makes one, and a training run one
+    for its test split, so no MC draw and no evaluation before the last
+    allocates them again (fresh buffers this size page-fault on every call)."""
+
+    def __init__(self, model: MlpModel, x: np.ndarray):
+        if x.ndim != 2 or x.shape[1] != model.weights[0].shape[1]:
+            raise ShapeError(f"layer 0: input is {x.shape}, weight is {model.weights[0].shape}")
+        width = max(w.shape[0] for w in model.weights)
+        size = min(len(x) * width, max(BLOCK_ACTS, width))
+        dtype = np.result_type(model.flat, x)
+        self.xt = x.T  # a view: W @ x.T reads x where it is, with no copy
+        self.acts = (np.empty(size, dtype), np.empty(size, dtype))
+        self.floor = np.zeros(size, dtype)
+        self.z = np.empty((model.weights[-1].shape[0], len(x)))
+
+    def logits(self, live: MlpModel) -> np.ndarray:
+        """The logits of live, a net with model's input and output widths: z,
+        one column per row of x. Per column block, H <- relu(W @ H + b[:, None])
+        layer by layer, the last layer without the ReLU."""
+        n, last = self.xt.shape[1], live.n_layers - 1
+        step = max(1, BLOCK_ACTS // max(w.shape[0] for w in live.weights))
+        for start in range(0, n, step):
+            h = self.xt[:, start : start + step]
+            for i, (w, b) in enumerate(zip(live.weights, live.biases)):
+                size = w.shape[0] * h.shape[1]
+                a = np.matmul(w, h, out=self.acts[i % 2][:size].reshape(w.shape[0], h.shape[1]))
+                a += b[:, None]
+                if i != last:
+                    np.maximum(a, self.floor[:size].reshape(a.shape), out=a)
+                h = a
+            self.z[:, start : start + step] = h
+        return self.z
+
+
+def _probability_rows(z: np.ndarray) -> np.ndarray:
+    """The softmax of the feature-major float64 logits z [k, n], taken in z,
+    as C-contiguous probability rows [n, k]."""
+    return np.ascontiguousarray(softmax_columns(z).T)
 
 
 def predict_logits(model: MlpModel, features: np.ndarray) -> np.ndarray:
-    """Float64 logits, a forward pass per BLOCK_ROWS rows (other sizes change the
-    bits), every block through live_units(model). A full block reads each weight
-    transposed into a contiguous copy and the bias rows and ReLU zeros as
-    contiguous blocks, all made once per call; a shorter last block, and so a
-    test set of fewer than BLOCK_ROWS rows, is plain forward over the live net."""
-    n = len(features)
-    out = np.empty((n, model.weights[-1].shape[0]), dtype=np.float64)
-    live, n_full = live_units(model), n - n % BLOCK_ROWS
-    if n_full:
-        plan = [(np.ascontiguousarray(w.T), np.broadcast_to(b, (BLOCK_ROWS, b.size)).copy(),
-                 np.zeros((BLOCK_ROWS, b.size), dtype=b.dtype))
-                for w, b in zip(live.weights, live.biases)]
-        for start in range(0, n_full, BLOCK_ROWS):
-            out[start : start + BLOCK_ROWS] = forward(live, features[start : start + BLOCK_ROWS],
-                                                      plan)
-    if n_full < n:
-        out[n_full:] = forward(live, features[n_full:])
-    return out
+    """Float64 logits [n, k], C-contiguous: the feature-major forward through
+    live_units(model), transposed."""
+    return np.ascontiguousarray(ColumnForward(model, features).logits(live_units(model)).T)
+
+
+def predict_probs(model: MlpModel, features: np.ndarray,
+                  columns: ColumnForward | None = None) -> np.ndarray:
+    """One softmax of model over features: C-contiguous float64 rows [n, k],
+    the softmax down each column of the feature-major logits, as every MC draw
+    takes it. columns, a ColumnForward over features that fits model, lends
+    its buffers (default: a new one)."""
+    columns = columns or ColumnForward(model, features)
+    return _probability_rows(columns.logits(live_units(model)))
 
 
 def live_units(model: MlpModel) -> MlpModel:
@@ -96,16 +141,16 @@ def live_units(model: MlpModel) -> MlpModel:
     their values, up to the float32 rounding of the shorter sums and the fold.
     Returns model itself when every unit is live, and also when a weight or bias
     is not finite, so that a NaN reaches the logits as in the full forward
-    (0 * nan is nan), where evaluate refuses it."""
+    (0 * nan is nan), where evaluate refuses it. Each weight is scanned for
+    nonzeros once; the paths are boolean matrix-vector products of those scans,
+    and the kept weights and biases are gathered once, into one packed buffer."""
     n = model.n_layers
-    reach = [None] * (n - 1)  # per hidden layer, its units with a path to a logit
-    for i in range(n - 1, 0, -1):
-        w = model.weights[i] if i == n - 1 else model.weights[i][reach[i]]
-        reach[i - 1] = (w != 0).any(axis=0)
-    depend = []  # per hidden layer, its units with a path from the input
-    for i in range(n - 1):
-        w = model.weights[i] if i == 0 else model.weights[i][:, depend[-1]]
-        depend.append((w != 0).any(axis=1))
+    nonzero = [w != 0 for w in model.weights]
+    reach, depend = [], []  # per hidden layer, its units with a path to a logit, from the input
+    for nz in reversed(nonzero[1:]):
+        reach.insert(0, reach[0] @ nz if reach else nz.any(axis=0))
+    for nz in nonzero[:-1]:
+        depend.append(nz @ depend[-1] if depend else nz.any(axis=1))
     live = [r & d for r, d in zip(reach, depend)]
     if all(keep.all() for keep in live) or not np.isfinite(model.flat).all():
         return model
@@ -116,59 +161,74 @@ def live_units(model: MlpModel) -> MlpModel:
             b = np.add.accumulate(terms, out=terms)[-1]
         keep_out = slice(None)
         if i < n - 1:
-            keep_out, const = live[i], np.flatnonzero(reach[i] & ~depend[i])
+            keep_out, const = live[i], np.flatnonzero(reach[i] ^ live[i])
             c = np.maximum(b[const], 0)
         weights.append(w[keep_out][:, keep_in])
         biases.append(b[keep_out])
         keep_in = keep_out
-    return MlpModel(weights, biases)
+    layers = weights + biases
+    flat = np.concatenate([a.ravel() for a in layers])
+    views = split_flat(flat, [a.shape for a in layers])
+    return MlpModel(views[:n], views[n:], flat)
 
 
 def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data: Dataset,
-             epoch: int) -> tuple[np.ndarray, ReliabilityBins, np.ndarray | None]:
+             epoch: int, columns: ColumnForward | None = None,
+             ) -> tuple[np.ndarray, ReliabilityBins, np.ndarray | None]:
     """The method's probability rows for data, their config.n_bins
     reliability bins, which carry accuracy and ECE, and under a single
-    softmax the float64 logits it was taken of (None under MC dropout),
-    which temperature scaling rescales. The one place that
-    chooses MC dropout, drawn on the stream of the epoch just trained, over
-    a single softmax; export passes the last epoch, so it redraws the run's
-    table. A non-finite weight or bias raises NonFiniteError, even where it
-    could not reach a logit, and so do non-finite rows (diverged weights)."""
+    softmax at the last epoch the float64 logits it was taken of, which
+    temperature scaling rescales (None under MC dropout and before the last
+    epoch). The one place that chooses MC dropout, drawn on the stream of
+    the epoch just trained, over a single softmax; export passes the last
+    epoch, so it redraws the run's table. Both run every row through the
+    same feature-major forward, in the buffers of columns when given (a
+    ColumnForward over data.features that fits model). A non-finite weight
+    or bias raises NonFiniteError, even where it could not reach a logit,
+    and so do non-finite rows (diverged weights)."""
     if not np.isfinite(model.flat).all():
         raise NonFiniteError("non-finite parameters")
     logits = None
     if METHODS[config.method].mc_predict:
         probs = predict_mc_dropout(model, mask, config.keep_prob, config.mc_samples,
-                                   data.features, substream(config.seed, f"mc.eval.{epoch}"))
-    else:
+                                   data.features, substream(config.seed, f"mc.eval.{epoch}"),
+                                   columns)
+    elif epoch == config.epochs:
         logits = predict_logits(model, data.features)
-        probs = softmax_inplace(logits.copy())
+        probs = _probability_rows(logits.T.copy())
+    else:
+        probs = predict_probs(model, data.features, columns)
     if not np.isfinite(probs).all():
         raise NonFiniteError("non-finite probabilities")
     return probs, reliability_bins(probs, data.labels, config.n_bins), logits
 
 
 def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: float,
-                       n_samples: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+                       n_samples: int, x: np.ndarray, rng: np.random.Generator,
+                       columns: ColumnForward | None = None) -> np.ndarray:
     """Mean softmax over n_samples random-mask draws applied to the weights
-    on the topology mask; weights off it count as +0.
+    on the topology mask; weights off it count as +0. C-contiguous float64
+    rows [n, k].
 
-    Each draw runs the same blocked forward as evaluate's single softmax, so
-    a single draw at keep_prob=1 reproduces it bit for bit. Each draw's
-    softmax is computed in its logits buffer, and the first draw's buffer
-    holds the sum.
+    Made once per call: the compact weights, one compact z, one seen model,
+    +0 off the topology, and the float64 running sum [k, n]; and the
+    ColumnForward over x, unless columns lends one that fits model. Each draw
+    fills z, scatters w * z into seen (masked_model) and runs live_units(seen)
+    through the same forward and softmax as evaluate's single softmax, so a
+    single draw at keep_prob=1 reproduces it bit for bit. The sum is
+    transposed once, at the end.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     w, z = model.flat[mask.positions], np.empty(mask.flat_active.size, dtype=bool)
     seen = model.over(np.zeros_like(model.flat))
-    zs = (sample_random_mask(mask, keep_prob, rng, out=z) for _ in range(n_samples))  # refill z
-    draws = (softmax_inplace(predict_logits(masked_model(w, z, mask, seen), x)) for _ in zs)
-    total = next(draws)
-    for probs in draws:
-        total += probs
+    columns = columns or ColumnForward(model, x)
+    total = np.zeros_like(columns.z)
+    for _ in range(n_samples):
+        sample_random_mask(mask, keep_prob, rng, out=z)
+        total += softmax_columns(columns.logits(live_units(masked_model(w, z, mask, seen))))
     total /= n_samples
-    return total
+    return np.ascontiguousarray(total.T)
 
 
 def masked_model(w: np.ndarray, z: np.ndarray | None, mask: DeterministicMask,
@@ -240,16 +300,20 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
     if train_data.n_classes != test_data.n_classes:
         raise ValueError("train/test class count mismatch")
     s = TrainState.start(config, train_data)
+    columns = ColumnForward(s.seen, test_data.features)  # every evaluation but the last reuses it
     batches = BatchIterator(train_data, config.batch_size, config.seed)
     n_batches = batches.batches_per_epoch()
     update_end = int(config.update_end_fraction * (config.epochs * n_batches))
     for epoch in range(1, config.epochs + 1):
+        if epoch == config.epochs:
+            columns = None  # freed first: the last evaluation predicts in buffers of its own
         lr = config.lr_at(epoch - 1)
         loss_sum = 0.0
         try:
             for xb, yb in batches.epoch_batches(epoch - 1):
                 loss_sum += _sgd_iteration(s, config, xb, yb, lr, update_end)
-            result = _end_epoch(s, config, test_data, epoch, lr, loss_sum / n_batches)
+            result = _end_epoch(s, config, test_data, epoch, lr, loss_sum / n_batches,
+                                columns)
         except NonFiniteError as exc:
             raise NonFiniteError(f"training diverged at epoch {epoch}, iteration {s.t}: {exc}") from None
     return result
@@ -297,7 +361,7 @@ def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.nd
 
 
 def _end_epoch(s: TrainState, config: TrainConfig, test_data: Dataset, epoch: int, lr: float,
-               train_loss: float) -> TrainResult:
+               train_loss: float, columns: ColumnForward | None = None) -> TrainResult:
     """Fold a due WMA snapshot and evaluate and record the output model: zeros
     plus one scatter of the snapshot mean at the current mask's positions, cast
     to float32, once a snapshot is in, else of the bare weights, so it is +0
@@ -308,7 +372,7 @@ def _end_epoch(s: TrainState, config: TrainConfig, test_data: Dataset, epoch: in
         wma_update(s.wma, [masked_model(s.w, s.z, s.mask, s.seen).flat])
     compact = s.wma.means[0][s.mask.positions].astype(np.float32) if s.wma.n_models else s.w
     model = masked_model(compact, None, s.mask, s.seen.over(np.zeros_like(s.seen.flat)))
-    probs, bins, logits = evaluate(model, s.mask, config, test_data, epoch)
+    probs, bins, logits = evaluate(model, s.mask, config, test_data, epoch, columns)
     s.history.append(EpochRecord(epoch, train_loss, bins.accuracy, bins.ece, lr,
                                  s.mask.sparsity(), s.wma.n_models))
     return TrainResult(model, s.mask, s.history, s.update_log, probs, bins, logits)

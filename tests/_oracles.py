@@ -2,8 +2,8 @@
 
 Everything here is deliberately written with plain Python loops and
 sorting, not by calling back into the library code paths it verifies.
-reference_train reuses only the model, mask and target builders, forward,
-backward and substream; the loop, prune/regrow, SGD, averaging and
+reference_train reuses only the model, mask and target builders, backward
+and substream; the loop, prune/regrow, SGD, averaging and
 scoring are its own.
 """
 
@@ -192,9 +192,10 @@ def reference_train(config, train, test):
     and w are +0 there (+0 + -0 is +0).
     At each epoch end: fold the snapshot w * m * z into the running mean,
     output the mean on m_final and +0 off it (or w * m before any
-    snapshot), and score it by plain softmax of one forward through its
-    live units (MC over mc.eval.<epoch> draws, each w * z on m and +0 off
-    it, for MC prediction) with ece_bruteforce.
+    snapshot), and score it by plain softmax of one feature-major forward,
+    h = w @ h + b[:, None] from h = x.T, through its live units (MC over
+    mc.eval.<epoch> draws, each w * z on m and +0 off it, for MC prediction)
+    with ece_bruteforce.
 
     Returns a dict: final weights, biases and mask layers, the unmasked
     snapshot mean (weights then biases; None without snapshots), and per
@@ -204,7 +205,7 @@ def reference_train(config, train, test):
     from cigl.calibration import label_smoothing_targets, mixup_batch
     from cigl.masks import build_sparsity_plan, init_mask
     from cigl.rng import substream
-    from cigl.tensor import MlpModel, backward, forward, init_mlp
+    from cigl.tensor import MlpModel, backward, init_mlp
 
     sparse, random_mask, wma, mc_predict = REFERENCE_METHODS[config.method]
     seed, n_classes = config.seed, train.n_classes
@@ -218,8 +219,13 @@ def reference_train(config, train, test):
     def on(m, a):  # a on m, +0 off it
         return np.where(m, a, np.zeros((), a.dtype))
 
-    def test_probs(w, b):
-        logits = forward(live_units_by_loops(MlpModel(w, b)), test.features).astype(np.float64)
+    def test_probs(w, b):  # feature-major, one column block: the test split is that small
+        h, live = test.features.T, live_units_by_loops(MlpModel(w, b))
+        for i, (wl, bl) in enumerate(zip(live.weights, live.biases)):
+            h = wl @ h + bl[:, None]
+            if i < len(w) - 1:
+                h = np.maximum(h, np.zeros_like(h))
+        logits = h.T.astype(np.float64)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 

@@ -54,7 +54,7 @@ SEED0_DIGESTS = {
         "rigl": "65a1e6a8e1840c27215bf50ade520455f1a752bdeb6ddb21099aee17afebe499",
         "rigl_wdp": "0e8a6e59d52896c25257163f81ae32880c5dba6e3cd509a1add9d96f6bde1493",
         "rigl_mcdp": "45b2685b60841054980b66466b8ec5486265f2604c0aeb190560fa43c3e7cbeb",
-        "dense": "96243fc326adeef604ce740a744d3c6999ac5a7d7bb24738b0aca768fed98be3",
+        "dense": "8bc78d3f207733f8a4bab6ba8d77706abbdf5db917d97c720394fb7d277017b9",
         "cigl_no_rm": "e5a53471f9dcd58b681426b76e1e7d0a57109037586165722242056a3013b28d",
         "cigl_no_wma": "0e8a6e59d52896c25257163f81ae32880c5dba6e3cd509a1add9d96f6bde1493",
         "cigl_run": "f17cb63e450542d30507c40b4dc2a8a21808dea31b4af5790686dadd1d0a6580",
@@ -63,17 +63,17 @@ SEED0_DIGESTS = {
         "idx_run": "abee709297910017f690d76481988266af5d185b97106548d79eaa03e3a23088",
     },
     "Haswell": {
-        "cigl": "9ce20b6b10c7fc4c84bcc1209b08ef34809d4a2e39b00b4b225d1050a7eeb810",
-        "rigl": "96cd1c74ba9f9068936cc0b014a06faa8d41b031f0cba3b96ca2f5a5d27ba001",
-        "rigl_wdp": "2593003b283da6e28632b83daa294d6fdc17c5fbc60decac4312fe7366dff307",
-        "rigl_mcdp": "8b026ab2bb806a5e92d88b9d18f71ff110b0c18b10e262b681cfadd735ebfd0f",
-        "dense": "bf2b588fd5d9df1d30da1ff321bc90a4f5997da3c7690124fc250bb22f9f6ea9",
-        "cigl_no_rm": "3da55db1866b71917c883da888f2ab84f6b75cb61f87ca1341531cbcfe8ed717",
-        "cigl_no_wma": "2593003b283da6e28632b83daa294d6fdc17c5fbc60decac4312fe7366dff307",
-        "cigl_run": "c4b2e2985f05149efb9fbce89632b989087811e538504b7054c5b5f3d72b6978",
-        "rigl_mcdp_eval": "59bbd6588adfbee3e0c22fe35383326b88d4ffdf713d36417df6b58e2209e321",
-        "cigl_eval": "53d14bfce03c55e2ab5de5012ff260a646ed46303e8c4910328e010e576f4dfb",
-        "idx_run": "15245ba4a948bd231d5984a46cb0f80c90ad671cf9921e6cefd703c787b9225d",
+        "cigl": "6723a4aada563de91f355be5ec825f01478974fb620ea5789c1bb5c0fa70f2af",
+        "rigl": "b7470364643c2d27719849fe69c59d4131a1bc859c9d29b77347b8dcf4647b8d",
+        "rigl_wdp": "7a190188dd82d241ab9d7aa107eaa440bf6799a93cf6c9dcd1c3c870c99eb5eb",
+        "rigl_mcdp": "692f07ffed57eead859cbed647df59749acba3d9c64969117441885cca52a74a",
+        "dense": "46d06567144746569cabb00daae8a2291d33853bc677ba1ca5925c8f66066d6e",
+        "cigl_no_rm": "785312c2077914d3586631f39540af168183eab6a69086cfafe855024701a426",
+        "cigl_no_wma": "7a190188dd82d241ab9d7aa107eaa440bf6799a93cf6c9dcd1c3c870c99eb5eb",
+        "cigl_run": "2de74d1de807173e82fa213c5d46905ab3b0ba6fab18f8d0ac4ab1a285352adb",
+        "rigl_mcdp_eval": "269be12b12ce09ddd9414be33ca6611e3f5c0975431fa6e64d181e1f89d9c273",
+        "cigl_eval": "5acbaba70c6b1650edda613eee8f40ef9fcdf308e122289ce7ddd12f8862b60f",
+        "idx_run": "0de0beeb08c29e2428de29f1f59dd426862583df6ec7b8149d918d62e02e5922",
     },
 }
 
@@ -86,7 +86,7 @@ SEED1_DIGESTS = {
         "rigl": "ff0273cc15f77560ec7be5bc56885051b1ba3ec1ce6a619d0eef867d131a0bbc",
         "rigl_wdp": "f76db21edfc6d71f26b971e53d94a653ea17a54682134c497a0ce7d88cb52e1d",
         "rigl_mcdp": "4ece8056a10f4226524f1423d796595a6a57e99af3c9fd83e7e201c5e6d8dfc6",
-        "dense": "caef43bc955f3754e5551dcd5b4eb22881b067a375b6a9a954b414d99541abdf",
+        "dense": "9c841a20967086148bc4b729a35c9cc57e827cf1fa23f0550f392914671b1044",
         "cigl_no_rm": "5e287bc12ef5026921da52d4318fe9817057bbd28e48f6574b68e18cdf596970",
         "cigl_no_wma": "f76db21edfc6d71f26b971e53d94a653ea17a54682134c497a0ce7d88cb52e1d",
         "cigl_run": "e78713902daa1bb7a03ad222066e04266ccac1fa77435bf721b73ca9b5231ae5",
@@ -95,17 +95,17 @@ SEED1_DIGESTS = {
         "idx_run": "325d6fd7115edd436dc8a93086a5bba2931b86bdd3ec7cc0967c7f06f0795d76",
     },
     "Haswell": {
-        "cigl": "9bfd8677786df05f2798c9c3ea08f8ff981519fdd871897572bc9981068233de",
-        "rigl": "ea83e5a352f747e84b956b55d109a8287deb8b2afadd654a31d6d0fa774c6eb9",
-        "rigl_wdp": "e8f9f14925c461ce9b79cd1f36b67a8b50751cff8ef0aeea84f3498dc4fe8d9b",
-        "rigl_mcdp": "0c19c01a6e157e67fcf2456664b8d61943df6a67fa9d37326516f6e13d4a6126",
-        "dense": "04f267e28167eb3acba9476bea3886dc3599daadb4c460d2aef16cb4a9440a60",
-        "cigl_no_rm": "f86d9142f19226f4ad9c95d231a668b41c93912de33aaed961f03f776a7da0c3",
-        "cigl_no_wma": "e8f9f14925c461ce9b79cd1f36b67a8b50751cff8ef0aeea84f3498dc4fe8d9b",
-        "cigl_run": "23048394d84d258a2eea000243980c4490ab227625261f2fa82e5b2a0d469aeb",
-        "rigl_mcdp_eval": "2a6335414e860abafee647f8be2f5eee438585488f130d15badfb4403fd808f1",
-        "cigl_eval": "f75a67d7cd458f0933fa408211969aceea51069c244157f122d0ec9435b75cd1",
-        "idx_run": "16e0dc3f77fab9062adc9296a262ca5536bbd205b90a98759241d965c4dfbebb",
+        "cigl": "a1157e0f4e77d816c37a27d746fed205aff2f308353356fa814e029ec0c717ff",
+        "rigl": "37e57330d19423ccef661a6336fe73b2c4dc667ca3aafc9041b3e4f6bea3b95a",
+        "rigl_wdp": "5ee1c260f52d3542d5c1468c9d086ac291b0cec35115e2a1802b87e2b457fab4",
+        "rigl_mcdp": "7e64e61b0e7b172abe5e15fd13345ac6ee1953bf9d7bc3ed5c57f095e3e12687",
+        "dense": "1fa754d9947633993c3c30bcc2c6843a1bbf9666d8a9501d661a622d7864fffe",
+        "cigl_no_rm": "8def9e75c578127f1a42e0e451b6c4a2a0267c5a9af5e51fc217f3d386177aa0",
+        "cigl_no_wma": "5ee1c260f52d3542d5c1468c9d086ac291b0cec35115e2a1802b87e2b457fab4",
+        "cigl_run": "17ff4f03f646b93a3fa7aeeee726a26c21a02a0ab6e96ad0c9e09bcfe190b2d7",
+        "rigl_mcdp_eval": "f98f477ada291ffdc26b136099763c3e1a6747c3c28341c9b233d155a3cd4994",
+        "cigl_eval": "9f2106b71f0d3220c1f37c48fad8f7241c13fbeeb5f0a4c509c67be6a7b82de5",
+        "idx_run": "4ad07e115773b7fc3fbf2024b3688c1e0db5331e1f8efd41a58e8ae12dbe4c0b",
     },
 }
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cigl import calibration, tensor
 from cigl.rng import substream
 from cigl.tensor import (
+    FOLD_COLS,
     MlpModel,
     NonFiniteError,
     SgdState,
@@ -20,6 +22,7 @@ from cigl.tensor import (
     row_sum,
     sgd_step,
     softmax,
+    softmax_columns,
     softmax_cross_entropy,
     softmax_inplace,
 )
@@ -102,10 +105,6 @@ class TestForward:
                 h = np.maximum(h, 0)
         np.testing.assert_array_equal(forward(model, x), h)
         np.testing.assert_array_equal(x, x_before)
-        rows = [np.broadcast_to(b, (37, b.size)).copy() for b in model.biases]
-        plan = [(np.ascontiguousarray(w.T), r, np.zeros_like(r))
-                for w, r in zip(model.weights, rows)]
-        assert forward(model, x, plan).tobytes() == h.tobytes()
 
     def test_model_built_from_arrays_copies_them_into_one_buffer_in_layer_order(self):
         rng = substream(8, "t")
@@ -352,6 +351,17 @@ class TestSoftmax:
         assert softmax_inplace(buf) is buf
         assert buf.tobytes() == want.tobytes()
         assert softmax(z).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 10])
+    def test_columns_fold_the_rows_in_order(self, k):
+        z = np.random.default_rng(k).normal(0, 30, (k, 300))
+        top = functools.reduce(np.maximum, z)
+        e = np.exp(z - top)
+        want = e / functools.reduce(np.add, e)  # left to right, where a row sum is pairwise
+        buf = z.copy()
+        assert softmax_columns(buf) is buf and buf.tobytes() == want.tobytes()
+        if k < FOLD_COLS:  # a row sum of fewer terms folds left to right too
+            assert buf.tobytes() == np.ascontiguousarray(softmax(z.T).T).tobytes()
 
     def test_input_logits_untouched(self):
         logits = _f32([1.0, 2.0, 3.0])

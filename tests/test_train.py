@@ -20,8 +20,9 @@ from cigl.masks import (
 from cigl.rng import substream
 from cigl.tensor import MlpModel, NonFiniteError, forward, init_mlp, softmax
 from cigl.train import (
-    BLOCK_ROWS,
+    BLOCK_ACTS,
     METHODS,
+    ColumnForward,
     _end_epoch,
     _sgd_iteration,
     _topology_update,
@@ -113,6 +114,15 @@ class TestTrainLoop:
         out = res.model.weights + res.model.biases
         assert all(np.shares_memory(a, res.model.flat) for a in out)
         assert not any(np.shares_memory(a, b) for a in out + [res.model.flat] for b in live)
+
+    @pytest.mark.parametrize("method", ["rigl", "rigl_mcdp"])
+    def test_final_logits_are_the_output_models_predict_logits(self, method):
+        tr, te = small_data()
+        res = train(small_config(method), tr, te)
+        if METHODS[method].mc_predict:
+            assert res.final_logits is None
+        else:
+            assert res.final_logits.tobytes() == predict_logits(res.model, te.features).tobytes()
 
     def test_wma_snapshot_count(self):
         tr, te = small_data()
@@ -350,15 +360,18 @@ class TestEvaluate:
         shapes = [w.shape for w in model.weights]
         mask = init_mask(shapes, build_sparsity_plan(shapes, 0.5), substream(1, "eval.mask"))
         model.flat *= mask.flat
-        cfg = TrainConfig(method=method, seed=5, keep_prob=0.7, mc_samples=3, n_bins=7)
+        cfg = TrainConfig(method=method, seed=5, keep_prob=0.7, mc_samples=3, n_bins=7, epochs=6)
         probs, bins, logits = evaluate(model, mask, cfg, tr, 4)
+        last = evaluate(model, mask, cfg, tr, 6)
+        assert logits is None  # only the last epoch keeps them
         if METHODS[method].mc_predict:
             want = predict_mc_dropout(model, mask, 0.7, 3, tr.features,
                                       substream(5, "mc.eval.4"))
-            assert logits is None
+            assert last[2] is None
         else:
             want, _ = plain_evaluate(model, tr)
-            assert logits.tobytes() == predict_logits(model, tr.features).tobytes()
+            assert last[2].tobytes() == predict_logits(model, tr.features).tobytes()
+            assert last[0].tobytes() == probs.tobytes()
         np.testing.assert_array_equal(probs, want)
         assert bins == reliability_bins(want, tr.labels, 7)
 
@@ -403,10 +416,9 @@ class TestMcDropout:
 
     def test_draw_stream_matches_reference_loop(self):
         from cigl.masks import sample_random_mask
-        from cigl.tensor import forward, softmax
+        from cigl.tensor import softmax
 
         tr, _ = small_data(n=1000)
-        assert len(tr) <= 512
         model, mask = self._wide_model()
         probs = predict_mc_dropout(model, mask, 0.8, 7, tr.features, substream(2, "mc"))
         rng = substream(2, "mc")
@@ -415,7 +427,7 @@ class TestMcDropout:
             z = draw_layers(mask, *sample_random_mask(mask, 0.8, rng))
             masked = MlpModel([w * m * zz for w, m, zz in zip(model.weights, mask.layers, z)],
                               model.biases)
-            total += softmax(forward(live_units_by_loops(masked), tr.features))
+            total += softmax(blocked_forward(masked, tr.features, live_units_by_loops(masked)))
         np.testing.assert_array_equal(probs, total / 7)
 
     def test_rows_sum_to_one_tightly(self):
@@ -454,31 +466,42 @@ def _signed_zero_net(dims, seed):
 
 
 def blocked_forward(model, x, live=None):
-    """Plain forward calls per BLOCK_ROWS rows through live (default: model), in
-    float64, in the layout predict_logits reads: a full block with each weight as
-    a contiguous copy of w.T, a shorter one as it is."""
+    """Plain per-layer forward of live (default: model), feature-major, in the
+    column blocks predict_logits uses, as float64 logits [n, k]: per block of
+    BLOCK_ACTS // (the widest layer of live) columns of x.T, h = w @ h +
+    b[:, None] layer by layer, ReLU (against an array of zeros) on the hidden
+    layers, in fresh arrays."""
     live = model if live is None else live
-    full = [(np.ascontiguousarray(w.T), b, 0) for w, b in zip(live.weights, live.biases)]
-    blocks = [x[s : s + BLOCK_ROWS] for s in range(0, len(x), BLOCK_ROWS)]
-    return np.concatenate([forward(live, xb, full if len(xb) == BLOCK_ROWS else None)
-                           for xb in blocks]).astype(np.float64)
+    step = max(1, BLOCK_ACTS // max(w.shape[0] for w in live.weights))
+    blocks = []
+    for start in range(0, len(x), step):
+        h = x.T[:, start : start + step]
+        for i, (w, b) in enumerate(zip(live.weights, live.biases)):
+            h = w @ h + b[:, None]
+            if i != live.n_layers - 1:
+                h = np.maximum(h, np.zeros_like(h))
+        blocks.append(h)
+    return np.ascontiguousarray(np.concatenate(blocks, axis=1).T, dtype=np.float64)
 
 
 class TestReadPath:
-    """The prepared blocked forward of predict_logits and predict_mc_dropout
-    against plain forward calls through the live units that the loop oracle
-    finds, and the unshared per-draw formula, in bytes."""
+    """The feature-major column blocks of predict_logits and predict_mc_dropout
+    against plain per-layer products through the live units that the loop
+    oracle finds, and the unshared per-draw formula, in bytes."""
 
     @pytest.mark.parametrize("dims", [[2, 64, 64, 2], [784, 300, 100, 10]], ids=["moons", "mnist"])
     def test_predict_logits_equals_plain_forward_per_block(self, dims):
         model, _, features = _signed_zero_net(dims, 11)
         live = live_units_by_loops(model)
         assert live.flat.size < model.flat.size  # some hidden unit is not live
+        step = BLOCK_ACTS // max(w.shape[0] for w in live.weights)
         x = features(9600)
-        for n in (1, 37, 511, 512, 513, 612, 9600):  # 612: a 100-row last block
+        assert step < 9600  # more than one block
+        for n in (1, 37, step - 1, step, step + 1, 2 * step + 100, 9600):  # a 100-column last block
             got = predict_logits(model, x[:n])
             want = blocked_forward(model, x[:n], live)
-            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("keep_prob", [0.5, 0.9, 1.0])
     @pytest.mark.parametrize("n_samples", [1, 3])
@@ -498,6 +521,75 @@ class TestReadPath:
             want = want + probs
         assert got.tobytes() == (want / n_samples).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestSharedForward:
+    """evaluate's single softmax, before and at the last epoch, and one MC draw
+    at keep_prob=1 run the same feature-major forward and column softmax, in
+    buffers made once per call, and once per training run for the evaluations
+    of its test split before the last."""
+
+    @pytest.mark.parametrize("dims, sparsity, one_block", [([2, 64, 64, 2], 0.0, False),
+                                                           ([2, 64, 64, 2], 0.9, True),
+                                                           ([784, 300, 100, 10], 0.9, False)],
+                             ids=["dense", "sparse", "mnist"])
+    def test_one_full_keep_draw_equals_the_single_softmax(self, dims, sparsity, one_block):
+        rng = substream(22, "shared.forward")
+        model = init_mlp(dims, rng)
+        shapes = [w.shape for w in model.weights]
+        mask = init_mask(shapes, build_sparsity_plan(shapes, sparsity), substream(22, "shared.mask"))
+        model.flat *= mask.flat
+        for b in model.biases:
+            b[:] = rng.normal(0, 0.1, b.shape)
+        x = rng.standard_normal((3000, dims[0])).astype(np.float32)
+        data = Dataset(x, rng.integers(0, dims[-1], 3000), dims[-1])
+        assert (3000 <= BLOCK_ACTS // max(w.shape[0] for w in live_units(model).weights)) == one_block
+        draw = predict_mc_dropout(model, mask, 1.0, 1, x, substream(22, "shared.mc"))
+        cfg = TrainConfig(method="rigl", epochs=3)
+        for epoch in (1, 3):
+            probs = evaluate(model, mask, cfg, data, epoch)[0]
+            assert probs.tobytes() == draw.tobytes()
+            for a in (probs, draw):
+                assert a.dtype == np.float64 and a.shape == (3000, dims[-1])
+                assert a.flags.c_contiguous
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Every ColumnForward made, and every logits array its forward returned."""
+        made = []
+
+        class Recording(ColumnForward):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append((self, []))
+
+            def logits(self, live):
+                out = super().logits(live)
+                next(m for m in made if m[0] is self)[1].append(out)
+                return out
+
+        monkeypatch.setattr(sys.modules["cigl.train"], "ColumnForward", Recording)
+        return made
+
+    def test_a_30_draw_call_prunes_every_draw_in_buffers_made_once(self, made, monkeypatch):
+        module = sys.modules["cigl.train"]  # cigl.train is the function train
+        pruned, real = [], module.live_units
+        monkeypatch.setattr(module, "live_units", lambda model: pruned.append(model) or real(model))
+        model, mask, features = _signed_zero_net([2, 64, 64, 2], 23)
+        predict_mc_dropout(model, mask, 0.9, 30, features(3000), substream(23, "mc"))
+        assert len(pruned) == 30 and len({id(m) for m in pruned}) == 1  # one seen model
+        assert len(made) == 1
+        (columns, outs), = made
+        assert len(outs) == 30 and all(out is columns.z for out in outs)
+
+    @pytest.mark.parametrize("method", ["rigl", "rigl_mcdp"])
+    def test_a_training_run_makes_its_test_split_buffers_once(self, made, method):
+        tr, te = small_data()
+        train(small_config(method, epochs=4, wma_start_epoch=2), tr, te)
+        # the run's, used by every epoch but the last, which predicts in buffers of its own
+        assert len(made) == 2
+        draws = small_config(method).mc_samples if METHODS[method].mc_predict else 1
+        assert len(made[0][1]) == 3 * draws and len(made[1][1]) == draws
 
 
 def float64_reference(model, x):
@@ -604,22 +696,25 @@ class TestLiveUnits:
         x = features(1100).astype(np.float64)
         assert predict_logits(f64, x).tobytes() == blocked_forward(f64, x, oracle).tobytes()
 
-    def test_every_operand_of_a_full_block_is_c_contiguous(self, monkeypatch):
-        module = sys.modules["cigl.train"]  # cigl.train is the function train
-        calls, real = [], module.forward
-
-        def recording(model, x, plan=None):
-            calls.append((x, plan))
-            return real(model, x, plan)
-
-        monkeypatch.setattr(module, "forward", recording)
+    def test_every_block_reads_x_in_place_and_writes_the_call_buffers(self, monkeypatch):
         model, mask, features = _signed_zero_net([2, 64, 64, 2], 17)
-        predict_mc_dropout(model, mask, 0.9, 2, features(1100), substream(0, "layout"))
-        full = [(x, plan) for x, plan in calls if len(x) == BLOCK_ROWS]
-        assert len(full) == 4 and all(plan[1][0].size < 64 * 64 for _, plan in full)  # pruned
-        for x, plan in full:
-            for operand in [x, *(op for layer in plan for op in layer)]:
-                assert isinstance(operand, np.ndarray) and operand.flags.c_contiguous
+        x = features(5000)
+        columns = ColumnForward(model, x)
+        assert columns.xt.shape == (2, 5000) and np.shares_memory(columns.xt, x)  # no copy of x
+        assert all(a.flags.c_contiguous and a.size == BLOCK_ACTS  # 64 * 5000 is more
+                   for a in (columns.floor, *columns.acts))
+        products, real = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda w, h, out: products.append((w, h, out))
+                            or real(w, h, out=out))
+        live = live_units(model)
+        step = BLOCK_ACTS // max(w.shape[0] for w in live.weights)
+        assert columns.logits(live) is columns.z
+        assert len(products) == 3 * -(-5000 // step) and live.weights[0].shape[0] < 64  # pruned
+        for i, (w, h, out) in enumerate(products):
+            layer = i % 3
+            assert w is live.weights[layer] and out.flags.c_contiguous
+            assert np.shares_memory(out, columns.acts[layer % 2])
+            assert np.shares_memory(h, x) if layer == 0 else h is products[i - 1][2]
 
     @pytest.mark.parametrize("dims", [[2, 64, 64, 2], [784, 300, 100, 10]], ids=["moons", "mnist"])
     def test_pruned_logits_stay_within_float32_rounding_of_a_float64_dense_forward(self, dims):
@@ -741,7 +836,8 @@ def blob_data(seed, n, n_features, n_classes):
 @st.composite
 def reference_cases(draw, method):
     """A small config over every TrainConfig knob with at least one topology
-    update, and blob train/test sets (under 512 test rows, one forward block)."""
+    update, and blob train/test sets (at most 64 test rows through layers at most 12
+    wide: one column block)."""
     n_features, n_classes = draw(st.integers(2, 3)), draw(st.integers(2, 3))
     n_train = draw(st.integers(24, 64))
     batch_size = draw(st.integers(4, n_train // 2))
