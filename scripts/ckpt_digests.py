@@ -80,6 +80,17 @@ float32 rounding wherever the kernel sums the transposed product in another
 order. On SkylakeX only the `dense` line moved, at both seeds (at seed 0 from
 96243fc3... to 8bc78d3f...); on Haswell every line moved, all of them hashing
 some prediction (at seed 0 `cigl` went from 9ce20b6b... to 6723a4aa...).
+The MC-dropout lines changed once on purpose again: a prediction call now
+finds the live units of the model once (`cigl.train.LivePlan`) and runs
+every draw through them, where each draw found its own. A unit that a draw
+cuts off now runs and adds exact zeros, or relu(b') when the draw leaves it
+no input, in place of being dropped or folded, so the probabilities moved
+by float32 rounding. A draw at keep_prob=1 and every single-softmax line
+are unchanged; so are the weights, masks, biases and `model.ckpt` bytes.
+`rigl_mcdp` moved at both seeds on both kernels, and `rigl_mcdp_eval` at
+both seeds on Haswell and at seed 0 on SkylakeX (at seed 0 on SkylakeX
+`rigl_mcdp` went from 45b2685b... to 0461b1f6..., and `rigl_mcdp_eval` from
+dae4b0dd... to 4b56c1c5...).
 
 The lines hold on one OpenBLAS kernel: a float32 GEMM kernel of another
 vector width sums in another order, and every line changes (for example

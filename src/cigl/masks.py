@@ -103,6 +103,10 @@ class DeterministicMask:
     def flat_active(self) -> np.ndarray:  # the indices of the active weights in flat
         return self.positions[: sum(self.nnz())]
 
+    @cached_property
+    def dense(self) -> bool:  # every weight is active: positions is every index of flat
+        return self.positions.size == self.flat.size
+
     def nnz(self) -> tuple[int, ...]:
         return tuple(int(np.count_nonzero(m)) for m in self.layers)
 

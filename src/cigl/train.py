@@ -9,6 +9,7 @@ keep_prob=1 equals rigl, and rigl at sparsity 0 equals dense.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,11 +72,13 @@ class TrainResult:
 
 class ColumnForward:
     """The feature-major forward over the rows of x, and the buffers that every
-    forward through it reuses: two activation buffers and a ReLU floor of zeros,
-    each large enough for a column block of any live net of model, and the
-    float64 logits [k, n]. A prediction call makes one, and a training run one
-    for its test split, so no MC draw and no evaluation before the last
-    allocates them again (fresh buffers this size page-fault on every call)."""
+    forward through it reuses: x.T (a C-contiguous copy when it holds at most
+    BLOCK_ACTS values, else a view), two activation buffers and a ReLU floor
+    of zeros, each large enough for a column block of any live net of model,
+    and the float64 logits [k, n]. A prediction call makes one, and a
+    training run one for its test split, so no MC draw and no evaluation
+    before the last allocates them again (fresh buffers this size
+    page-fault on every call)."""
 
     def __init__(self, model: MlpModel, x: np.ndarray):
         if x.ndim != 2 or x.shape[1] != model.weights[0].shape[1]:
@@ -83,7 +86,11 @@ class ColumnForward:
         width = max(w.shape[0] for w in model.weights)
         size = min(len(x) * width, max(BLOCK_ACTS, width))
         dtype = np.result_type(model.flat, x)
-        self.xt = x.T  # a view: W @ x.T reads x where it is, with no copy
+        # OpenBLAS multiplies by a narrow x.T view at half the speed of a contiguous copy (a
+        # 10x2 weight by 9600 2-wide rows: 38 against 19 us on a Xeon, 1 BLAS thread), so x.T
+        # is copied once when it fits one activation buffer. A larger x is read where it is:
+        # at 784 wide the view is about as fast, and a copy would be as large as x.
+        self.xt = np.ascontiguousarray(x.T) if x.size <= BLOCK_ACTS else x.T
         self.acts = (np.empty(size, dtype), np.empty(size, dtype))
         self.floor = np.zeros(size, dtype)
         self.z = np.empty((model.weights[-1].shape[0], len(x)))
@@ -131,45 +138,90 @@ def predict_probs(model: MlpModel, features: np.ndarray,
 
 def live_units(model: MlpModel) -> MlpModel:
     """model through only the hidden units that depend on the input and reach a
-    logit. Walking the layers backwards, a hidden unit reaches a logit if it has
-    a nonzero weight into a unit that does; walking forwards, it depends on the
-    input if it has a nonzero weight from an input or from a unit that does. A
-    unit that reaches a logit but not the input outputs the constant
-    c = relu(b'), b' its folded bias, which folds into the next layer's bias as
-    b + w[:, const] @ c, summed left to right in the model's dtype. Every other
-    dropped unit adds only exact zeros to the kept ones. So the logits keep
-    their values, up to the float32 rounding of the shorter sums and the fold.
-    Returns model itself when every unit is live, and also when a weight or bias
-    is not finite, so that a NaN reaches the logits as in the full forward
-    (0 * nan is nan), where evaluate refuses it. Each weight is scanned for
-    nonzeros once; the paths are boolean matrix-vector products of those scans,
-    and the kept weights and biases are gathered once, into one packed buffer."""
-    n = model.n_layers
-    nonzero = [w != 0 for w in model.weights]
-    reach, depend = [], []  # per hidden layer, its units with a path to a logit, from the input
-    for nz in reversed(nonzero[1:]):
-        reach.insert(0, reach[0] @ nz if reach else nz.any(axis=0))
-    for nz in nonzero[:-1]:
-        depend.append(nz @ depend[-1] if depend else nz.any(axis=1))
-    live = [r & d for r, d in zip(reach, depend)]
-    if all(keep.all() for keep in live) or not np.isfinite(model.flat).all():
-        return model
-    weights, biases, keep_in, const = [], [], slice(None), ()
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        if len(const):  # b + w[:, const] @ c, summed left to right in the model's dtype
-            terms = np.concatenate([b[None], w.T[const] * c[:, None]])
-            b = np.add.accumulate(terms, out=terms)[-1]
-        keep_out = slice(None)
-        if i < n - 1:
-            keep_out, const = live[i], np.flatnonzero(reach[i] ^ live[i])
-            c = np.maximum(b[const], 0)
-        weights.append(w[keep_out][:, keep_in])
-        biases.append(b[keep_out])
-        keep_in = keep_out
-    layers = weights + biases
-    flat = np.concatenate([a.ravel() for a in layers])
-    views = split_flat(flat, [a.shape for a in layers])
-    return MlpModel(views[:n], views[n:], flat)
+    logit: LivePlan(model) applied to model itself. Returns model when every
+    unit is live or a parameter is not finite."""
+    return LivePlan(model).apply(model)
+
+
+class LivePlan:
+    """The hidden units of model that depend on the input and reach a logit,
+    found once, and the gathers that run a net with model's layer sizes and
+    zeros through them: model itself, or an MC draw w * z, which only adds
+    zeros. Walking the layers backwards, a hidden unit reaches a logit if it
+    has a nonzero weight into a unit that does; walking forwards, it depends
+    on the input if it has a nonzero weight from an input or from a unit that
+    does. Each weight is scanned for nonzeros once; the walks are boolean
+    matrix-vector products of those scans. A unit that reaches a logit but
+    not the input is constant: it outputs c = relu(b'), b' its folded bias,
+    which folds into the next layer's bias as b + w[:, const] @ c, summed
+    left to right in the model's dtype. Every other dropped unit adds only
+    exact zeros to the kept ones. So the logits keep their values, up to the
+    float32 rounding of the shorter sums and the fold. A kept unit that a
+    draw cuts off still runs and adds exact zeros, or relu(b') when the draw
+    leaves it no input, so a draw's logits keep their values too.
+
+    When every unit is live, or a weight or bias of model is not finite (so
+    that a NaN reaches the logits as in the full forward, 0 * nan being nan,
+    where evaluate refuses it), the plan keeps the whole net. Otherwise it
+    holds the flat indices of the kept weights and biases, and of the bias
+    and constant-unit weights of each fold, and one buffer they are gathered
+    into: the pruned net's packed layers, then each fold's terms."""
+
+    def __init__(self, model: MlpModel):
+        nonzero = [w != 0 for w in model.weights]
+        reach, depend = [], []  # per hidden layer, its units with a path to a logit, from the input
+        for nz in reversed(nonzero[1:]):
+            reach.insert(0, reach[0] @ nz if reach else nz.any(axis=0))
+        for nz in nonzero[:-1]:
+            depend.append(nz @ depend[-1] if depend else nz.any(axis=1))
+        live = [r & d for r, d in zip(reach, depend)]
+        n, ins, dtype = model.n_layers, [w.shape[1] for w in model.weights], model.flat.dtype
+        # per layer boundary, its kept and constant units: every input and output unit is kept
+        self.kept = kept = [np.arange(ins[0]), *map(np.flatnonzero, live),
+                            np.arange(model.biases[-1].size)]
+        self.const = const = [np.empty(0, np.intp),
+                              *(np.flatnonzero(r ^ k) for r, k in zip(reach, live)),
+                              np.empty(0, np.intp)]
+        self.net = None  # the pruned net, or None for the whole net
+        if all(keep.all() for keep in live) or not np.isfinite(model.flat).all():
+            return
+        starts = np.cumsum([0, *(w.size for w in model.weights), *(b.size for b in model.biases)])
+        w_at, b_at = starts[:n], starts[n:]  # each layer's first weight and bias in flat
+        folding = [i for i in range(n) if len(const[i]) or len(const[i + 1])]
+        rows = [np.concatenate([kept[i + 1], const[i + 1]]) for i in folding]  # kept, then const
+        shapes = [(len(out), len(inp)) for inp, out in zip(kept, kept[1:])]
+        shapes += [(len(out),) for out in kept[1:]]
+        shapes += [(1 + len(const[i]), len(r)) for i, r in zip(folding, rows)]
+        self.index = np.empty(sum(math.prod(shape) for shape in shapes), np.intp)
+        at = split_flat(self.index, shapes)  # where each view of the buffer is gathered from
+        for i, (inp, out) in enumerate(zip(kept, kept[1:])):
+            np.add((w_at[i] + out * ins[i])[:, None], inp, out=at[i])
+            np.add(b_at[i], out, out=at[n + i])
+        for i, r, terms in zip(folding, rows, at[2 * n :]):  # a fold's terms: row 0 the bias,
+            np.add(b_at[i], r, out=terms[0])  # row 1 + j the weights from constant unit j
+            np.add(w_at[i] + r * ins[i], const[i][:, None], out=terms[1:])
+        self.buffer = np.empty(self.index.size, dtype)
+        views = split_flat(self.buffer, shapes)
+        packed = sum(a.size for a in views[: 2 * n])
+        self.net = MlpModel(views[:n], views[n : 2 * n], self.buffer[:packed])
+        c = [np.empty(len(units), dtype) for units in const]  # each constant unit's output
+        self.folds = [(views[n + i], terms, c[i], c[i + 1])
+                      for i, terms in zip(folding, views[2 * n :])]
+
+    def apply(self, net: MlpModel) -> MlpModel:
+        """net through the plan's units: the plan's pruned net, refilled from
+        net with one gather and the folds (net itself for a whole-net plan).
+        net must hold +0 or -0 wherever the plan's model does."""
+        if self.net is None:
+            return net
+        np.take(net.flat, self.index, out=self.buffer, mode="wrap")  # mode "raise" buffers out
+        for bias, terms, c_in, c_out in self.folds:
+            if c_in.size:  # b + w[:, const] @ c, summed left to right in the model's dtype
+                terms[1:] *= c_in[:, None]
+                np.add.accumulate(terms, axis=0, out=terms)
+                bias[:] = terms[-1, : bias.size]
+            np.maximum(terms[-1, bias.size :], 0, out=c_out)
+        return self.net
 
 
 def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data: Dataset,
@@ -211,22 +263,23 @@ def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: floa
     rows [n, k].
 
     Made once per call: the compact weights, one compact z, one seen model,
-    +0 off the topology, and the float64 running sum [k, n]; and the
-    ColumnForward over x, unless columns lends one that fits model. Each draw
-    fills z, scatters w * z into seen (masked_model) and runs live_units(seen)
-    through the same forward and softmax as evaluate's single softmax, so a
-    single draw at keep_prob=1 reproduces it bit for bit. The sum is
-    transposed once, at the end.
+    +0 off the topology, the LivePlan of model and the float64 running sum
+    [k, n]; and the ColumnForward over x, unless columns lends one that fits
+    model. Each draw fills z, scatters w * z into seen (masked_model), gathers
+    and folds seen into the plan's buffer, and runs that through the same
+    forward and softmax as evaluate's single softmax, so a single draw at
+    keep_prob=1 reproduces it bit for bit. The sum is transposed once, at
+    the end.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     w, z = model.flat[mask.positions], np.empty(mask.flat_active.size, dtype=bool)
-    seen = model.over(np.zeros_like(model.flat))
+    seen, plan = model.over(np.zeros_like(model.flat)), LivePlan(model)
     columns = columns or ColumnForward(model, x)
     total = np.zeros_like(columns.z)
     for _ in range(n_samples):
         sample_random_mask(mask, keep_prob, rng, out=z)
-        total += softmax_columns(columns.logits(live_units(masked_model(w, z, mask, seen))))
+        total += softmax_columns(columns.logits(plan.apply(masked_model(w, z, mask, seen))))
     total /= n_samples
     return np.ascontiguousarray(total.T)
 
@@ -237,9 +290,15 @@ def masked_model(w: np.ndarray, z: np.ndarray | None, mask: DeterministicMask,
     flat_active order, then every bias) scattered into out.flat, each active weight
     times its draw in the compact random mask z (None: all kept). out must hold +0
     off the topology m already. A weight z drops is a zero of its own sign, as in
-    w * m * z."""
+    w * m * z. Under a dense mask w has out's layout, so the scatter is a
+    contiguous pass, several times faster."""
     n_active = mask.flat_active.size
-    out.flat[mask.flat_active] = w[:n_active] if z is None else w[:n_active] * z
+    if not mask.dense:
+        out.flat[mask.flat_active] = w[:n_active] if z is None else w[:n_active] * z
+    elif z is None:
+        out.flat[:n_active] = w[:n_active]
+    else:
+        np.multiply(w[:n_active], z, out=out.flat[:n_active])
     out.flat[n_active - w.size :] = w[n_active:]  # the biases end both layouts
     return out
 
@@ -353,7 +412,10 @@ def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.nd
     if s.z is not None:
         sample_random_mask(s.mask, config.keep_prob, s.z_rng, out=s.z)
     loss, _, _ = backward(masked_model(s.w, s.z, s.mask, s.seen), xb, targets, out=s.grads)
-    np.take(s.grads.flat, s.mask.positions, out=s.g, mode="wrap")  # mode "raise" buffers out
+    if s.mask.dense:  # the gather is every position in order: a contiguous copy
+        s.g[:] = s.grads.flat
+    else:
+        np.take(s.grads.flat, s.mask.positions, out=s.g, mode="wrap")  # "raise" buffers out
     if s.z is not None:
         s.g[: s.z.size] *= s.z
     sgd_step(s.w, s.g, s.sgd, lr)

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written with plain Python loops and
 sorting, not by calling back into the library code paths it verifies.
-reference_train reuses only the model, mask and target builders, backward
-and substream; the loop, prune/regrow, SGD, averaging and
+reference_train reuses only the model, mask and target builders, backward,
+substream and the BLOCK_ACTS bound; the loop, prune/regrow, SGD, averaging and
 scoring are its own.
 """
 
@@ -124,19 +124,14 @@ def mc_dropout_enumeration(model_weights, biases, mask_layers, keep_prob, x, for
     return expected
 
 
-def live_units_by_loops(model):
-    """model through only the hidden units that depend on the input and reach a
-    logit, by scans over every weight. Backwards, a hidden unit reaches a logit
-    if some nonzero weight leads from it to a unit that does; forwards, it
-    depends on the input if some nonzero weight leads to it from an input or
-    from a unit that does. Every input and output unit stays. A unit that
-    reaches a logit but not the input outputs max(b', 0), b' its folded bias:
-    its bias, then plus w[r, j] * c_j for each such unit j of the layer before
-    in ascending order, one rounding in the model's dtype per operation. The
-    kept weights and biases are fresh C-contiguous arrays."""
-    from cigl.tensor import MlpModel
-
-    weights, biases = model.weights, model.biases
+def live_unit_sets_by_loops(model):
+    """The hidden units of model that depend on the input and reach a logit, and
+    those that reach a logit but not the input, per layer boundary, by scans
+    over every weight. Backwards, a hidden unit reaches a logit if some nonzero
+    weight leads from it to a unit that does; forwards, it depends on the input
+    if some nonzero weight leads to it from an input or from a unit that does.
+    Every input and output unit is kept and none is constant."""
+    weights = model.weights
     reach = [list(range(weights[-1].shape[0]))]  # the output units
     for w in reversed(weights[1:]):
         reach.insert(0, [j for j in range(w.shape[1]) if any(w[r, j] != 0 for r in reach[0])])
@@ -147,11 +142,22 @@ def live_units_by_loops(model):
     for r_units, d_units in zip(reach[:-1], depend[1:]):
         kept.append([u for u in r_units if u in d_units])
         const.append([u for u in r_units if u not in d_units])
-    kept.append(reach[-1])
-    const.append([])
+    return kept + [reach[-1]], const + [[]]
+
+
+def live_units_by_loops(net, unit_sets=None):
+    """net through only the kept units of unit_sets (default: net's own
+    live_unit_sets_by_loops). A constant unit outputs max(b', 0), b' its
+    folded bias in net: its bias, then plus w[r, j] * c_j for each constant
+    unit j of the layer before in ascending order, one rounding in the
+    model's dtype per operation. The kept weights and biases are fresh
+    C-contiguous arrays."""
+    from cigl.tensor import MlpModel
+
+    kept, const = live_unit_sets_by_loops(net) if unit_sets is None else unit_sets
     out_w, out_b, c = [], [], {}  # c: each constant unit's output, of the layer before
-    for w, b, inp, out, const_in, const_out in zip(weights, biases, kept, kept[1:], const,
-                                                   const[1:]):
+    for w, b, inp, out, const_in, const_out in zip(net.weights, net.biases, kept, kept[1:],
+                                                   const, const[1:]):
         folded = []
         for r in range(w.shape[0]):
             acc = b[r]
@@ -193,9 +199,11 @@ def reference_train(config, train, test):
     At each epoch end: fold the snapshot w * m * z into the running mean,
     output the mean on m_final and +0 off it (or w * m before any
     snapshot), and score it by plain softmax of one feature-major forward,
-    h = w @ h + b[:, None] from h = x.T, through its live units (MC over
-    mc.eval.<epoch> draws, each w * z on m and +0 off it, for MC prediction)
-    with ece_bruteforce.
+    h = w @ h + b[:, None] from h = x.T (a C-contiguous copy when it holds
+    at most BLOCK_ACTS values), through its live units (MC over
+    mc.eval.<epoch> draws, each w * z on m and +0 off it and run through
+    the live units of the output model, for MC prediction) with
+    ece_bruteforce.
 
     Returns a dict: final weights, biases and mask layers, the unmasked
     snapshot mean (weights then biases; None without snapshots), and per
@@ -206,6 +214,7 @@ def reference_train(config, train, test):
     from cigl.masks import build_sparsity_plan, init_mask
     from cigl.rng import substream
     from cigl.tensor import MlpModel, backward, init_mlp
+    from cigl.train import BLOCK_ACTS
 
     sparse, random_mask, wma, mc_predict = REFERENCE_METHODS[config.method]
     seed, n_classes = config.seed, train.n_classes
@@ -219,11 +228,14 @@ def reference_train(config, train, test):
     def on(m, a):  # a on m, +0 off it
         return np.where(m, a, np.zeros((), a.dtype))
 
-    def test_probs(w, b):  # feature-major, one column block: the test split is that small
-        h, live = test.features.T, live_units_by_loops(MlpModel(w, b))
+    def test_probs(net, unit_sets=None):  # feature-major, one column block: the test split
+        # is that small; BLAS reads a copy of x.T when it fits one block, as predict_logits does
+        x = test.features
+        h = np.ascontiguousarray(x.T) if x.size <= BLOCK_ACTS else x.T
+        live = live_units_by_loops(net, unit_sets)
         for i, (wl, bl) in enumerate(zip(live.weights, live.biases)):
             h = wl @ h + bl[:, None]
-            if i < len(w) - 1:
+            if i < live.n_layers - 1:
                 h = np.maximum(h, np.zeros_like(h))
         logits = h.T.astype(np.float64)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -304,17 +316,18 @@ def reference_train(config, train, test):
         else:
             out_w, out_b = [wl * ml for wl, ml in zip(w, m)], list(b)
 
-        if mc_predict:
+        if mc_predict:  # every draw through the live units of the output model
             rng = substream(seed, f"mc.eval.{epoch}")
-            draws = [test_probs([on(ml, wl * scatter(ml, rng, config.keep_prob))
-                                 for wl, ml in zip(out_w, m)], out_b)
+            unit_sets = live_unit_sets_by_loops(MlpModel(out_w, out_b))
+            draws = [test_probs(MlpModel([on(ml, wl * scatter(ml, rng, config.keep_prob))
+                                          for wl, ml in zip(out_w, m)], out_b), unit_sets)
                      for _ in range(config.mc_samples)]
             probs = draws[0]
             for p in draws[1:]:
                 probs = probs + p
             probs = probs / config.mc_samples
         else:
-            probs = test_probs(out_w, out_b)
+            probs = test_probs(MlpModel(out_w, out_b))
         hits = sum(int(np.argmax(row)) == int(y) for row, y in zip(probs, test.labels))
         history.append((loss_sum / n_batches, hits / len(test),
                         ece_bruteforce(probs, test.labels, config.n_bins)))

@@ -284,6 +284,24 @@ class TestApplyMasks:
         assert masked_model(w, np.zeros(3, dtype=bool), mask, out) is out
         assert np.all(w[:3] == 1.0) and np.all(model.flat[:3] == 1.0) and not out.flat.any()
 
+    @pytest.mark.parametrize("draw", [False, True])
+    def test_a_dense_mask_writes_the_bytes_of_the_scatter(self, draw):
+        # every weight active: masked_model copies in place of the scatter, same bytes
+        rng = np.random.default_rng(7)
+        model = MlpModel([rng.normal(0, 1, (4, 3)).astype(np.float32),
+                          rng.normal(0, 1, (2, 4)).astype(np.float32)],
+                         [rng.normal(0, 1, n).astype(np.float32) for n in (4, 2)])
+        mask = DeterministicMask([np.ones((4, 3), bool), np.ones((2, 4), bool)], (12, 8))
+        assert mask.dense
+        w = model.flat[mask.positions]
+        z = rng.random(20) < 0.5 if draw else None
+        want = np.full_like(model.flat, np.nan)
+        want[mask.positions] = w if z is None else np.concatenate([w[:20] * z, w[20:]])
+        assert (np.signbit(want) & (want == 0)).any() == draw  # -0 where z drops a negative w
+        out = model.over(np.full_like(model.flat, np.nan))
+        assert masked_model(w, z, mask, out).flat.tobytes() == want.tobytes()
+        assert not np.shares_memory(out.flat, w)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_idempotent_under_reapplication(self, seed):

@@ -53,12 +53,12 @@ SEED0_DIGESTS = {
         "cigl": "5ab04800dfd2ae3461797390eb28817380f8090dec1dad0a6f24189199624eab",
         "rigl": "65a1e6a8e1840c27215bf50ade520455f1a752bdeb6ddb21099aee17afebe499",
         "rigl_wdp": "0e8a6e59d52896c25257163f81ae32880c5dba6e3cd509a1add9d96f6bde1493",
-        "rigl_mcdp": "45b2685b60841054980b66466b8ec5486265f2604c0aeb190560fa43c3e7cbeb",
+        "rigl_mcdp": "0461b1f6cc137bc90851b537fe784cb9f9381eb3cb6185019cbcc45c3421c7fd",
         "dense": "8bc78d3f207733f8a4bab6ba8d77706abbdf5db917d97c720394fb7d277017b9",
         "cigl_no_rm": "e5a53471f9dcd58b681426b76e1e7d0a57109037586165722242056a3013b28d",
         "cigl_no_wma": "0e8a6e59d52896c25257163f81ae32880c5dba6e3cd509a1add9d96f6bde1493",
         "cigl_run": "f17cb63e450542d30507c40b4dc2a8a21808dea31b4af5790686dadd1d0a6580",
-        "rigl_mcdp_eval": "dae4b0dd3f885175c24fdc86374f5ce7bf0d5de7b418b5bf3022dd0d22708590",
+        "rigl_mcdp_eval": "4b56c1c5b568aebfcc319c198fa304281e7b54a549570282505361f0a6dcc5f6",
         "cigl_eval": "03ef567c54a684eb8481a4ed763233b54daa08aa34b227665f7c582f8369b58e",
         "idx_run": "abee709297910017f690d76481988266af5d185b97106548d79eaa03e3a23088",
     },
@@ -66,12 +66,12 @@ SEED0_DIGESTS = {
         "cigl": "6723a4aada563de91f355be5ec825f01478974fb620ea5789c1bb5c0fa70f2af",
         "rigl": "b7470364643c2d27719849fe69c59d4131a1bc859c9d29b77347b8dcf4647b8d",
         "rigl_wdp": "7a190188dd82d241ab9d7aa107eaa440bf6799a93cf6c9dcd1c3c870c99eb5eb",
-        "rigl_mcdp": "692f07ffed57eead859cbed647df59749acba3d9c64969117441885cca52a74a",
+        "rigl_mcdp": "1c26f2768b6838674b69f7a6a8e87870cdc1e375c61c6373d35d7eab374fd310",
         "dense": "46d06567144746569cabb00daae8a2291d33853bc677ba1ca5925c8f66066d6e",
         "cigl_no_rm": "785312c2077914d3586631f39540af168183eab6a69086cfafe855024701a426",
         "cigl_no_wma": "7a190188dd82d241ab9d7aa107eaa440bf6799a93cf6c9dcd1c3c870c99eb5eb",
         "cigl_run": "2de74d1de807173e82fa213c5d46905ab3b0ba6fab18f8d0ac4ab1a285352adb",
-        "rigl_mcdp_eval": "269be12b12ce09ddd9414be33ca6611e3f5c0975431fa6e64d181e1f89d9c273",
+        "rigl_mcdp_eval": "9d2b061f49d372c6dec82d04a6f8165972d3a5857e115368887af79c93d2d2c0",
         "cigl_eval": "5acbaba70c6b1650edda613eee8f40ef9fcdf308e122289ce7ddd12f8862b60f",
         "idx_run": "0de0beeb08c29e2428de29f1f59dd426862583df6ec7b8149d918d62e02e5922",
     },
@@ -85,7 +85,7 @@ SEED1_DIGESTS = {
         "cigl": "486ad26a698486ca66b4b43d75145abfe3a07936c6a9488cc9d6a7bc4c06fb3f",
         "rigl": "ff0273cc15f77560ec7be5bc56885051b1ba3ec1ce6a619d0eef867d131a0bbc",
         "rigl_wdp": "f76db21edfc6d71f26b971e53d94a653ea17a54682134c497a0ce7d88cb52e1d",
-        "rigl_mcdp": "4ece8056a10f4226524f1423d796595a6a57e99af3c9fd83e7e201c5e6d8dfc6",
+        "rigl_mcdp": "0989d001d1ba9cef61610a876213dfa7505847053fc93b7b3900c25ac55e4727",
         "dense": "9c841a20967086148bc4b729a35c9cc57e827cf1fa23f0550f392914671b1044",
         "cigl_no_rm": "5e287bc12ef5026921da52d4318fe9817057bbd28e48f6574b68e18cdf596970",
         "cigl_no_wma": "f76db21edfc6d71f26b971e53d94a653ea17a54682134c497a0ce7d88cb52e1d",
@@ -98,12 +98,12 @@ SEED1_DIGESTS = {
         "cigl": "a1157e0f4e77d816c37a27d746fed205aff2f308353356fa814e029ec0c717ff",
         "rigl": "37e57330d19423ccef661a6336fe73b2c4dc667ca3aafc9041b3e4f6bea3b95a",
         "rigl_wdp": "5ee1c260f52d3542d5c1468c9d086ac291b0cec35115e2a1802b87e2b457fab4",
-        "rigl_mcdp": "7e64e61b0e7b172abe5e15fd13345ac6ee1953bf9d7bc3ed5c57f095e3e12687",
+        "rigl_mcdp": "82461cecd0eb747efb869b24fcda7b444debbf0ce438da4f5eee35cbd87a31cc",
         "dense": "1fa754d9947633993c3c30bcc2c6843a1bbf9666d8a9501d661a622d7864fffe",
         "cigl_no_rm": "8def9e75c578127f1a42e0e451b6c4a2a0267c5a9af5e51fc217f3d386177aa0",
         "cigl_no_wma": "5ee1c260f52d3542d5c1468c9d086ac291b0cec35115e2a1802b87e2b457fab4",
         "cigl_run": "17ff4f03f646b93a3fa7aeeee726a26c21a02a0ab6e96ad0c9e09bcfe190b2d7",
-        "rigl_mcdp_eval": "f98f477ada291ffdc26b136099763c3e1a6747c3c28341c9b233d155a3cd4994",
+        "rigl_mcdp_eval": "697e1a5e4063c9978e10c21f660c14c0f26cc45d83fdac10b834b835694d118a",
         "cigl_eval": "9f2106b71f0d3220c1f37c48fad8f7241c13fbeeb5f0a4c509c67be6a7b82de5",
         "idx_run": "4ad07e115773b7fc3fbf2024b3688c1e0db5331e1f8efd41a58e8ae12dbe4c0b",
     },

@@ -23,6 +23,7 @@ from cigl.train import (
     BLOCK_ACTS,
     METHODS,
     ColumnForward,
+    LivePlan,
     _end_epoch,
     _sgd_iteration,
     _topology_update,
@@ -36,7 +37,13 @@ from cigl.train import (
     train,
 )
 
-from _oracles import draw_layers, live_units_by_loops, mc_dropout_enumeration, reference_train
+from _oracles import (
+    draw_layers,
+    live_unit_sets_by_loops,
+    live_units_by_loops,
+    mc_dropout_enumeration,
+    reference_train,
+)
 
 
 def small_data(seed=0, n=400):
@@ -421,13 +428,14 @@ class TestMcDropout:
         tr, _ = small_data(n=1000)
         model, mask = self._wide_model()
         probs = predict_mc_dropout(model, mask, 0.8, 7, tr.features, substream(2, "mc"))
-        rng = substream(2, "mc")
+        rng, unit_sets = substream(2, "mc"), live_unit_sets_by_loops(model)
         total = np.zeros_like(probs)
-        for _ in range(7):
+        for _ in range(7):  # every draw through the live units of the model
             z = draw_layers(mask, *sample_random_mask(mask, 0.8, rng))
             masked = MlpModel([w * m * zz for w, m, zz in zip(model.weights, mask.layers, z)],
                               model.biases)
-            total += softmax(blocked_forward(masked, tr.features, live_units_by_loops(masked)))
+            live = live_units_by_loops(masked, unit_sets)
+            total += softmax(blocked_forward(masked, tr.features, live))
         np.testing.assert_array_equal(probs, total / 7)
 
     def test_rows_sum_to_one_tightly(self):
@@ -467,15 +475,17 @@ def _signed_zero_net(dims, seed):
 
 def blocked_forward(model, x, live=None):
     """Plain per-layer forward of live (default: model), feature-major, in the
-    column blocks predict_logits uses, as float64 logits [n, k]: per block of
-    BLOCK_ACTS // (the widest layer of live) columns of x.T, h = w @ h +
+    column blocks and layout predict_logits uses, as float64 logits [n, k]:
+    per block of BLOCK_ACTS // (the widest layer of live) columns of x.T (a
+    C-contiguous copy when it holds at most BLOCK_ACTS values), h = w @ h +
     b[:, None] layer by layer, ReLU (against an array of zeros) on the hidden
     layers, in fresh arrays."""
     live = model if live is None else live
     step = max(1, BLOCK_ACTS // max(w.shape[0] for w in live.weights))
+    xt = np.ascontiguousarray(x.T) if x.size <= BLOCK_ACTS else x.T
     blocks = []
     for start in range(0, len(x), step):
-        h = x.T[:, start : start + step]
+        h = xt[:, start : start + step]
         for i, (w, b) in enumerate(zip(live.weights, live.biases)):
             h = w @ h + b[:, None]
             if i != live.n_layers - 1:
@@ -511,11 +521,13 @@ class TestReadPath:
         rng = substream(13, "read.mc")
         ref = copy.deepcopy(rng)
         got = predict_mc_dropout(model, mask, keep_prob, n_samples, x, rng)
-        draws = []
-        for _ in range(n_samples):  # a per-layer w * z in fresh arrays for every draw
+        draws, unit_sets = [], live_unit_sets_by_loops(model)
+        # a per-layer w * z in fresh arrays for every draw, run through the model's live units
+        for _ in range(n_samples):
             z = draw_layers(mask, *sample_random_mask(mask, keep_prob, ref))
             seen = MlpModel([w * zz for w, zz in zip(model.weights, z)], model.biases)
-            draws.append(softmax(predict_logits(seen, x)))
+            live = live_units_by_loops(seen, unit_sets)
+            draws.append(softmax(blocked_forward(seen, x, live)))
         want = draws[0]
         for probs in draws[1:]:
             want = want + probs
@@ -571,13 +583,27 @@ class TestSharedForward:
         monkeypatch.setattr(sys.modules["cigl.train"], "ColumnForward", Recording)
         return made
 
-    def test_a_30_draw_call_prunes_every_draw_in_buffers_made_once(self, made, monkeypatch):
+    def test_a_30_draw_call_plans_once_and_runs_every_draw_in_buffers_made_once(self, made,
+                                                                               monkeypatch):
         module = sys.modules["cigl.train"]  # cigl.train is the function train
-        pruned, real = [], module.live_units
-        monkeypatch.setattr(module, "live_units", lambda model: pruned.append(model) or real(model))
+        plans, applied = [], []
+
+        class Recording(module.LivePlan):
+            def __init__(self, model):
+                super().__init__(model)
+                plans.append(self)
+
+            def apply(self, net):
+                applied.append((net, super().apply(net)))
+                return applied[-1][1]
+
+        monkeypatch.setattr(module, "LivePlan", Recording)
         model, mask, features = _signed_zero_net([2, 64, 64, 2], 23)
         predict_mc_dropout(model, mask, 0.9, 30, features(3000), substream(23, "mc"))
-        assert len(pruned) == 30 and len({id(m) for m in pruned}) == 1  # one seen model
+        (plan,) = plans
+        assert plan.net is not None and plan.net.flat.size < model.flat.size  # pruned
+        assert len(applied) == 30 and len({id(net) for net, _ in applied}) == 1  # one seen model
+        assert all(live is plan.net for _, live in applied)
         assert len(made) == 1
         (columns, outs), = made
         assert len(outs) == 30 and all(out is columns.z for out in outs)
@@ -696,11 +722,17 @@ class TestLiveUnits:
         x = features(1100).astype(np.float64)
         assert predict_logits(f64, x).tobytes() == blocked_forward(f64, x, oracle).tobytes()
 
-    def test_every_block_reads_x_in_place_and_writes_the_call_buffers(self, monkeypatch):
+    @pytest.mark.parametrize("n, copied", [(5000, True), (BLOCK_ACTS // 2 + 1, False)],
+                             ids=["copy", "in-place"])
+    def test_every_block_reads_x_in_one_copy_or_in_place_and_writes_the_call_buffers(
+            self, monkeypatch, n, copied):
+        # x.T is copied C-contiguous once when it fits one activation buffer, read in place above
         model, mask, features = _signed_zero_net([2, 64, 64, 2], 17)
-        x = features(5000)
+        x = features(n)
+        assert (x.size <= BLOCK_ACTS) == copied
         columns = ColumnForward(model, x)
-        assert columns.xt.shape == (2, 5000) and np.shares_memory(columns.xt, x)  # no copy of x
+        assert columns.xt.shape == (2, n) and np.shares_memory(columns.xt, x) != copied
+        assert columns.xt.flags.c_contiguous == copied
         assert all(a.flags.c_contiguous and a.size == BLOCK_ACTS  # 64 * 5000 is more
                    for a in (columns.floor, *columns.acts))
         products, real = [], np.matmul
@@ -709,12 +741,51 @@ class TestLiveUnits:
         live = live_units(model)
         step = BLOCK_ACTS // max(w.shape[0] for w in live.weights)
         assert columns.logits(live) is columns.z
-        assert len(products) == 3 * -(-5000 // step) and live.weights[0].shape[0] < 64  # pruned
+        assert len(products) == 3 * -(-n // step) and live.weights[0].shape[0] < 64  # pruned
         for i, (w, h, out) in enumerate(products):
             layer = i % 3
             assert w is live.weights[layer] and out.flags.c_contiguous
             assert np.shares_memory(out, columns.acts[layer % 2])
-            assert np.shares_memory(h, x) if layer == 0 else h is products[i - 1][2]
+            assert np.shares_memory(h, columns.xt) if layer == 0 else h is products[i - 1][2]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**16), widths=st.tuples(st.integers(4, 12), st.integers(4, 12)),
+           keep_prob=st.floats(0.2, 1.0))
+    def test_each_draw_through_the_call_plan_is_its_unpruned_forward_within_rounding(
+            self, seed, widths, keep_prob):
+        rng = substream(seed, "plan.draws")
+        model = init_mlp([3, *widths, 2], rng)
+        w0, w1, _ = model.weights
+        for w in model.weights[:-1]:  # sparse hidden layers; every hidden unit feeds a logit
+            w *= rng.random(w.shape) < 0.6
+        # a constant chain: c1 has no input weight, c2 weights from c1 alone, and every other
+        # hidden unit has an input
+        c1, c2 = (rng.choice(h, 2, replace=False) for h in widths)
+        fed = np.setdiff1d(np.arange(widths[0]), c1)
+        w0[fed, fed % 3] = 1.0
+        w1[:, fed[0]] = 1.0
+        w0[c1] = 0
+        w1[c2] = 0
+        w1[np.ix_(c2, c1)] = rng.normal(0, 1, (2, 2))
+        for b in model.biases:
+            b[:] = rng.normal(0.2, 0.5, b.shape)
+        mask = DeterministicMask([w != 0 for w in model.weights],
+                                 tuple(int(np.count_nonzero(w)) for w in model.weights))
+        plan = LivePlan(model)
+        assert (plan.const[1] == np.sort(c1)).all() and (plan.const[2] == np.sort(c2)).all()
+        x = rng.standard_normal((40, 3)).astype(np.float32)
+        columns, seen = ColumnForward(model, x), model.over(np.zeros_like(model.flat))
+        w, z = model.flat[mask.positions], np.empty(mask.flat_active.size, dtype=bool)
+        into = np.isin(mask.flat_active, plan.kept[1][0] * 3 + np.arange(3))
+        for draw in range(6):
+            sample_random_mask(mask, keep_prob, substream(seed, f"plan.z.{draw}"), out=z)
+            if draw == 0:  # a draw that cuts off a unit the plan keeps
+                z[into] = False
+            net = masked_model(w, z, mask, seen)
+            got = columns.logits(plan.apply(net)).T
+            want, tol = float64_reference(net, x)
+            assert np.all(np.abs(got - want) <= tol)
+            assert np.all(np.abs(got - forward(net, x)) <= 2 * tol)
 
     @pytest.mark.parametrize("dims", [[2, 64, 64, 2], [784, 300, 100, 10]], ids=["moons", "mnist"])
     def test_pruned_logits_stay_within_float32_rounding_of_a_float64_dense_forward(self, dims):
