@@ -53,10 +53,11 @@ probability and history, and every run file but `model.ckpt`, is the same.
 The `dense`, `rigl_mcdp_eval` and `cigl_eval` lines did not move (at seed 0
 the `cigl` line went from c0dfb98d... to 495a6f9b...).
 Ten lines changed once on purpose again: prediction now runs only through
-the hidden units that both depend on the input and reach a logit
-(`cigl.train.live_units`). A unit that reaches a logit but has no path from
-the input outputs a constant, which is folded into the next layer's bias, and
-the shorter last block, so every test split of at most 512 rows, runs through
+the hidden units that both depend on the input and reach a logit (then
+`cigl.train.live_units`, now `cigl.predict.LivePlan`). A unit that reaches a
+logit but has no path from the input outputs a constant, which is folded
+into the next layer's bias, and the shorter last block, so every test split
+of at most 512 rows, runs through
 the same live net instead of the whole model. The weights, masks, biases and
 `model.ckpt` bytes are the same; the probabilities, histories and the files
 made from them moved by float32 rounding. Only the `dense` line, with no unit
@@ -72,8 +73,9 @@ moved no weight's bytes. No other line moved (at seed 0 `cigl_run` went from
 09b75061... to f17cb63e..., and `idx_run` from 6f502e7c... to abee7092...).
 The lines that hash predictions changed once on purpose again: prediction
 now runs feature-major, `W @ H` on `[width, columns]` activations over column
-blocks of `x.T` (`cigl.train.ColumnForward`), where it ran `x @ w.T` over
-512-row blocks, and its softmax sums the k classes in order. The weights,
+blocks of `x.T` (then `cigl.train.ColumnForward`, now `cigl.predict.Predictor`),
+where it ran `x @ w.T` over 512-row blocks, and its softmax sums the k classes
+in order. The weights,
 masks, biases and `model.ckpt` bytes are the same at both seeds on both
 kernels; the probabilities, histories and the files made from them moved by
 float32 rounding wherever the kernel sums the transposed product in another
@@ -81,7 +83,7 @@ order. On SkylakeX only the `dense` line moved, at both seeds (at seed 0 from
 96243fc3... to 8bc78d3f...); on Haswell every line moved, all of them hashing
 some prediction (at seed 0 `cigl` went from 9ce20b6b... to 6723a4aa...).
 The MC-dropout lines changed once on purpose again: a prediction call now
-finds the live units of the model once (`cigl.train.LivePlan`) and runs
+finds the live units of the model once (`cigl.predict.LivePlan`) and runs
 every draw through them, where each draw found its own. A unit that a draw
 cuts off now runs and adds exact zeros, or relu(b') when the draw leaves it
 no input, in place of being dropped or folded, so the probabilities moved

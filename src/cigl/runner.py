@@ -24,10 +24,10 @@ from .config import ConfigError, ExperimentConfig, format_config, resolve_config
 from .fileio import atomic_write_text
 from .data import Dataset, load_csv, load_idx, inject_label_noise, split_dataset, standardize, synth_two_moons
 from .masks import DeterministicMask
+from .predict import Predictor, predict_mc_dropout
 from .rng import substream
 from .tensor import MlpModel, softmax_inplace
-from .train import (ColumnForward, TrainResult, evaluate, predict_logits, predict_mc_dropout,
-                    predict_probs, train)
+from .train import TrainResult, evaluate, train
 
 ARTIFACTS = ("model.ckpt", "metrics.jsonl", "calibration.csv", "report.json", "config.resolved")
 
@@ -72,7 +72,8 @@ def _report(cfg: ExperimentConfig, model: MlpModel, val_ds: Dataset | None, test
     temperature fitted on it, binned at calib.n_bins."""
     temp = None
     if val_ds is not None:
-        temp = fit_temperature(predict_logits(model, val_ds.features), val_ds.labels)
+        val_logits = Predictor(model, val_ds.features).logits(model)
+        temp = fit_temperature(np.ascontiguousarray(val_logits.T), val_ds.labels)
         probs = softmax_inplace(logits / temp)
         bins = reliability_bins(probs, test_ds.labels, cfg.train.n_bins)
     return CalibrationReport(nll=nll(probs, test_ds.labels), bins=bins, temperature=temp)
@@ -155,8 +156,8 @@ def correlate(model: MlpModel, mask: DeterministicMask, data: Dataset, keep_prob
     def n_correct(probs) -> int:
         return int(np.count_nonzero(correct_rows(probs, data.labels)))
 
-    columns = ColumnForward(model, data.features)  # every prediction here reuses its buffers
-    base = n_correct(predict_probs(model, data.features, columns)) / len(data)
+    columns = Predictor(model, data.features)  # every prediction here reuses its buffers
+    base = n_correct(columns.probs(model)[0]) / len(data)
     # integer correct-counts so the keep_prob=1 drop is exactly zero
     correct = 0
     for _ in range(n_draws):

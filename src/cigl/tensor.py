@@ -97,7 +97,7 @@ def _forward_trace(model: MlpModel, x: np.ndarray):
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Logits for a batch of inputs, row-major; prediction runs feature-major
-    (train.ColumnForward)."""
+    (predict.Predictor)."""
     return _forward_trace(model, x)[0]
 
 

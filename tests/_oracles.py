@@ -3,8 +3,8 @@
 Everything here is deliberately written with plain Python loops and
 sorting, not by calling back into the library code paths it verifies.
 reference_train reuses only the model, mask and target builders, backward,
-substream and the BLOCK_ACTS bound; the loop, prune/regrow, SGD, averaging and
-scoring are its own.
+substream and prediction's column-block bound, cigl.predict.BLOCK_ACTS; the
+loop, prune/regrow, SGD, averaging and scoring are its own.
 """
 
 import math
@@ -214,7 +214,7 @@ def reference_train(config, train, test):
     from cigl.masks import build_sparsity_plan, init_mask
     from cigl.rng import substream
     from cigl.tensor import MlpModel, backward, init_mlp
-    from cigl.train import BLOCK_ACTS
+    from cigl.predict import BLOCK_ACTS
 
     sparse, random_mask, wma, mc_predict = REFERENCE_METHODS[config.method]
     seed, n_classes = config.seed, train.n_classes
@@ -229,7 +229,7 @@ def reference_train(config, train, test):
         return np.where(m, a, np.zeros((), a.dtype))
 
     def test_probs(net, unit_sets=None):  # feature-major, one column block: the test split
-        # is that small; BLAS reads a copy of x.T when it fits one block, as predict_logits does
+        # is that small; BLAS reads a copy of x.T when it fits one block, as Predictor does
         x = test.features
         h = np.ascontiguousarray(x.T) if x.size <= BLOCK_ACTS else x.T
         live = live_units_by_loops(net, unit_sets)

@@ -11,7 +11,8 @@ from cigl.config import (_ALIASES, _KEYS, ConfigError, DataConfig, ExperimentCon
                          format_config, parse_config_text, resolve_config)
 from cigl.checkpoint import load_checkpoint, save_checkpoint
 from cigl.masks import DeterministicMask
-from cigl.runner import run_experiment, run_export_reliability, run_sweep
+from cigl.predict import Predictor
+from cigl.runner import run_correlate, run_experiment, run_export_reliability, run_sweep
 from cigl.train import TrainConfig
 
 
@@ -769,11 +770,9 @@ class TestFinalTable:
     def test_temperature_run_predicts_the_test_split_once(self, tmp_path, monkeypatch):
         # the report rescales the logits of the last epoch's evaluation
         calls = []
-        for module_name in ("cigl.train", "cigl.runner"):
-            module = sys.modules[module_name]
-            real = module.predict_logits
-            monkeypatch.setattr(module, "predict_logits", lambda model, x, real=real:
-                                calls.append((model, len(x))) or real(model, x))
+        real = Predictor.logits
+        monkeypatch.setattr(Predictor, "logits", lambda self, model, *args, real=real:
+                            calls.append((model, self.xt.shape[1])) or real(self, model, *args))
         cfg = parse_config_text(with_lines(TINY_CONFIG, "calib.temperature = true"))
         out = run_experiment(cfg, out_root=tmp_path)
         final = [n for model, n in calls if model is out.result.model]
@@ -791,6 +790,50 @@ class TestFinalTable:
         target = run_export_reliability(cfg, run_dir / "model.ckpt", tmp_path / "rel.csv")
         assert calls == ["cigl.train"]
         assert target.read_bytes() == (run_dir / "calibration.csv").read_bytes()
+
+
+class TestTracedPrediction:
+    """bench/tracer.py counts prediction by replacing evaluate and
+    predict_mc_dropout on every cigl module binding that holds them, so every
+    call has to go through such a binding for `--trace 1` to see it."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"evaluate": 0, "predict_mc_dropout": 0}
+        modules = [m for name, m in list(sys.modules.items())
+                   if m is not None and (name == "cigl" or name.startswith("cigl."))]
+        for fn in counts:
+            original = getattr(sys.modules["cigl.train"], fn)
+
+            def counting(*args, fn=fn, original=original, **kwargs):
+                counts[fn] += 1
+                return original(*args, **kwargs)
+            for module in modules:
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counting)
+        return counts
+
+    @pytest.fixture
+    def cfg(self):
+        return parse_config_text(with_lines(TINY_CONFIG, "train.method = rigl_mcdp",
+                                            "train.mc_samples = 3"))
+
+    def test_a_training_calls_each_once_per_epoch(self, tmp_path, counts, cfg):
+        run_experiment(cfg, out_root=tmp_path)
+        assert counts == {"evaluate": 4, "predict_mc_dropout": 4}
+
+    def test_correlate_calls_mc_dropout_once_per_draw(self, tmp_path, counts, cfg):
+        run_dir = run_experiment(cfg, out_root=tmp_path).out_dir
+        counts.update(evaluate=0, predict_mc_dropout=0)
+        run_correlate(cfg, run_dir / "model.ckpt", keep_prob=0.9, n_draws=5)
+        assert counts == {"evaluate": 0, "predict_mc_dropout": 5}
+
+    def test_export_calls_each_once(self, tmp_path, counts, cfg):
+        run_dir = run_experiment(cfg, out_root=tmp_path).out_dir
+        counts.update(evaluate=0, predict_mc_dropout=0)
+        run_export_reliability(cfg, run_dir / "model.ckpt", tmp_path / "rel.csv")
+        assert counts == {"evaluate": 1, "predict_mc_dropout": 1}
 
 
 def test_checkpoint_stores_weight_bias_pairs(tiny_config_file, tmp_path):

@@ -10,6 +10,7 @@ from cigl.masks import (
     erk_allocate,
     init_mask,
     mask_update_fraction,
+    masked_model,
     sample_random_mask,
     update_deterministic_mask,
     wma_update,
@@ -17,7 +18,6 @@ from cigl.masks import (
 from cigl.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from cigl.rng import substream
 from cigl.tensor import MlpModel
-from cigl.train import masked_model
 
 from _oracles import draw_layers, prune_regrow_bruteforce
 
@@ -244,7 +244,7 @@ class TestPackedMask:
 
 
 class TestApplyMasks:
-    """train.masked_model, the one w * m * z path: compact weights over
+    """masks.masked_model, the one w * m * z path: compact weights over
     mask.positions and a compact draw z, as sample_random_mask makes it,
     scattered into a model that is +0 off the topology."""
 

@@ -44,8 +44,9 @@ def test_correlation_probe_runs_and_a_dense_net_warns_nothing():
 
 # `ckpt_digests.py --seed 0` output, recorded with numpy 2.4.6, keyed by the OpenBLAS
 # kernel the script names on stderr: a float32 GEMM kernel of another vector width
-# sums in another order, so every line depends on it. The Haswell lines were
-# recorded with OPENBLAS_CORETYPE=Haswell on a machine whose default is SkylakeX.
+# sums in another order, so every line depends on it. The Haswell and Sandybridge
+# lines were recorded with OPENBLAS_CORETYPE set to that kernel, in the script's
+# process only, on a machine whose default is SkylakeX.
 # A change that moves any of these bytes must say why; the pinned lines keep
 # every artifact bit-exact.
 SEED0_DIGESTS = {
@@ -74,6 +75,19 @@ SEED0_DIGESTS = {
         "rigl_mcdp_eval": "9d2b061f49d372c6dec82d04a6f8165972d3a5857e115368887af79c93d2d2c0",
         "cigl_eval": "5acbaba70c6b1650edda613eee8f40ef9fcdf308e122289ce7ddd12f8862b60f",
         "idx_run": "0de0beeb08c29e2428de29f1f59dd426862583df6ec7b8149d918d62e02e5922",
+    },
+    "Sandybridge": {
+        "cigl": "8a117453c420c1b7b8a8c8105e2e582ff4a1cf7a402ee444eace36cd29159dd0",
+        "rigl": "d4aeec5b64e985208a5c9d338df6bb426cb6f08a474e6d1ae922ad7463ceae6c",
+        "rigl_wdp": "2d31376d2c57343c27e1de6e5c3d87de93097d597fa99e96595db08f3d97a7a8",
+        "rigl_mcdp": "e24d4e8717c15a7889f8dda884db52a27fec1f5ff27aa09790fd059e0ea77aa7",
+        "dense": "2636d695d2fee2eb51ce439bcc35b9c750760abd7cd1802939e2e31ceeaf0d77",
+        "cigl_no_rm": "b39519d8bea5270ba9909af8dba3f6fc84934366b0500d2b837835ee0a044fc2",
+        "cigl_no_wma": "2d31376d2c57343c27e1de6e5c3d87de93097d597fa99e96595db08f3d97a7a8",
+        "cigl_run": "f00e4677786df4769ab23c2984a846e55fe579d6ce1d30def24e95793aa90d66",
+        "rigl_mcdp_eval": "db6fa8ea2c3c8eb0989a2b530bca6c03b107cafff7eee424f3c002019598317d",
+        "cigl_eval": "a44ccc63ee173c942c30e0108d0988ed5ff6d7ca8008e94c93d268907fef531c",
+        "idx_run": "3908681e280263588e7ff985f12f091f2bf27e1ebf12c336841b912f6dbd1d83",
     },
 }
 
@@ -106,6 +120,19 @@ SEED1_DIGESTS = {
         "rigl_mcdp_eval": "697e1a5e4063c9978e10c21f660c14c0f26cc45d83fdac10b834b835694d118a",
         "cigl_eval": "9f2106b71f0d3220c1f37c48fad8f7241c13fbeeb5f0a4c509c67be6a7b82de5",
         "idx_run": "4ad07e115773b7fc3fbf2024b3688c1e0db5331e1f8efd41a58e8ae12dbe4c0b",
+    },
+    "Sandybridge": {
+        "cigl": "f6b8d944706b9672796859ee3ba5e7246dcdbea1c6dbab6300e1fc983a3fba62",
+        "rigl": "275965a09524e873868d17f44e4c85a68c1692d20cf104d52daa7dde866776bd",
+        "rigl_wdp": "8a53fb64b0fa2814fca08d4b20cea3da102b338577733387b44a4f781ac6267a",
+        "rigl_mcdp": "49c2752d93cb2de438bd00d550c36837fd09d2e91547e0175cbc17a2f51f78b5",
+        "dense": "1062b7a187b88c8d0eaea67caed457a90766b15279018032b6ab4db3ca2c67f6",
+        "cigl_no_rm": "c6ccfa479395ec96c36601786861d258d0c38daee4a96c64330e95d86fdd1880",
+        "cigl_no_wma": "8a53fb64b0fa2814fca08d4b20cea3da102b338577733387b44a4f781ac6267a",
+        "cigl_run": "74cecbfe56ef51c72447d05ef7ac22b33d0462edffa9184fad9b343413649b56",
+        "rigl_mcdp_eval": "357770274ed5b0e58210b735ecc357883870f5400b2798312e8cddfd312c013d",
+        "cigl_eval": "4f3ce8441cde8e0c34f4225beec10781208de1cde2e93d8465338f111cecbd30",
+        "idx_run": "71ea9f5b0050f6223a28cd2c9046781af1c7b5a7a4ac6a08a05de4c5f23de43c",
     },
 }
 

@@ -17,13 +17,11 @@ from cigl.masks import (
     init_mask,
     sample_random_mask,
 )
+from cigl.predict import BLOCK_ACTS, LivePlan, Predictor
 from cigl.rng import substream
 from cigl.tensor import MlpModel, NonFiniteError, forward, init_mlp, softmax
 from cigl.train import (
-    BLOCK_ACTS,
     METHODS,
-    ColumnForward,
-    LivePlan,
     _end_epoch,
     _sgd_iteration,
     _topology_update,
@@ -31,9 +29,7 @@ from cigl.train import (
     TrainState,
     evaluate,
     masked_model,
-    predict_logits,
     predict_mc_dropout,
-    live_units,
     train,
 )
 
@@ -71,6 +67,12 @@ def small_config(method, **kw):
 
 def weights_bytes(model):
     return b"".join(a.tobytes() for a in model.weights + model.biases)
+
+
+def predict_logits(model, x):
+    """Float64 logits [n, k], C-contiguous: the feature-major logits of model
+    through its live units, in a fresh Predictor over x, transposed."""
+    return np.ascontiguousarray(Predictor(model, x).logits(model).T)
 
 
 class TestDegeneracyLattice:
@@ -538,8 +540,8 @@ class TestReadPath:
 class TestSharedForward:
     """evaluate's single softmax, before and at the last epoch, and one MC draw
     at keep_prob=1 run the same feature-major forward and column softmax, in
-    buffers made once per call, and once per training run for the evaluations
-    of its test split before the last."""
+    buffers made once per call, and once per training run for every
+    evaluation of its test split."""
 
     @pytest.mark.parametrize("dims, sparsity, one_block", [([2, 64, 64, 2], 0.0, False),
                                                            ([2, 64, 64, 2], 0.9, True),
@@ -555,7 +557,8 @@ class TestSharedForward:
             b[:] = rng.normal(0, 0.1, b.shape)
         x = rng.standard_normal((3000, dims[0])).astype(np.float32)
         data = Dataset(x, rng.integers(0, dims[-1], 3000), dims[-1])
-        assert (3000 <= BLOCK_ACTS // max(w.shape[0] for w in live_units(model).weights)) == one_block
+        live = LivePlan(model).apply(model)
+        assert (3000 <= BLOCK_ACTS // max(w.shape[0] for w in live.weights)) == one_block
         draw = predict_mc_dropout(model, mask, 1.0, 1, x, substream(22, "shared.mc"))
         cfg = TrainConfig(method="rigl", epochs=3)
         for epoch in (1, 3):
@@ -567,25 +570,26 @@ class TestSharedForward:
 
     @pytest.fixture
     def made(self, monkeypatch):
-        """Every ColumnForward made, and every logits array its forward returned."""
+        """Every Predictor made, and every logits array its forward returned."""
         made = []
 
-        class Recording(ColumnForward):
+        class Recording(Predictor):
             def __init__(self, *args):
                 super().__init__(*args)
                 made.append((self, []))
 
-            def logits(self, live):
-                out = super().logits(live)
+            def logits(self, *args):
+                out = super().logits(*args)
                 next(m for m in made if m[0] is self)[1].append(out)
                 return out
 
-        monkeypatch.setattr(sys.modules["cigl.train"], "ColumnForward", Recording)
+        for module in ("cigl.train", "cigl.predict"):
+            monkeypatch.setattr(sys.modules[module], "Predictor", Recording)
         return made
 
     def test_a_30_draw_call_plans_once_and_runs_every_draw_in_buffers_made_once(self, made,
                                                                                monkeypatch):
-        module = sys.modules["cigl.train"]  # cigl.train is the function train
+        module = sys.modules["cigl.predict"]
         plans, applied = [], []
 
         class Recording(module.LivePlan):
@@ -611,11 +615,22 @@ class TestSharedForward:
     @pytest.mark.parametrize("method", ["rigl", "rigl_mcdp"])
     def test_a_training_run_makes_its_test_split_buffers_once(self, made, method):
         tr, te = small_data()
-        train(small_config(method, epochs=4, wma_start_epoch=2), tr, te)
-        # the run's, used by every epoch but the last, which predicts in buffers of its own
-        assert len(made) == 2
-        draws = small_config(method).mc_samples if METHODS[method].mc_predict else 1
-        assert len(made[0][1]) == 3 * draws and len(made[1][1]) == draws
+        cfg = small_config(method, epochs=4, wma_start_epoch=2)
+        res = train(cfg, tr, te)
+        # the run's, used by every epoch, the last included
+        assert len(made) == 1
+        draws = cfg.mc_samples if METHODS[method].mc_predict else 1
+        assert len(made[0][1]) == 4 * draws
+        # the last epoch's rows and logits are those of a prediction in fresh buffers
+        if METHODS[method].mc_predict:
+            fresh = predict_mc_dropout(res.model, res.mask, cfg.keep_prob, cfg.mc_samples,
+                                       te.features, substream(cfg.seed, "mc.eval.4"))
+            assert res.final_logits is None
+        else:
+            fresh, logits = Predictor(res.model, te.features).probs(res.model, keep_logits=True)
+            assert res.final_logits.tobytes() == logits.tobytes()
+            assert res.final_logits.flags.c_contiguous
+        assert res.final_probs.tobytes() == fresh.tobytes()
 
 
 def float64_reference(model, x):
@@ -643,7 +658,7 @@ class TestLiveUnits:
         x = features(1100)
         bias_rows = np.broadcast_to(model.biases[-1], (len(x), 2)).astype(np.float64)
         cut = MlpModel(model.weights[:-1] + [np.zeros_like(model.weights[-1])], model.biases)
-        assert [w.shape for w in live_units(cut).weights] == [(0, 2), (0, 0), (2, 0)]
+        assert [w.shape for w in LivePlan(cut).apply(cut).weights] == [(0, 2), (0, 0), (2, 0)]
         got = predict_logits(cut, x)
         assert got.tobytes() == bias_rows.tobytes() == blocked_forward(cut, x).tobytes()
         probs = predict_mc_dropout(model, mask, 0.0, 1, x, substream(0, "none"))  # drops all
@@ -653,7 +668,7 @@ class TestLiveUnits:
         model, mask, features = _signed_zero_net([2, 64, 64, 2], 20)
         x = features(1100)
         cut = MlpModel([np.zeros_like(model.weights[0]), *model.weights[1:]], model.biases)
-        live, oracle = live_units(cut), live_units_by_loops(cut)
+        live, oracle = LivePlan(cut).apply(cut), live_units_by_loops(cut)
         assert [w.shape for w in live.weights] == [(0, 2), (0, 0), (2, 0)]
         folded = oracle.biases[-1]
         assert live.biases[-1].tobytes() == folded.tobytes() != model.biases[-1].tobytes()
@@ -672,7 +687,7 @@ class TestLiveUnits:
         has_input = (w0 != 0).any(axis=1)
         const = np.flatnonzero(reaches & ~has_input)
         assert const.size and (model.biases[0][const] > 0).any()  # a nonzero constant
-        live, oracle = live_units(model), live_units_by_loops(model)
+        live, oracle = LivePlan(model).apply(model), live_units_by_loops(model)
         assert live.weights[0].tobytes() == w0[reaches & has_input].tobytes()
         assert live.flat.tobytes() == oracle.flat.tobytes()
         unfolded = model.biases[1][(w1[:, has_input] != 0).any(axis=1) & (w2 != 0).any(axis=0)]
@@ -691,7 +706,7 @@ class TestLiveUnits:
         reaching = MlpModel([w[np.ix_(o, i)] for w, i, o in zip(model.weights, kept, kept[1:])],
                             [b[o] for b, o in zip(model.biases, kept[1:])])
         assert reaching.flat.size < model.flat.size
-        assert live_units(model).flat.tobytes() == reaching.flat.tobytes()
+        assert LivePlan(model).apply(model).flat.tobytes() == reaching.flat.tobytes()
         x = features(1024)
         assert predict_logits(model, x).tobytes() == blocked_forward(model, x, reaching).tobytes()
 
@@ -705,7 +720,7 @@ class TestLiveUnits:
                                 substream(18, "keep.mask")).flat
         for b in model.biases:
             b[:] = rng.normal(0, 0.1, b.shape)
-        assert live_units(model) is model
+        assert LivePlan(model).apply(model) is model
         x = rng.standard_normal((1100, dims[0])).astype(np.float32)
         for n in (37, 1100):
             assert predict_logits(model, x[:n]).tobytes() == blocked_forward(model, x[:n]).tobytes()
@@ -714,10 +729,10 @@ class TestLiveUnits:
         model, _, features = _signed_zero_net([2, 64, 64, 2], 19)
         f64 = MlpModel([w.astype(np.float64) for w in model.weights],
                        [b.astype(np.float64) for b in model.biases])
-        live, oracle = live_units(f64), live_units_by_loops(f64)
+        live, oracle = LivePlan(f64).apply(f64), live_units_by_loops(f64)
         assert live.flat.dtype == np.float64 and live.flat.size < f64.flat.size
         assert live.flat.tobytes() == oracle.flat.tobytes()
-        in_f32 = live_units(model).biases[1].astype(np.float64)
+        in_f32 = LivePlan(model).apply(model).biases[1].astype(np.float64)
         assert in_f32.shape == live.biases[1].shape and np.any(in_f32 != live.biases[1])
         x = features(1100).astype(np.float64)
         assert predict_logits(f64, x).tobytes() == blocked_forward(f64, x, oracle).tobytes()
@@ -730,7 +745,7 @@ class TestLiveUnits:
         model, mask, features = _signed_zero_net([2, 64, 64, 2], 17)
         x = features(n)
         assert (x.size <= BLOCK_ACTS) == copied
-        columns = ColumnForward(model, x)
+        columns = Predictor(model, x)
         assert columns.xt.shape == (2, n) and np.shares_memory(columns.xt, x) != copied
         assert columns.xt.flags.c_contiguous == copied
         assert all(a.flags.c_contiguous and a.size == BLOCK_ACTS  # 64 * 5000 is more
@@ -738,9 +753,10 @@ class TestLiveUnits:
         products, real = [], np.matmul
         monkeypatch.setattr(np, "matmul", lambda w, h, out: products.append((w, h, out))
                             or real(w, h, out=out))
-        live = live_units(model)
+        plan = LivePlan(model)
+        live = plan.apply(model)
         step = BLOCK_ACTS // max(w.shape[0] for w in live.weights)
-        assert columns.logits(live) is columns.z
+        assert columns.logits(model, plan) is columns.z
         assert len(products) == 3 * -(-n // step) and live.weights[0].shape[0] < 64  # pruned
         for i, (w, h, out) in enumerate(products):
             layer = i % 3
@@ -774,7 +790,7 @@ class TestLiveUnits:
         plan = LivePlan(model)
         assert (plan.const[1] == np.sort(c1)).all() and (plan.const[2] == np.sort(c2)).all()
         x = rng.standard_normal((40, 3)).astype(np.float32)
-        columns, seen = ColumnForward(model, x), model.over(np.zeros_like(model.flat))
+        columns, seen = Predictor(model, x), model.over(np.zeros_like(model.flat))
         w, z = model.flat[mask.positions], np.empty(mask.flat_active.size, dtype=bool)
         into = np.isin(mask.flat_active, plan.kept[1][0] * 3 + np.arange(3))
         for draw in range(6):
@@ -782,7 +798,7 @@ class TestLiveUnits:
             if draw == 0:  # a draw that cuts off a unit the plan keeps
                 z[into] = False
             net = masked_model(w, z, mask, seen)
-            got = columns.logits(plan.apply(net)).T
+            got = columns.logits(net, plan).T
             want, tol = float64_reference(net, x)
             assert np.all(np.abs(got - want) <= tol)
             assert np.all(np.abs(got - forward(net, x)) <= 2 * tol)
@@ -826,19 +842,19 @@ class TestLiveUnits:
 
 class TestOneMaskingPath:
     """Every product of the weights and an effective mask, w * z, goes
-    through train.masked_model: the step, the topology update's bare weights,
+    through masks.masked_model: the step, the topology update's bare weights,
     the WMA snapshot, each epoch's output model and each MC draw."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        module = sys.modules["cigl.train"]  # cigl.train is the function train
-        calls, original = [], module.masked_model
+        calls, original = [], masked_model
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(module, "masked_model", counting)
+        for module in ("cigl.train", "cigl.predict"):  # cigl.train is the function train
+            monkeypatch.setattr(sys.modules[module], "masked_model", counting)
         return calls
 
     @pytest.mark.parametrize("method", ["cigl", "rigl"])
