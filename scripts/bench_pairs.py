@@ -12,10 +12,19 @@ Both checkouts' `src` are byte-compiled first. Each pair runs `bench/run.py
 first alternates from pair to pair, so drift in the machine's speed falls on
 both. Prints every pair's end-to-end metrics, then per metric the parent's
 and the change's medians, the number of pairs the change won (strictly
-better in the direction BENCHMARK.json gives; ties count for neither side)
-and the distance between the parent's quartiles.
-A gain is claimable only when the change wins nearly every pair and the gap
-between the medians exceeds that spread. The last three lines say whether the
+better in the direction BENCHMARK.json gives; ties count for neither side),
+the distance between the parent's quartiles and a verdict from the metric's
+bound in BENCHMARK.json, the first of these that holds:
+
+    gain        the change wins at least 9/10 of the pairs, and the gap between
+                the medians exceeds the parent's quartile spread
+    worse       the change's median is worse than the parent's by more than
+                bound * |parent median|
+    unresolved  the parent's quartile spread exceeds bound * |parent median|,
+                and some change run does not beat every parent run
+    same        otherwise
+
+The last three lines say whether the
 two sides' digests were equal in every pair, whether each seed's accuracy and
 ECE were, and the largest per-seed |change - parent| of each over all pairs,
 which shows how far a change that moves last bits moves them. The digests
@@ -63,19 +72,39 @@ def quartile_spread(values) -> float:
     return q3 - q1
 
 
-def summarise(parent_runs, change_runs, better) -> list[str]:
-    """One line per metric: medians, the change's wins, the parent's spread."""
+def wins(parent, change, better) -> int:
+    """The pairs in which the change is strictly better in the direction better."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (y - x) > 0 for x, y in zip(parent, change))
+
+
+def verdict(parent, change, better, bound) -> str:
+    """gain, worse, unresolved or same (the module docstring gives the rules):
+    one metric's runs of the change against the parent's, pair by pair."""
+    sign = 1 if better == "higher" else -1
+    gap = sign * (statistics.median(change) - statistics.median(parent))
+    spread, scale = quartile_spread(parent), bound * abs(statistics.median(parent))
+    if 10 * wins(parent, change, better) >= 9 * len(parent) and gap > spread:
+        return "gain"
+    if gap < -scale:
+        return "worse"
+    if spread > scale and not min(sign * y for y in change) > max(sign * x for x in parent):
+        return "unresolved"
+    return "same"
+
+
+def summarise(parent_runs, change_runs, specs) -> list[str]:
+    """One line per metric: medians, the change's wins, the parent's spread, the verdict."""
     lines = [f"{'metric':<18} {'better':<7} {'parent':>12} {'change':>12} {'delta':>8} "
-             f"{'wins':>6} {'parent_iqr':>11}"]
-    for name, direction in better.items():
+             f"{'wins':>6} {'parent_iqr':>11} {'verdict':>10}"]
+    for name, spec in specs.items():
         a = [run[name] for run in parent_runs]
         b = [run[name] for run in change_runs]
-        sign = 1 if direction == "higher" else -1
-        wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         ma, mb = statistics.median(a), statistics.median(b)
         delta = f"{(mb - ma) / ma:+.1%}" if ma else "n/a"
-        lines.append(f"{name:<18} {direction:<7} {ma:>12.6g} {mb:>12.6g} {delta:>8} "
-                     f"{wins:>3}/{len(a):<2} {quartile_spread(a):>11.4g}")
+        lines.append(f"{name:<18} {spec['better']:<7} {ma:>12.6g} {mb:>12.6g} {delta:>8} "
+                     f"{wins(a, b, spec['better']):>3}/{len(a):<2} {quartile_spread(a):>11.4g} "
+                     f"{verdict(a, b, spec['better'], spec['bound']):>10}")
     return lines
 
 
@@ -105,7 +134,7 @@ def parse_args(argv):
     return args
 
 
-def compare(args, workload: str, better: dict) -> None:
+def compare(args, workload: str, specs: dict) -> None:
     """args.pairs alternating pairs of workload: a line per pair, then the summary block."""
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
@@ -121,11 +150,11 @@ def compare(args, workload: str, better: dict) -> None:
         same_quality &= outputs["parent"][1] == outputs["change"][1]
         quality.append((outputs["parent"][1], outputs["change"][1]))
         line = " ".join(f"{name}={runs['parent'][-1][name]:.6g}/{runs['change'][-1][name]:.6g}"
-                        for name in better)
+                        for name in specs)
         print(f"pair {i + 1} ({order[0]} first) parent/change: {line}", flush=True)
     print(f"workload {workload}, seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds:g} s runs")
-    print("\n".join(summarise(runs["parent"], runs["change"], better)))
+    print("\n".join(summarise(runs["parent"], runs["change"], specs)))
     print(f"same digests in every pair: {'yes' if same_digests else 'no'}")
     print(f"same per-seed accuracy and ECE in every pair: {'yes' if same_quality else 'no'}")
     acc_gap, ece_gap = largest_gaps(quality)
@@ -134,12 +163,12 @@ def compare(args, workload: str, better: dict) -> None:
 
 def main(argv=None):
     args = parse_args(argv)
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    specs = {m["name"]: m for m in benchmark["end_to_end"]}
     for checkout in (args.parent, args.change):
         compile_sources(checkout)
     for workload in args.workload.split(","):
-        compare(args, workload, better)
+        compare(args, workload, specs)
 
 
 if __name__ == "__main__":

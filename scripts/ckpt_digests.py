@@ -18,81 +18,7 @@ before and after:
 
     PYTHONPATH=src python3 scripts/ckpt_digests.py --seed 0
 
-The `rigl_mcdp_eval` line changed once on purpose: export used to draw
-its MC samples on its own stream, and now redraws the run's last-epoch
-stream, so its CSV equals the run's calibration.csv (at seed 0 the line
-went from da84ef72... to 72093c95...). The `cigl_eval` line changed once
-on purpose too: export used to skip the temperature the run fitted, and
-now refits it on the run's validation split, so its CSV equals the run's
-calibration.csv (at seed 0 the line went from 5a70e6e6... to 0eb1acf3...).
-The six sparse-method lines, `cigl_run` and `idx_run` changed
-once on purpose: the loop used to re-mask the weights after every step and
-keep the velocity of a pruned weight, and now zeroes the pruned weights and
-velocities at each topology update, so some zeros off the topology carry
-another sign; every value, mask, probability and history is the same (at
-seed 0 the `cigl` line went from d44b4e10... to a0c5c114...).
-Nine lines changed once on purpose again: a full 512-row prediction block
-now runs only through the hidden units with a path to a logit
-(then `cigl.train.reaching_units`), so its sums run over fewer terms, in
-the order BLAS picks for the smaller shapes. The weights, masks, biases and
-`model.ckpt` bytes are the same; the probabilities, histories and the
-files made from them moved by float32 rounding. The `dense` line, whose
-units all reach a logit, and `idx_run`, whose splits are shorter than one
-block, did not move (at seed 0 the `cigl` line went from a0c5c114... to
-c0dfb98d..., and `rigl_mcdp_eval` from 72093c95... to 624a7595...). Those
-bits cannot be kept: pruning only the hidden layers and running the last one
-at full width over a zero-filled scatter still changed 5 of 480 full blocks
-(16 random 2-64-64-2 nets at sparsity 0.9, 30 draws each), since a narrower
-hidden layer makes OpenBLAS sum in another order.
-The six sparse-method lines, `cigl_run` and `idx_run` changed once on purpose
-again: the loop now keeps its weights, velocities and random mask only at the
-active positions and writes the output model as zeros plus one scatter, so
-every weight off the topology is +0, and so is an active weight still at the
-zero it was regrown with. No value changed: every nonzero weight, every bias, mask, update log,
-probability and history, and every run file but `model.ckpt`, is the same.
-The `dense`, `rigl_mcdp_eval` and `cigl_eval` lines did not move (at seed 0
-the `cigl` line went from c0dfb98d... to 495a6f9b...).
-Ten lines changed once on purpose again: prediction now runs only through
-the hidden units that both depend on the input and reach a logit (then
-`cigl.train.live_units`, now `cigl.predict.LivePlan`). A unit that reaches a
-logit but has no path from the input outputs a constant, which is folded
-into the next layer's bias, and the shorter last block, so every test split
-of at most 512 rows, runs through
-the same live net instead of the whole model. The weights, masks, biases and
-`model.ckpt` bytes are the same; the probabilities, histories and the files
-made from them moved by float32 rounding. Only the `dense` line, with no unit
-to drop or fold, did not move (at seed 0 the `cigl` line went from
-495a6f9b... to 5ab04800..., and `rigl_mcdp_eval` from 624a7595... to
-dae4b0dd...).
-The `cigl_run` and `idx_run` lines changed once on purpose again, at both
-seeds: `model.ckpt` is now a version-2 file, one topology bitmap plus the
-active weights and every bias, in place of every value of every tensor.
-The same change builds a WMA output as zeros plus one scatter of the mean,
-+0 off the topology where `mean * m` could hold -0; on these configs that
-moved no weight's bytes. No other line moved (at seed 0 `cigl_run` went from
-09b75061... to f17cb63e..., and `idx_run` from 6f502e7c... to abee7092...).
-The lines that hash predictions changed once on purpose again: prediction
-now runs feature-major, `W @ H` on `[width, columns]` activations over column
-blocks of `x.T` (then `cigl.train.ColumnForward`, now `cigl.predict.Predictor`),
-where it ran `x @ w.T` over 512-row blocks, and its softmax sums the k classes
-in order. The weights,
-masks, biases and `model.ckpt` bytes are the same at both seeds on both
-kernels; the probabilities, histories and the files made from them moved by
-float32 rounding wherever the kernel sums the transposed product in another
-order. On SkylakeX only the `dense` line moved, at both seeds (at seed 0 from
-96243fc3... to 8bc78d3f...); on Haswell every line moved, all of them hashing
-some prediction (at seed 0 `cigl` went from 9ce20b6b... to 6723a4aa...).
-The MC-dropout lines changed once on purpose again: a prediction call now
-finds the live units of the model once (`cigl.predict.LivePlan`) and runs
-every draw through them, where each draw found its own. A unit that a draw
-cuts off now runs and adds exact zeros, or relu(b') when the draw leaves it
-no input, in place of being dropped or folded, so the probabilities moved
-by float32 rounding. A draw at keep_prob=1 and every single-softmax line
-are unchanged; so are the weights, masks, biases and `model.ckpt` bytes.
-`rigl_mcdp` moved at both seeds on both kernels, and `rigl_mcdp_eval` at
-both seeds on Haswell and at seed 0 on SkylakeX (at seed 0 on SkylakeX
-`rigl_mcdp` went from 45b2685b... to 0461b1f6..., and `rigl_mcdp_eval` from
-dae4b0dd... to 4b56c1c5...).
+Each line that has changed on purpose, and why, is recorded in CHANGES.md.
 
 The lines hold on one OpenBLAS kernel: a float32 GEMM kernel of another
 vector width sums in another order, and every line changes (for example
@@ -208,7 +134,8 @@ def eval_digest(cfg, out_dir) -> str:
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     print(f"openblas core: {openblas_core()}", file=sys.stderr)

@@ -4,12 +4,14 @@ smoothing, and mixup."""
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_write_text
 from .tensor import row_argmax, row_max, row_sum
 
 log = logging.getLogger(__name__)
@@ -199,8 +201,6 @@ def mixup_batch(x1, y1, x2, y2, alpha: float, rng: np.random.Generator):
 def write_reliability_csv(rb: ReliabilityBins, path) -> None:
     """CSV rows (bin_lower, bin_upper, count, mean_confidence, mean_accuracy);
     empty bins leave the mean cells blank. Written atomically."""
-    from .fileio import atomic_write_text
-
     lines = ["bin_lower,bin_upper,count,mean_confidence,mean_accuracy"]
     for b in rb.bins:
         conf = "" if b.mean_confidence is None else repr(b.mean_confidence)
@@ -210,8 +210,6 @@ def write_reliability_csv(rb: ReliabilityBins, path) -> None:
 
 
 def read_reliability_csv(path) -> list[BinStats]:
-    import csv
-
     with open(path, newline="", encoding="utf-8") as f:
         rows = list(csv.reader(f))[1:]
     return [BinStats(float(lower), float(upper), int(count), float(conf) if conf else None,

@@ -70,10 +70,10 @@ class Predictor:
               ) -> tuple[np.ndarray, np.ndarray | None]:
         """One softmax of model over the rows: C-contiguous float64 rows
         [n, k], the softmax down each column of the logits, taken in z as every
-        MC draw takes it; and with keep_logits the logits [n, k] it was taken
-        of, copied out of z first (else None)."""
+        MC draw takes it; and with keep_logits the feature-major logits [k, n]
+        it was taken of, copied out of z first (else None)."""
         z = self.logits(model)
-        logits = np.ascontiguousarray(z.T) if keep_logits else None
+        logits = z.copy() if keep_logits else None
         return np.ascontiguousarray(softmax_columns(z).T), logits
 
 

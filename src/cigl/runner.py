@@ -26,7 +26,7 @@ from .data import Dataset, load_csv, load_idx, inject_label_noise, split_dataset
 from .masks import DeterministicMask
 from .predict import Predictor, predict_mc_dropout
 from .rng import substream
-from .tensor import MlpModel, softmax_inplace
+from .tensor import MlpModel, softmax_columns
 from .train import TrainResult, evaluate, train
 
 ARTIFACTS = ("model.ckpt", "metrics.jsonl", "calibration.csv", "report.json", "config.resolved")
@@ -67,14 +67,15 @@ def _report(cfg: ExperimentConfig, model: MlpModel, val_ds: Dataset | None, test
             probs: np.ndarray, bins: ReliabilityBins,
             logits: np.ndarray | None) -> CalibrationReport:
     """The run's test calibration: probs and their bins as given, or with a
-    validation split, the softmax of the test logits (the ones probs was
-    taken of; a single-softmax method's, as the config requires) at the
-    temperature fitted on it, binned at calib.n_bins."""
+    validation split, the softmax of the feature-major test logits [k, n]
+    (the ones probs was taken of; a single-softmax method's, as the config
+    requires) at the temperature fitted on it, taken down each column as
+    Predictor.probs takes it, binned at calib.n_bins."""
     temp = None
     if val_ds is not None:
         val_logits = Predictor(model, val_ds.features).logits(model)
         temp = fit_temperature(np.ascontiguousarray(val_logits.T), val_ds.labels)
-        probs = softmax_inplace(logits / temp)
+        probs = np.ascontiguousarray(softmax_columns(logits / temp).T)
         bins = reliability_bins(probs, test_ds.labels, cfg.train.n_bins)
     return CalibrationReport(nll=nll(probs, test_ds.labels), bins=bins, temperature=temp)
 

@@ -146,25 +146,13 @@ def row_argmax(a: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax computed in float64."""
-    return softmax_inplace(np.array(logits, dtype=np.float64))
-
-
-def by_rows(op, a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """op(a, v[:, None], out=out) by one ufunc call per column below FOLD_COLS:
-    the broadcast's bits, faster on thousands of rows, slower on a few dozen."""
-    if a.shape[1] >= FOLD_COLS:
-        return op(a, v[:, None], out=out)
-    for j in range(a.shape[1]):
-        op(a[:, j], v, out=out[:, j])
-    return out
-
-
-def softmax_inplace(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of the float64 array z, written over z and returned."""
-    by_rows(np.subtract, z, row_max(z), z)
+    """Row-wise softmax computed in float64: the row-major reference that
+    softmax_columns, the one softmax of prediction, is tested against."""
+    z = np.array(logits, dtype=np.float64)
+    z -= row_max(z)[:, None]
     np.exp(z, out=z)
-    return by_rows(np.divide, z, row_sum(z), z)
+    z /= row_sum(z)[:, None]
+    return z
 
 
 def softmax_columns(z: np.ndarray) -> np.ndarray:

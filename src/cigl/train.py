@@ -51,8 +51,8 @@ class TrainResult:
     mask_update_log: list[tuple[int, tuple[int, ...]]]  # (iteration, nnz per layer)
     final_probs: np.ndarray  # test probabilities of the output model
     final_bins: ReliabilityBins  # their reliability bins, which history[-1] reads
-    final_logits: np.ndarray | None  # their float64 logits; None under MC dropout or before
-    # the last epoch, since only temperature scaling reads them
+    final_logits: np.ndarray | None  # their float64 logits, feature-major [k, n]; None under
+    # MC dropout or before the last epoch, since only temperature scaling reads them
 
 
 def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data: Dataset,
@@ -60,15 +60,15 @@ def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data
              ) -> tuple[np.ndarray, ReliabilityBins, np.ndarray | None]:
     """The method's probability rows for data, their config.n_bins
     reliability bins, which carry accuracy and ECE, and under a single
-    softmax at the last epoch the float64 logits it was taken of, which
-    temperature scaling rescales (None under MC dropout and before the last
-    epoch). The one place that chooses MC dropout, drawn on the stream of
-    the epoch just trained, over a single softmax; export passes the last
-    epoch, so it redraws the run's table. Both run every row through the
-    same feature-major forward, in the buffers of columns when given (a
-    Predictor over data.features that fits model). A non-finite weight
-    or bias raises NonFiniteError, even where it could not reach a logit,
-    and so do non-finite rows (diverged weights)."""
+    softmax at the last epoch the float64 logits [k, n] it was taken of,
+    which temperature scaling rescales and takes the same column softmax of
+    (None under MC dropout and before the last epoch). The one place that
+    chooses MC dropout, drawn on the stream of the epoch just trained, over a
+    single softmax; export passes the last epoch, so it redraws the run's
+    table. Both run every row through the same feature-major forward, in the
+    buffers of columns when given (a Predictor over data.features that fits
+    model). A non-finite weight or bias raises NonFiniteError, even where it
+    could not reach a logit, and so do non-finite rows (diverged weights)."""
     if not np.isfinite(model.flat).all():
         raise NonFiniteError("non-finite parameters")
     logits = None
@@ -202,7 +202,7 @@ def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.nd
 
 
 def _end_epoch(s: TrainState, config: TrainConfig, test_data: Dataset, epoch: int, lr: float,
-               train_loss: float, columns: Predictor | None = None) -> TrainResult:
+               train_loss: float, columns: Predictor) -> TrainResult:
     """Fold a due WMA snapshot and evaluate and record the output model: zeros
     plus one scatter of the snapshot mean at the current mask's positions, cast
     to float32, once a snapshot is in, else of the bare weights, so it is +0

@@ -6,13 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cigl.calibration import nll, reliability_bins, write_reliability_csv
 from cigl.cli import main
 from cigl.config import (_ALIASES, _KEYS, ConfigError, DataConfig, ExperimentConfig,
                          format_config, parse_config_text, resolve_config)
 from cigl.checkpoint import load_checkpoint, save_checkpoint
 from cigl.masks import DeterministicMask
 from cigl.predict import Predictor
-from cigl.runner import run_correlate, run_experiment, run_export_reliability, run_sweep
+from cigl.runner import (build_datasets, run_correlate, run_experiment, run_export_reliability,
+                         run_sweep)
+from cigl.tensor import softmax_columns
 from cigl.train import TrainConfig
 
 
@@ -778,6 +781,31 @@ class TestFinalTable:
         final = [n for model, n in calls if model is out.result.model]
         assert final.count(len(out.result.final_probs)) == 1
         assert len(final) == 2  # and the validation split's once
+
+    def test_temperature_table_of_ten_classes_is_the_column_softmax(self, tmp_path):
+        # 10 classes: a row softmax would sum each row pairwise, not in class order
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 10, 800)
+        x = rng.normal(0, 2, (10, 6))[labels] + rng.normal(0, 1, (800, 6))
+        data = tmp_path / "ten.csv"
+        data.write_text("f0,f1,f2,f3,f4,f5,y\n" + "".join(
+            f"{','.join(map(repr, row))},{y}\n" for row, y in zip(x.tolist(), labels.tolist())))
+        cfg = parse_config_text(with_lines(
+            TINY_CONFIG, "train.epochs = 20", "train.lr_milestones = 15", "train.hidden = 32, 32",
+            "data.source = csv", f"data.csv_path = {data}", "data.label_column = y",
+            "calib.temperature = true"))
+        out = run_experiment(cfg, out_root=tmp_path / "out")
+        logits, temp = out.result.final_logits, out.report.temperature
+        test = build_datasets(resolve_config(cfg))[2]
+        assert logits.shape == (10, len(test)) and temp != 1.0
+        assert out.result.final_bins.accuracy > 0.5  # trained: far from uniform rows
+        probs = np.ascontiguousarray(softmax_columns(logits / temp).T)
+        bins = reliability_bins(probs, test.labels, cfg.train.n_bins)
+        write_reliability_csv(bins, tmp_path / "want.csv")
+        assert (out.out_dir / "calibration.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
+        report = json.loads((out.out_dir / "report.json").read_text())
+        assert (report["nll"], report["ece"]) == (nll(probs, test.labels), bins.ece)
 
     @pytest.mark.parametrize("method", ["cigl", "rigl_mcdp"])
     def test_export_bins_its_table_once(self, tmp_path, monkeypatch, method):

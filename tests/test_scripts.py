@@ -213,17 +213,39 @@ def test_bench_pairs_summarises_one_tiny_pair_of_this_checkout():
     assert [field.split("=")[0] for field in lines[0].split(": ", 1)[1].split()] == names
     assert lines[1] == "workload moons_seeds, seed 7, 1 pairs of 0.01 s runs"
     assert lines[2].split() == ["metric", "better", "parent", "change", "delta", "wins",
-                                "parent_iqr"]
+                                "parent_iqr", "verdict"]
     rows = [line.split() for line in lines[3:-3]]
     assert [row[0] for row in rows] == names
-    for name, better, parent, change, _, wins, spread in rows:
+    for name, better, parent, change, _, wins, spread, verdict in rows:
         assert better in ("lower", "higher") and wins in ("0/1", "1/1") and float(spread) == 0
         assert float(parent) > 0 and float(change) > 0
+        assert verdict in ("gain", "worse", "same")  # one pair has no spread to leave unresolved
     quality = {row[0]: row for row in rows if row[0] in ("ok_frac", "test_accuracy", "test_ece")}
-    assert all(row[2] == row[3] and row[5] == "0/1" for row in quality.values())
+    assert all(row[2] == row[3] and row[5] == "0/1" and row[7] == "same"
+               for row in quality.values())
     assert lines[-3:] == ["same digests in every pair: yes",
                           "same per-seed accuracy and ECE in every pair: yes",
                           "largest per-seed |change - parent|: test_accuracy 0, test_ece 0"]
+
+
+TENTHS = [10 + i / 10 for i in range(10)]  # median 10.45, quartile spread 0.55
+
+
+@pytest.mark.parametrize("parent, change, better, want", [
+    (TENTHS, [x - 1 for x in TENTHS], "lower", "gain"),  # 10/10 wins, gap 1 > spread
+    (TENTHS, [x + 3 for x in TENTHS], "lower", "worse"),  # 3 > 0.25 * 10.45
+    (TENTHS, [x + 0.1 for x in TENTHS], "lower", "same"),
+    (TENTHS, [x - 0.1 for x in TENTHS], "lower", "same"),  # 10/10 wins, gap 0.1 < spread
+    ([5, 10, 15] * 3 + [10], [15, 10, 5] * 3 + [10], "higher", "unresolved"),
+    # a spread of 6.1 > 0.25 * 3.2, but every change run beats every parent run
+    ([1, 1.1, 1.2, 1.3, 1.4, 5, 6, 7, 8, 9], [0.9] * 10, "lower", "same"),
+])
+def test_bench_pairs_verdict_follows_the_metric_bound(parent, change, better, want):
+    bench_pairs = load_script("bench_pairs")
+    assert bench_pairs.verdict(parent, change, better, 0.25) == want
+    # the same runs negated, with the other direction better
+    other = "higher" if better == "lower" else "lower"
+    assert bench_pairs.verdict([-x for x in parent], [-x for x in change], other, 0.25) == want
 
 
 def test_bench_pairs_reports_the_largest_per_seed_quality_gap():

@@ -116,7 +116,7 @@ class TestTrainLoop:
         s = TrainState.start(cfg, tr)
         for xb, yb in BatchIterator(tr, cfg.batch_size, cfg.seed).epoch_batches(0):
             _sgd_iteration(s, cfg, xb, yb, 0.1, 100)
-        res = _end_epoch(s, cfg, te, 1, 0.1, 0.0)
+        res = _end_epoch(s, cfg, te, 1, 0.1, 0.0, Predictor(s.seen, te.features))
         assert res.history[-1].n_models_in_wma == (method == "cigl")
         live = [s.w, s.g, s.grads.flat, s.seen.flat, s.sgd.velocity, *(s.wma.means or [])]
         live += [s.z] if method == "cigl" else []
@@ -125,13 +125,15 @@ class TestTrainLoop:
         assert not any(np.shares_memory(a, b) for a in out + [res.model.flat] for b in live)
 
     @pytest.mark.parametrize("method", ["rigl", "rigl_mcdp"])
-    def test_final_logits_are_the_output_models_predict_logits(self, method):
+    def test_final_logits_are_the_output_models_feature_major_logits(self, method):
         tr, te = small_data()
         res = train(small_config(method), tr, te)
         if METHODS[method].mc_predict:
             assert res.final_logits is None
         else:
-            assert res.final_logits.tobytes() == predict_logits(res.model, te.features).tobytes()
+            assert res.final_logits.shape == (te.n_classes, len(te))
+            z = Predictor(res.model, te.features).logits(res.model)
+            assert res.final_logits.tobytes() == z.tobytes()
 
     def test_wma_snapshot_count(self):
         tr, te = small_data()
@@ -379,7 +381,8 @@ class TestEvaluate:
             assert last[2] is None
         else:
             want, _ = plain_evaluate(model, tr)
-            assert last[2].tobytes() == predict_logits(model, tr.features).tobytes()
+            assert last[2].shape == (tr.n_classes, len(tr))
+            assert last[2].tobytes() == Predictor(model, tr.features).logits(model).tobytes()
             assert last[0].tobytes() == probs.tobytes()
         np.testing.assert_array_equal(probs, want)
         assert bins == reliability_bins(want, tr.labels, 7)
@@ -628,6 +631,7 @@ class TestSharedForward:
             assert res.final_logits is None
         else:
             fresh, logits = Predictor(res.model, te.features).probs(res.model, keep_logits=True)
+            assert res.final_logits.shape == (te.n_classes, len(te))
             assert res.final_logits.tobytes() == logits.tobytes()
             assert res.final_logits.flags.c_contiguous
         assert res.final_probs.tobytes() == fresh.tobytes()
@@ -877,9 +881,10 @@ class TestOneMaskingPath:
         tr, te = small_data()
         cfg = small_config(method, wma_start_epoch=1, wma_every=2)
         s = TrainState.start(cfg, tr)
+        columns = Predictor(s.seen, te.features)
         for epoch in range(1, 6):
             before = len(calls)
-            _end_epoch(s, cfg, te, epoch, 0.1, 0.0)
+            _end_epoch(s, cfg, te, epoch, 0.1, 0.0, columns)
             due = METHODS[method].wma and epoch in (3, 5)
             new = calls[before:]  # the snapshot when one is due, then the output model
             assert len(new) == due + 1
