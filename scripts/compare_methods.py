@@ -44,7 +44,8 @@ def experiment_config(method, seed, epochs, sparsity):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--methods", default="cigl,rigl")
     ap.add_argument("--seeds", type=int, default=10)
     ap.add_argument("--epochs", type=int, default=100)

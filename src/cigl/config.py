@@ -93,6 +93,7 @@ class TrainConfig:
     label_smoothing: float = 0.0
     mixup_alpha: float = 0.0
     n_bins: int = 15  # reliability bins of the test accuracy and ECE
+    temperature: bool = False  # fit a softmax temperature on a validation split
 
     def resolved_wma_start(self) -> int:
         if self.wma_start_epoch is not None:
@@ -105,7 +106,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         """ConfigError naming the file key of the first invalid field."""
-        n_layers = len(self.hidden)
+        n_layers, method = len(self.hidden), METHODS.get(self.method)
         _check(self, "train", (
             ("method", self.method in METHODS, f"unknown method {self.method!r}"),
             ("epochs", self.epochs >= 1, "must be >= 1"),
@@ -135,6 +136,8 @@ class TrainConfig:
             ("label_smoothing", 0.0 <= self.label_smoothing < 1.0, "must be in [0, 1)"),
             ("mixup_alpha", self.mixup_alpha >= 0.0, "must be >= 0"),
             ("n_bins", self.n_bins >= 1, "must be >= 1"),
+            ("temperature", not (self.temperature and method and method.mc_predict),
+             f"{self.method} predicts by MC dropout, which has no single logit set to scale"),
         ))
 
 
@@ -174,7 +177,6 @@ class ExperimentConfig:
     out_dir: str = "runs"
     train: TrainConfig = field(default_factory=TrainConfig)
     data: DataConfig = field(default_factory=DataConfig)
-    temperature: bool = False  # fit a softmax temperature on a validation split
 
 
 def _parse_bool(raw: str) -> bool:
@@ -225,7 +227,7 @@ _ALIASES = {
     "run.id": ("", "run_id"),
     "run.out": ("", "out_dir"),
     "calib.n_bins": ("train", "n_bins"),
-    "calib.temperature": ("", "temperature"),
+    "calib.temperature": ("train", "temperature"),
     "calib.mixup_alpha": ("train", "mixup_alpha"),
     "calib.label_smoothing": ("train", "label_smoothing"),
 }
@@ -291,9 +293,6 @@ def resolve_config(cfg: ExperimentConfig) -> ExperimentConfig:
     out = parse_config_text(format_config(cfg))
     out.train.wma_start_epoch = out.train.resolved_wma_start()
     out.train.validate()
-    if out.temperature and METHODS[out.train.method].mc_predict:
-        raise ConfigError(f"calib.temperature: {out.train.method} predicts by MC dropout, "
-                          "which has no single logit set to scale")
     if not out.run_id:
         raise ConfigError("run.id: must be nonempty")
     out.data.validate()

@@ -42,6 +42,8 @@ class Dataset:
     def __post_init__(self):
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise DataError("features must be [n, d] and labels [n]")
+        if not self.features.shape[1]:
+            raise DataError("no feature column: every row holds only its label")
         if len(self.features) != len(self.labels):
             raise DataError("feature/label count mismatch")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):

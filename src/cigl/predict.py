@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .masks import DeterministicMask, masked_model, sample_random_mask
-from .tensor import MlpModel, ShapeError, softmax_columns, split_flat
+from .tensor import MlpModel, NonFiniteError, ShapeError, softmax_columns, split_flat
 
 # Prediction runs feature-major, over column blocks of x.T holding at most this many
 # activations of the widest live layer: the ~10-wide live nets of MC dropout take ten
@@ -94,14 +94,16 @@ class LivePlan:
     draw cuts off still runs and adds exact zeros, or relu(b') when the draw
     leaves it no input, so a draw's logits keep their values too.
 
-    When every unit is live, or a weight or bias of model is not finite (so
-    that a NaN reaches the logits as in the full forward, 0 * nan being nan,
-    where evaluate refuses it), the plan keeps the whole net. Otherwise it
-    holds the flat indices of the kept weights and biases, and of the bias
-    and constant-unit weights of each fold, and one buffer they are gathered
+    A model with a non-finite weight or bias raises NonFiniteError, even
+    where it could not reach a logit: every prediction refuses it here. When
+    every unit is live, the plan keeps the whole net. Otherwise it holds the
+    flat indices of the kept weights and biases, and of the bias and
+    constant-unit weights of each fold, and one buffer they are gathered
     into: the pruned net's packed layers, then each fold's terms."""
 
     def __init__(self, model: MlpModel):
+        if not np.isfinite(model.flat).all():
+            raise NonFiniteError("non-finite parameters")
         nonzero = [w != 0 for w in model.weights]
         reach, depend = [], []  # per hidden layer, its units with a path to a logit, from the input
         for nz in reversed(nonzero[1:]):
@@ -117,7 +119,7 @@ class LivePlan:
                               *(np.flatnonzero(r ^ k) for r, k in zip(reach, live)),
                               np.empty(0, np.intp)]
         self.net = None  # the pruned net, or None for the whole net
-        if all(keep.all() for keep in live) or not np.isfinite(model.flat).all():
+        if all(keep.all() for keep in live):
             return
         starts = np.cumsum([0, *(w.size for w in model.weights), *(b.size for b in model.biases)])
         w_at, b_at = starts[:n], starts[n:]  # each layer's first weight and bias in flat
@@ -160,14 +162,14 @@ class LivePlan:
 
 def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: float,
                        n_samples: int, x: np.ndarray, rng: np.random.Generator,
-                       columns: Predictor | None = None) -> np.ndarray:
+                       predictor: Predictor | None = None) -> np.ndarray:
     """Mean softmax over n_samples random-mask draws applied to the weights
     on the topology mask; weights off it count as +0. C-contiguous float64
     rows [n, k].
 
     Made once per call: the compact weights, one compact z, one seen model,
     +0 off the topology, the LivePlan of model and the float64 running sum
-    [k, n]; and the Predictor over x, unless columns lends one that fits
+    [k, n]; and the Predictor over x, unless predictor lends one that fits
     model. Each draw fills z, scatters w * z into seen (masked_model), and
     runs seen through the plan and the same forward and softmax as the
     single softmax, so a single draw at keep_prob=1 reproduces it bit for
@@ -177,10 +179,10 @@ def predict_mc_dropout(model: MlpModel, mask: DeterministicMask, keep_prob: floa
         raise ValueError("n_samples must be >= 1")
     w, z = model.flat[mask.positions], np.empty(mask.flat_active.size, dtype=bool)
     seen, plan = model.over(np.zeros_like(model.flat)), LivePlan(model)
-    columns = columns or Predictor(model, x)
-    total = np.zeros_like(columns.z)
+    predictor = predictor or Predictor(model, x)
+    total = np.zeros_like(predictor.z)
     for _ in range(n_samples):
         sample_random_mask(mask, keep_prob, rng, out=z)
-        total += softmax_columns(columns.logits(masked_model(w, z, mask, seen), plan))
+        total += softmax_columns(predictor.logits(masked_model(w, z, mask, seen), plan))
     total /= n_samples
     return np.ascontiguousarray(total.T)

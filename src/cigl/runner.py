@@ -54,7 +54,7 @@ def build_datasets(cfg: ExperimentConfig):
     del ds  # the unsplit rows are dead; freeing them lowers the peak memory
     if d.standardize:
         train_ds, test_ds = standardize(train_ds, test_ds)
-    if not cfg.temperature:
+    if not cfg.train.temperature:
         return train_ds, None, test_ds
     fit_ds, val_ds = split_dataset(train_ds, (0.9, 0.1), substream(seed, "data.valsplit"))
     if not len(val_ds):
@@ -66,13 +66,13 @@ def build_datasets(cfg: ExperimentConfig):
 def _report(cfg: ExperimentConfig, model: MlpModel, val_ds: Dataset | None, test_ds: Dataset,
             probs: np.ndarray, bins: ReliabilityBins,
             logits: np.ndarray | None) -> CalibrationReport:
-    """The run's test calibration: probs and their bins as given, or with a
-    validation split, the softmax of the feature-major test logits [k, n]
-    (the ones probs was taken of; a single-softmax method's, as the config
-    requires) at the temperature fitted on it, taken down each column as
+    """The run's test calibration: probs and their bins as given, or under
+    calib.temperature, the softmax of the feature-major test logits [k, n]
+    that evaluate kept (the ones probs was taken of) at the temperature
+    fitted on the validation split, taken down each column as
     Predictor.probs takes it, binned at calib.n_bins."""
     temp = None
-    if val_ds is not None:
+    if cfg.train.temperature:
         val_logits = Predictor(model, val_ds.features).logits(model)
         temp = fit_temperature(np.ascontiguousarray(val_logits.T), val_ds.labels)
         probs = np.ascontiguousarray(softmax_columns(logits / temp).T)
@@ -157,13 +157,13 @@ def correlate(model: MlpModel, mask: DeterministicMask, data: Dataset, keep_prob
     def n_correct(probs) -> int:
         return int(np.count_nonzero(correct_rows(probs, data.labels)))
 
-    columns = Predictor(model, data.features)  # every prediction here reuses its buffers
-    base = n_correct(columns.probs(model)[0]) / len(data)
+    predictor = Predictor(model, data.features)  # every prediction here reuses its buffers
+    base = n_correct(predictor.probs(model)[0]) / len(data)
     # integer correct-counts so the keep_prob=1 drop is exactly zero
     correct = 0
     for _ in range(n_draws):
         correct += n_correct(predict_mc_dropout(model, mask, keep_prob, 1, data.features, rng,
-                                                columns))
+                                                predictor))
     mean_masked = correct / (n_draws * len(data))
     return {
         "base_accuracy": base,

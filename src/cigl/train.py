@@ -51,34 +51,30 @@ class TrainResult:
     mask_update_log: list[tuple[int, tuple[int, ...]]]  # (iteration, nnz per layer)
     final_probs: np.ndarray  # test probabilities of the output model
     final_bins: ReliabilityBins  # their reliability bins, which history[-1] reads
-    final_logits: np.ndarray | None  # their float64 logits, feature-major [k, n]; None under
-    # MC dropout or before the last epoch, since only temperature scaling reads them
+    final_logits: np.ndarray | None  # their float64 logits [k, n], kept only under calib.temperature
 
 
 def evaluate(model: MlpModel, mask: DeterministicMask, config: TrainConfig, data: Dataset,
-             epoch: int, columns: Predictor | None = None,
+             epoch: int, predictor: Predictor | None = None,
              ) -> tuple[np.ndarray, ReliabilityBins, np.ndarray | None]:
-    """The method's probability rows for data, their config.n_bins
-    reliability bins, which carry accuracy and ECE, and under a single
-    softmax at the last epoch the float64 logits [k, n] it was taken of,
-    which temperature scaling rescales and takes the same column softmax of
-    (None under MC dropout and before the last epoch). The one place that
-    chooses MC dropout, drawn on the stream of the epoch just trained, over a
-    single softmax; export passes the last epoch, so it redraws the run's
-    table. Both run every row through the same feature-major forward, in the
-    buffers of columns when given (a Predictor over data.features that fits
-    model). A non-finite weight or bias raises NonFiniteError, even where it
-    could not reach a logit, and so do non-finite rows (diverged weights)."""
-    if not np.isfinite(model.flat).all():
-        raise NonFiniteError("non-finite parameters")
+    """The method's probability rows for data and their config.n_bins
+    reliability bins, which carry accuracy and ECE; and under
+    config.temperature at the last epoch, the float64 logits [k, n] of the
+    single softmax, which temperature scaling rescales (else None). The one
+    place that chooses MC dropout (drawn on the stream of the epoch just
+    trained; export passes the last epoch, so it redraws the run's table)
+    over a single softmax, both in the buffers of predictor when given (a
+    Predictor over data.features that fits model). Each builds a LivePlan,
+    which refuses a non-finite weight or bias; non-finite rows raise here."""
     logits = None
     if METHODS[config.method].mc_predict:
         probs = predict_mc_dropout(model, mask, config.keep_prob, config.mc_samples,
                                    data.features, substream(config.seed, f"mc.eval.{epoch}"),
-                                   columns)
+                                   predictor)
     else:
-        columns = columns or Predictor(model, data.features)
-        probs, logits = columns.probs(model, keep_logits=epoch == config.epochs)
+        predictor = predictor or Predictor(model, data.features)
+        keep = config.temperature and epoch == config.epochs  # only temperature scaling reads them
+        probs, logits = predictor.probs(model, keep_logits=keep)
     if not np.isfinite(probs).all():
         raise NonFiniteError("non-finite probabilities")
     return probs, reliability_bins(probs, data.labels, config.n_bins), logits
@@ -140,7 +136,7 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
     if train_data.n_classes != test_data.n_classes:
         raise ValueError("train/test class count mismatch")
     s = TrainState.start(config, train_data)
-    columns = Predictor(s.seen, test_data.features)  # every evaluation reuses its buffers
+    predictor = Predictor(s.seen, test_data.features)  # every evaluation reuses its buffers
     batches = BatchIterator(train_data, config.batch_size, config.seed)
     n_batches = batches.batches_per_epoch()
     update_end = int(config.update_end_fraction * (config.epochs * n_batches))
@@ -151,7 +147,7 @@ def train(config: TrainConfig, train_data: Dataset, test_data: Dataset) -> Train
             for xb, yb in batches.epoch_batches(epoch - 1):
                 loss_sum += _sgd_iteration(s, config, xb, yb, lr, update_end)
             result = _end_epoch(s, config, test_data, epoch, lr, loss_sum / n_batches,
-                                columns)
+                                predictor)
         except NonFiniteError as exc:
             raise NonFiniteError(f"training diverged at epoch {epoch}, iteration {s.t}: {exc}") from None
     return result
@@ -202,7 +198,7 @@ def _sgd_iteration(s: TrainState, config: TrainConfig, xb: np.ndarray, yb: np.nd
 
 
 def _end_epoch(s: TrainState, config: TrainConfig, test_data: Dataset, epoch: int, lr: float,
-               train_loss: float, columns: Predictor) -> TrainResult:
+               train_loss: float, predictor: Predictor) -> TrainResult:
     """Fold a due WMA snapshot and evaluate and record the output model: zeros
     plus one scatter of the snapshot mean at the current mask's positions, cast
     to float32, once a snapshot is in, else of the bare weights, so it is +0
@@ -213,7 +209,7 @@ def _end_epoch(s: TrainState, config: TrainConfig, test_data: Dataset, epoch: in
         wma_update(s.wma, [masked_model(s.w, s.z, s.mask, s.seen).flat])
     compact = s.wma.means[0][s.mask.positions].astype(np.float32) if s.wma.n_models else s.w
     model = masked_model(compact, None, s.mask, s.seen.over(np.zeros_like(s.seen.flat)))
-    probs, bins, logits = evaluate(model, s.mask, config, test_data, epoch, columns)
+    probs, bins, logits = evaluate(model, s.mask, config, test_data, epoch, predictor)
     s.history.append(EpochRecord(epoch, train_loss, bins.accuracy, bins.ece, lr,
                                  s.mask.sparsity(), s.wma.n_models))
     return TrainResult(model, s.mask, s.history, s.update_log, probs, bins, logits)

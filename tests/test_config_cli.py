@@ -77,13 +77,13 @@ DEFAULT_RESOLVED = "".join(line + "\n" for line in (
 
 # every leaf field away from its default, and still a valid config
 OFF_DEFAULT = ExperimentConfig(
-    run_id="other", out_dir="elsewhere", temperature=True,
+    run_id="other", out_dir="elsewhere",
     train=TrainConfig(
         method="rigl", epochs=7, batch_size=9, seed=3, hidden=(5, 6, 7), sparsity=0.5,
         sparsity_mode="erk", mask_exclude=(0, 3), update_interval=4, update_fraction=0.2,
         update_end_fraction=0.5, keep_prob=0.8, wma_start_epoch=2, wma_every=2, base_lr=0.05,
         lr_milestones=(3, 5), lr_decay=0.5, momentum=0.8, weight_decay=1e-3, mc_samples=3,
-        label_smoothing=0.1, mixup_alpha=0.2, n_bins=10),
+        label_smoothing=0.1, mixup_alpha=0.2, n_bins=10, temperature=True),
     data=DataConfig(
         source="csv", n=100, noise_sd=0.1, label_noise=0.0, split=(0.6, 0.4), csv_path="a.csv",
         label_column="y", idx_images="i.idx", idx_labels="l.idx", standardize=True))
@@ -209,7 +209,7 @@ class TestConfigParsing:
         (ExperimentConfig(train=TrainConfig(epochs=2.5)), "train.epochs"),
         (ExperimentConfig(train=TrainConfig(hidden=64)), "train.hidden"),
         (ExperimentConfig(run_id=None), "run.id"),
-        (ExperimentConfig(temperature="no"), "calib.temperature"),
+        (ExperimentConfig(train=TrainConfig(temperature="no")), "calib.temperature"),
     ], ids=["float-for-int", "int-for-tuple", "none-for-str", "str-for-bool"])
     def test_value_its_type_cannot_hold_names_its_key(self, tmp_path, cfg, key):
         with pytest.raises(ConfigError, match=rf"^{key}: "):
@@ -405,6 +405,17 @@ class TestRunCommand:
                                   "data.label_column = y"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "error: non-finite feature values\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_csv_of_only_its_label_column_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("y\n" + "".join(f"{i % 2}\n" for i in range(30)))
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(with_lines(TINY_CONFIG, "data.source = csv", f"data.csv_path = {data}",
+                                  "data.label_column = y"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "error: no feature column: every row holds only its label\n")
         assert not (tmp_path / "o").exists()
 
     def test_seed_flag_out_of_range_exits_2_before_training(self, tiny_config_file, tmp_path,

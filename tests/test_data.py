@@ -141,6 +141,11 @@ class TestLoadIdx:
         with pytest.raises(DataError, match="count mismatch"):
             load_idx(ip, lp)
 
+    def test_images_of_no_pixel_are_refused(self, tmp_path):
+        ip, lp = _write_idx_pair(tmp_path, np.zeros((6, 4, 0), np.uint8), self._sample()[1])
+        with pytest.raises(DataError, match="^no feature column"):
+            load_idx(ip, lp)
+
     def test_truncated_payload(self, tmp_path):
         images, labels = self._sample()
         ip, lp = _write_idx_pair(tmp_path, images, labels, truncate_images=3)

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts with tiny arguments."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -172,6 +173,18 @@ def test_a_kernel_without_digest_pins_fails_naming_it():
         pins_of_kernel(proc, SEED0_DIGESTS)
     assert pins_of_kernel(subprocess.CompletedProcess([], 0, "", "openblas core: Haswell\n"),
                           SEED0_DIGESTS) is SEED0_DIGESTS["Haswell"]
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_help_prints_each_indented_docstring_line_verbatim(script):
+    # an indented line is an example command or a table: reflowed, it runs into the text
+    doc = ast.get_docstring(ast.parse((ROOT / "scripts" / script).read_text()), clean=False)
+    indented = [line for line in doc.splitlines() if line.startswith(" ") and line.strip()]
+    assert indented
+    proc = run_script(script, "--help")
+    assert proc.returncode == 0, proc.stderr
+    printed = proc.stdout.splitlines()
+    assert [line for line in indented if line not in printed] == []
 
 
 def load_script(name):

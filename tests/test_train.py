@@ -127,10 +127,9 @@ class TestTrainLoop:
     @pytest.mark.parametrize("method", ["rigl", "rigl_mcdp"])
     def test_final_logits_are_the_output_models_feature_major_logits(self, method):
         tr, te = small_data()
-        res = train(small_config(method), tr, te)
-        if METHODS[method].mc_predict:
-            assert res.final_logits is None
-        else:
+        assert train(small_config(method), tr, te).final_logits is None  # not scaled
+        if not METHODS[method].mc_predict:
+            res = train(small_config(method, temperature=True), tr, te)
             assert res.final_logits.shape == (te.n_classes, len(te))
             z = Predictor(res.model, te.features).logits(res.model)
             assert res.final_logits.tobytes() == z.tobytes()
@@ -274,10 +273,17 @@ class TestTrainLoop:
         (dict(epochs=4, wma_start_epoch=-3), "train.wma_start_epoch"),
         (dict(seed=-1), "train.seed"),
         (dict(seed=2**64), "train.seed"),
+        (dict(method="nope", temperature=True), "train.method"),
     ])
     def test_non_finite_or_negative_knob_names_its_file_key(self, knob, key):
         with pytest.raises(ConfigError, match=f"^{key}: "):
             TrainConfig(**knob).validate()
+
+    def test_train_refuses_temperature_with_mc_dropout(self):
+        tr, te = small_data()
+        with pytest.raises(ConfigError, match="^calib.temperature: rigl_mcdp predicts by MC "
+                                              "dropout, which has no single logit set to scale$"):
+            train(TrainConfig(method="rigl_mcdp", temperature=True), tr, te)
 
 
 class TestKnobsThroughTrain:
@@ -371,7 +377,8 @@ class TestEvaluate:
         shapes = [w.shape for w in model.weights]
         mask = init_mask(shapes, build_sparsity_plan(shapes, 0.5), substream(1, "eval.mask"))
         model.flat *= mask.flat
-        cfg = TrainConfig(method=method, seed=5, keep_prob=0.7, mc_samples=3, n_bins=7, epochs=6)
+        cfg = TrainConfig(method=method, seed=5, keep_prob=0.7, mc_samples=3, n_bins=7, epochs=6,
+                          temperature=not METHODS[method].mc_predict)
         probs, bins, logits = evaluate(model, mask, cfg, tr, 4)
         last = evaluate(model, mask, cfg, tr, 6)
         assert logits is None  # only the last epoch keeps them
@@ -618,7 +625,8 @@ class TestSharedForward:
     @pytest.mark.parametrize("method", ["rigl", "rigl_mcdp"])
     def test_a_training_run_makes_its_test_split_buffers_once(self, made, method):
         tr, te = small_data()
-        cfg = small_config(method, epochs=4, wma_start_epoch=2)
+        cfg = small_config(method, epochs=4, wma_start_epoch=2,
+                           temperature=not METHODS[method].mc_predict)
         res = train(cfg, tr, te)
         # the run's, used by every epoch, the last included
         assert len(made) == 1
@@ -839,9 +847,19 @@ class TestLiveUnits:
         model = init_mlp([2, 8, 2], substream(21, "inf.bias"))
         model.biases[0][3] = -np.inf
         tr, _ = small_data()
-        assert np.isfinite(softmax(predict_logits(model, tr.features))).all()
+        assert np.isfinite(softmax(forward(model, tr.features))).all()
         with pytest.raises(NonFiniteError, match="^non-finite parameters$"):
             evaluate(model, full_mask(model), TrainConfig(method=method, mc_samples=3), tr, 1)
+
+
+def test_a_direct_prediction_of_a_nan_model_is_refused():
+    model, mask, features = _signed_zero_net([2, 64, 64, 2], 16)
+    model.flat[mask.positions[0]] = np.nan  # an active weight
+    x = features(100)
+    with pytest.raises(NonFiniteError, match="^non-finite parameters$"):
+        Predictor(model, x).probs(model)
+    with pytest.raises(NonFiniteError, match="^non-finite parameters$"):
+        predict_mc_dropout(model, mask, 0.9, 3, x, substream(0, "nan.mc"))
 
 
 class TestOneMaskingPath:
